@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report tables figures clean
+.PHONY: all check build test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report tables figures clean
 
 all: check
 
@@ -88,6 +88,14 @@ fuzz-smoke:
 # Every table, figure, ablation and extension, abbreviated windows.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
+
+# Short-budget run of the stream engine's fleet-scale micro-benchmarks
+# (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
+# synthetic fleet), with allocations. A smoke check: it fails only if a
+# benchmark errors or panics; raise BENCHTIME locally for numbers to compare.
+BENCHTIME ?= 200x
+bench-micro:
+	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 
 # Serial vs parallel wall-clock comparison of the causal-learning stages.
 # The JSON artifact records learn/localize/campaign timings at workers=1 and

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -73,7 +74,7 @@ func streamMetricCount(preset string) (int, error) {
 // sizes. Every scale point runs the same shape of workload: a dense warmup
 // fills the sliding windows (untimed), then streamBenchTimed hops arrive in
 // the sparse steady state a large fleet produces — per hop, only
-// streamBenchActive services report (plus the faulty one). The sharded
+// streamBenchActive services report (plus the faulty one). The incremental
 // detector's per-hop cost tracks the number of *reporting* services, so the
 // per-hop latency should stay flat as the fleet grows; that flatness is the
 // number this benchmark exists to record.
@@ -110,12 +111,18 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 	rep := &streamBenchReport{Seed: cf.seed}
 
 	for _, services := range scales {
+		// The synthetic fault shifts a series by +5 on a mean of
+		// 10+3m+0.5(s%64): only services with s%64 == 0 shift by more than
+		// the guarded KS test's 20% practical-equivalence tolerance on some
+		// metric. Any other service is never detected, and a hop where no
+		// metric votes names every service a candidate.
+		faultIdx := (services / 2) &^ 63
 		w, err := stream.NewSynth(stream.SynthConfig{
 			Services: services, Metrics: nMetrics,
 			BaselineLen:    sf.baseline,
 			Hops:           streamBenchWarmup + streamBenchTimed,
 			Seed:           cf.seed,
-			FaultService:   services / 2,
+			FaultService:   faultIdx,
 			FaultAfter:     streamBenchWarmup + streamBenchTimed/2,
 			ActiveServices: streamBenchActive,
 			Warmup:         streamBenchWarmup,
@@ -124,7 +131,7 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 			return err
 		}
 		model := w.Model()
-		faulty := w.Services[services/2]
+		faulty := w.Services[faultIdx]
 
 		for _, workers := range counts {
 			entry := func(engine string, sketch bool, wallMS float64) streamBenchEntry {
@@ -137,8 +144,9 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 				}
 			}
 
-			// runStream feeds the warmup untimed, then times the steady state.
-			runStream := func(extra ...stream.Option) ([]string, float64, error) {
+			// runStream feeds the warmup untimed, then times the steady
+			// state. It returns the last hop's verdict.
+			runStream := func(extra ...stream.Option) (*stream.Verdict, float64, error) {
 				opts := append([]stream.Option{
 					stream.WithWindow(streamBenchWindow),
 					stream.WithWorkers(workers),
@@ -147,7 +155,7 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 				if err != nil {
 					return nil, 0, err
 				}
-				var cand []string
+				var last *stream.Verdict
 				var start time.Time
 				for h, hop := range w.Hops {
 					if h == streamBenchWarmup {
@@ -157,34 +165,34 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 						runtime.GC()
 						start = clock.Wall.Now()
 					}
-					v, err := sl.Step(ctx, 0, hop)
-					if err != nil {
+					if last, err = sl.Step(ctx, 0, hop); err != nil {
 						return nil, 0, err
 					}
-					cand = v.Candidates
 				}
-				return cand, float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3, nil
+				return last, float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3, nil
 			}
 
-			streamCand, streamMS, err := runStream()
+			streamV, streamMS, err := runStream()
 			if err != nil {
 				return err
 			}
-			if !containsString(streamCand, faulty) {
-				return fmt.Errorf("bench: stream engine missed the fault at %d services: candidates %v", services, streamCand)
+			if !detected(streamV, faulty) {
+				return fmt.Errorf("bench: stream engine missed the fault at %d services: candidates %v, votes %v", services, streamV.Candidates, streamV.Votes)
 			}
+			streamCand := streamV.Candidates
 			rep.Entries = append(rep.Entries, entry("stream", false, streamMS))
 
 			var sketchMS float64
 			if sf.sketch {
-				sketchCand, ms, err := runStream(stream.WithSketch(stream.DefaultSketchEps))
+				sketchV, ms, err := runStream(stream.WithSketch(stream.DefaultSketchEps))
 				if err != nil {
 					return err
 				}
 				sketchMS = ms
-				if !containsString(sketchCand, faulty) {
-					return fmt.Errorf("bench: sketch engine missed the fault at %d services: candidates %v", services, sketchCand)
+				if !detected(sketchV, faulty) {
+					return fmt.Errorf("bench: sketch engine missed the fault at %d services: candidates %v, votes %v", services, sketchV.Candidates, sketchV.Votes)
 				}
+				sketchCand := sketchV.Candidates
 				// In the lossless regime (baseline within the sketch cutoff)
 				// the sketch path must be bit-identical to the exact one.
 				if sf.baseline <= stats.SketchCutoff(stream.DefaultSketchEps) && !reflect.DeepEqual(sketchCand, streamCand) {
@@ -267,11 +275,10 @@ func benchBatchPerTick(ctx context.Context, w *stream.SynthWorkload, model *core
 	return cand, float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3, nil
 }
 
-func containsString(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
+// detected reports whether a verdict localized the fault: some metric voted,
+// and the faulty service is among the candidates. A hop where no metric
+// votes names every service a candidate, so the vote check is what makes the
+// candidate check mean anything.
+func detected(v *stream.Verdict, faulty string) bool {
+	return v != nil && len(v.Votes) > 0 && slices.Contains(v.Candidates, faulty)
 }

@@ -181,6 +181,42 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCmdBenchStreamDetectsFault runs the streaming sweep at two small
+// fleet sizes. The command fails unless the last hop's verdict voted and
+// named the injected fault, so this pins both that check and a fault
+// placement the guarded test can detect.
+func TestCmdBenchStreamDetectsFault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark sweep skipped in -short mode")
+	}
+	out := filepath.Join(t.TempDir(), "stream.json")
+	if err := run(context.Background(), []string{"bench", "-stream", "-services", "64,200", "-baseline", "24", "-workers", "1", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Entries []struct {
+			Engine   string `json:"engine"`
+			Services int    `json:"services"`
+		} `json:"entries"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatalf("bench JSON: %v", err)
+	}
+	streams := 0
+	for _, e := range doc.Entries {
+		if e.Engine == "stream" {
+			streams++
+		}
+	}
+	if streams != 2 {
+		t.Fatalf("bench JSON has %d stream entries, want one per fleet size", streams)
+	}
+}
+
 // TestCmdBenchWritesJSON smoke-tests the bench subcommand's JSON artifact.
 func TestCmdBenchWritesJSON(t *testing.T) {
 	if testing.Short() {

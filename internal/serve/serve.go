@@ -391,16 +391,15 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	vs, newest, truncated := t.verdictsSince(since, int(max))
+	vs, newest, truncated, next := t.verdictsSince(since, int(max))
 	if len(vs) == 0 && q.Get("wait") != "" {
 		// Long-poll: block until the next verdict or the client gives up.
 		// The wait is bounded by the request context only — this package
 		// never arms a timer (project walltime invariant); clients set
 		// their own deadline.
-		ch := t.waitCh()
 		select {
-		case <-ch:
-			vs, newest, truncated = t.verdictsSince(since, int(max))
+		case <-next:
+			vs, newest, truncated, _ = t.verdictsSince(since, int(max))
 		case <-t.done:
 		case <-r.Context().Done():
 		}

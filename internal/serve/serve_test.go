@@ -415,6 +415,43 @@ func TestLongPollVerdicts(t *testing.T) {
 	}
 }
 
+// TestLongPollWakesOnVerdictAfterRead pins the long-poll's lost-wakeup fix:
+// the wait channel a poll receives alongside an empty read must be closed
+// by the next verdict, however soon after the read it lands. The consumer is
+// parked on the test gate while the poll reads, so the verdicts land
+// deterministically between the read and the wait.
+func TestLongPollWakesOnVerdictAfterRead(t *testing.T) {
+	fx := buildFixture(t)
+	srv, c, _ := newTestServer(t, t.TempDir())
+	if code := c.create("prod", tenantCfg(1, 0), fx.model); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	srv.mu.RLock()
+	tn := srv.tenants["prod"]
+	srv.mu.RUnlock()
+
+	release := pauseTenant(t, tn)
+	if code := c.ingest("prod", wireTicks(fx.ticks)); code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d", code)
+	}
+	vs, _, _, next := tn.verdictsSince(0, 0)
+	if len(vs) != 0 {
+		t.Fatalf("parked tenant served %d verdicts", len(vs))
+	}
+	release()
+	if err := srv.Quiesce(context.Background(), "prod"); err != nil {
+		t.Fatal(err)
+	}
+	if vs, _, _, _ := tn.verdictsSince(0, 0); len(vs) == 0 {
+		t.Fatal("the fixture timeline emitted no verdict")
+	}
+	select {
+	case <-next:
+	default:
+		t.Fatal("a verdict landed after the poll's read but its wait channel stayed open: the poll would stall")
+	}
+}
+
 // TestRunDrained pins the graceful-finish helper's contract.
 func TestRunDrained(t *testing.T) {
 	t.Run("drains on done", func(t *testing.T) {

@@ -53,7 +53,7 @@ type TenantConfig struct {
 	Rule       core.VoteRule `json:"rule,omitempty"`
 	// SketchEps, when positive, switches the tenant's baselines to
 	// bounded-memory ECDF sketches (stream.WithSketch) with this error
-	// budget. Shards overrides the detector shard count (stream.WithShards);
+	// budget. Shards overrides the detector's flush split (stream.WithShards);
 	// zero keeps the stream default.
 	SketchEps float64 `json:"sketch_eps,omitempty"`
 	Shards    int     `json:"shards,omitempty"`
@@ -455,9 +455,14 @@ func (t *tenant) snapshotNow() error {
 }
 
 // verdictsSince returns retained verdicts with sequence numbers in
-// (since, since+max], the newest retained sequence number, and whether the
-// requested range was truncated (since predates the ring).
-func (t *tenant) verdictsSince(since uint64, max int) (vs []SeqVerdict, newest uint64, truncated bool) {
+// (since, since+max], the newest retained sequence number, whether the
+// requested range was truncated (since predates the ring), and the channel
+// closed on the next verdict arrival, for long-polling. All four come from
+// one critical section: a verdict landing after this read closes the
+// returned channel, so a poller that found nothing new cannot miss it. The
+// caller must also select on its request context: the serving path is
+// walltime-free, so the poll deadline is the client's.
+func (t *tenant) verdictsSince(since uint64, max int) (vs []SeqVerdict, newest uint64, truncated bool, next <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	newest = t.seq
@@ -475,16 +480,7 @@ func (t *tenant) verdictsSince(since uint64, max int) (vs []SeqVerdict, newest u
 			break
 		}
 	}
-	return vs, newest, truncated
-}
-
-// waitCh returns the channel closed on the next verdict arrival, for
-// long-polling. The caller must also select on its request context: the
-// serving path is walltime-free, so the poll deadline is the client's.
-func (t *tenant) waitCh() <-chan struct{} {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.notify
+	return vs, newest, truncated, t.notify
 }
 
 // snapshotStats returns the tenant's serving accounting.

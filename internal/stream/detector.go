@@ -25,38 +25,27 @@ const (
 	modeGeneric                   // anything else: materialize and delegate
 )
 
-// pairState is the per-(metric, service) streaming state.
-type pairState struct {
-	// base is the baseline series in snapshot order, the exact slice the
-	// batch path would pass as the test's second sample. Nil in sketch mode,
-	// where the incremental state carries the baseline summary instead.
-	base []float64
-	// baseLen is the baseline series length — len(base) in exact mode, the
-	// original length in sketch mode.
-	baseLen int
-	// ks is the incremental state; nil when the pair has no usable baseline
-	// (empty series), in which case the pair can never be tested.
-	ks *stats.IncrementalKS
-	// seen records whether the pair ever received a production value. A
-	// batch snapshot only contains pairs that were observed; an unseen pair
-	// must be skipped (tolerant) or fail (strict) exactly as a missing
-	// snapshot entry would.
-	seen bool
+// Per-pair flag bits, kept in the spare byte of each pair's
+// stats.WindowMeta. The first two cache facts about the pair's baseline, so
+// the ingest and flush paths read them from the record they touch anyway
+// instead of from the cold baseline arrays; the rest are fast-path state.
+const (
+	flagUsable   uint8 = 1 << iota // the baseline has a non-empty series: the pair can be observed
+	flagLongBase                   // the baseline series clears the min-sample guard
+	flagDirty                      // awaiting recomputation at the next flush
+	flagTestable                   // counted in its metric's family since the last flush
+	flagAnom                       // in its metric's anomalous set since the last flush
+)
 
-	// Incremental-detection bookkeeping (fast path only). svc, mi and shard
-	// locate the pair; dirty marks it for the next flush; testable, pval and
-	// anom cache its contribution to the per-metric detection, valid since
-	// the last flush. nextTestable and nextPval stage the recomputation: the
-	// parallel phase writes them, the serial merge applies them.
-	svc          string
-	mi           int
-	shard        int
-	dirty        bool
-	testable     bool
-	anom         bool
-	pval         float64
-	nextTestable bool
-	nextPval     float64
+// untestable is the staged p-value of a pair the min-sample guard or a
+// missing window keeps out of its metric's family. Real p-values lie in
+// [0, 1], so a pair is testable exactly when !(pval < 0).
+const untestable = -1.0
+
+// hopValue is one checked window-value of a hop, ready to push.
+type hopValue struct {
+	pair int
+	v    float64
 }
 
 // metricAgg is one metric's cached detection aggregate on the fast path: the
@@ -89,18 +78,24 @@ func (a *metricAgg) removeAnom(svc string) {
 // the answer is byte-identical to core.Detect on a snapshot holding each
 // pair's last Window values.
 //
+// Pair state is dense: (metric, service) pair p = metric index ×
+// len(Services) + service index, in baseline order. The hot state a push
+// touches — the pair's ring and sorted index, side by side in one
+// detector-wide slab, and its 16-byte metadata record — is kept apart from
+// the cold state only a test reads: the sorted baselines (one arena), their
+// trimmed means and sketches, and the cached p-values.
+//
 // In tolerant mode with the (guarded) KS test — the Localizer's
-// configuration — detection is incremental end to end: pair states are
-// hash-sharded, Observe only marks a pair dirty, and the flush before the
-// next Detect recomputes exactly the dirty pairs (fanned across the worker
-// pool by shard) before merging their deltas into per-metric aggregates. A
-// hop that touches T pairs costs O(T) test evaluations regardless of how
-// many services exist. Strict mode and generic tests take the full-scan
-// path, which remains correct at any scale but pays O(S) per metric per
-// Detect.
+// configuration — detection is incremental end to end: Observe only marks a
+// pair dirty, and the flush before the next Detect recomputes exactly the
+// dirty pairs (split across the worker pool) before merging their deltas
+// into per-metric aggregates. A hop that touches T pairs costs O(T) test
+// evaluations regardless of how many services exist. Strict mode and
+// generic tests take the full-scan path, which remains correct at any scale
+// but pays O(S) per metric per Detect.
 //
 // A Detector is not safe for concurrent use. Parallelism lives inside
-// Detect (the shard/p-value fan-out, WithWorkers) and inside the Localizer's
+// Detect (the p-value fan-out, WithWorkers) and inside the Localizer's
 // per-metric fan-out, which only reads the flushed states.
 type Detector struct {
 	baseline *metrics.Snapshot
@@ -113,20 +108,26 @@ type Detector struct {
 	minSamp  int
 	tolerant bool
 	workers  int
-	// states is metric -> service -> state, populated eagerly at
-	// construction for every baseline-backed pair so each baseline series
-	// is sorted (or sketched) exactly once, up front.
-	states map[string]map[string]*pairState
+
+	metricIndex map[string]int // metric name -> index into baseline.Metrics
+	svcIndex    map[string]int // service name -> index into baseline.Services
+	// win is the hot per-pair state: ring, sorted index and metadata.
+	win stats.WindowSlab
+	// base is the cold per-pair baseline side, built once here so no
+	// per-hop call sorts anything. A pair whose baseline has no usable
+	// series has Len 0 (and no flagUsable): it can never be observed or
+	// tested.
+	base *stats.KSBaselines
 
 	// Fast-path structures, built only when fast is set (tolerant + KS).
-	fast        bool
-	shards      int
-	dirty       [][]*pairState // per shard: pairs awaiting recomputation
-	byMetric    [][]*pairState // tracked pairs per metric, baseline.Services order
-	metricIndex map[string]int // metric name -> index into byMetric/aggs
-	aggs        []metricAgg
-	fdrTouched  []bool    // metrics needing a family re-decision (FDR mode)
-	pvalBuf     []float64 // scratch for the FDR family decision
+	fast       bool
+	shards     int         // how many parts the flush splits the dirty pairs into
+	dirty      []int       // pairs awaiting recomputation, in touch order
+	pval       []float64   // per pair: the p-value staged by the last flush, or untestable
+	aggs       []metricAgg // per metric
+	fdrTouched []bool      // metrics needing a family re-decision (FDR mode)
+	pvalBuf    []float64   // scratch for the FDR family decision
+	hop        []hopValue  // ObserveHop's checked values, reused across hops
 }
 
 // NewDetector builds a Detector over the given baseline snapshot. Every
@@ -157,7 +158,6 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 		tolerant: s.tolerant,
 		workers:  s.workers,
 		shards:   s.shards,
-		states:   make(map[string]map[string]*pairState, len(baseline.Metrics)),
 	}
 	// Resolve defaults exactly as core.Detect does.
 	if d.alpha == 0 && d.fdr == 0 {
@@ -189,76 +189,84 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 	}
 	d.fast = d.tolerant && d.mode != modeGeneric
 
-	if d.fast {
-		d.dirty = make([][]*pairState, d.shards)
-		d.byMetric = make([][]*pairState, len(baseline.Metrics))
-		d.metricIndex = make(map[string]int, len(baseline.Metrics))
-		d.aggs = make([]metricAgg, len(baseline.Metrics))
-		d.fdrTouched = make([]bool, len(baseline.Metrics))
+	var err error
+	if d.metricIndex, err = indexNames("metric", baseline.Metrics); err != nil {
+		return nil, err
+	}
+	if d.svcIndex, err = indexNames("service", baseline.Services); err != nil {
+		return nil, err
+	}
+	pairs := len(baseline.Metrics) * len(baseline.Services)
+	total := 0
+	for _, m := range baseline.Metrics {
+		for _, svc := range baseline.Services {
+			series, _ := baseline.SeriesOK(m, svc)
+			total += len(series)
+		}
+	}
+	win, err := stats.NewWindowSlab(pairs, s.window)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	d.win = *win
+	if d.base, err = stats.NewKSBaselines(s.sketchEps, pairs, total); err != nil {
+		return nil, err
 	}
 	for mi, m := range baseline.Metrics {
-		bySvc := make(map[string]*pairState, len(baseline.Services))
-		for _, svc := range baseline.Services {
-			series, ok := baseline.SeriesOK(m, svc)
-			if !ok {
-				continue
+		for si, svc := range baseline.Services {
+			series, _ := baseline.SeriesOK(m, svc)
+			p := mi*len(baseline.Services) + si
+			if err := d.base.Add(series); err != nil {
+				return nil, fmt.Errorf("stream: baseline %s/%s: %w", m, svc, err)
 			}
-			st := &pairState{base: series, baseLen: len(series)}
 			if len(series) > 0 {
-				var ks *stats.IncrementalKS
-				var err error
-				if s.sketchEps > 0 {
-					ks, err = stats.NewIncrementalKSSketch(series, s.window, s.sketchEps)
-					st.base = nil
-				} else {
-					ks, err = stats.NewIncrementalKS(series, s.window)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("stream: baseline %s/%s: %w", m, svc, err)
-				}
-				st.ks = ks
+				d.win.Meta(p).Flags |= flagUsable
 			}
-			bySvc[svc] = st
-			if d.fast {
-				st.svc = svc
-				st.mi = mi
-				st.shard = pairShard(m, svc, d.shards)
-				if st.ks != nil {
-					d.byMetric[mi] = append(d.byMetric[mi], st)
-				}
+			if len(series) >= d.minSamp {
+				d.win.Meta(p).Flags |= flagLongBase
 			}
 		}
-		d.states[m] = bySvc
-		if d.fast {
-			d.metricIndex[m] = mi
-		}
+	}
+	if d.fast {
+		d.pval = make([]float64, pairs)
+		d.aggs = make([]metricAgg, len(baseline.Metrics))
+		d.fdrTouched = make([]bool, len(baseline.Metrics))
 	}
 	return d, nil
 }
 
-// pairShard assigns a (metric, service) pair to a shard by FNV-1a over the
-// NUL-separated pair key. Purely a load-spreading function: any assignment
-// yields the same detection output.
-func pairShard(metric, svc string, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(metric); i++ {
-		h ^= uint64(metric[i])
-		h *= prime64
+// indexNames maps each name to its position, rejecting repeats: a pair's
+// dense index is only well defined over a universe without duplicates.
+func indexNames(kind string, names []string) (map[string]int, error) {
+	idx := make(map[string]int, len(names))
+	for i, n := range names {
+		if _, dup := idx[n]; dup {
+			return nil, fmt.Errorf("stream: baseline lists %s %q twice", kind, n)
+		}
+		idx[n] = i
 	}
-	h *= prime64 // NUL separator: ^= 0 is the identity
-	for i := 0; i < len(svc); i++ {
-		h ^= uint64(svc[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
+	return idx, nil
 }
 
 // Window returns the configured sliding-window length.
 func (d *Detector) Window() int { return d.window }
+
+// pair returns the dense index of (metric index mi, svc), and whether the
+// baseline has a usable series for it.
+func (d *Detector) pair(mi int, svc string) (int, bool) {
+	si, ok := d.svcIndex[svc]
+	if !ok {
+		return 0, false
+	}
+	p := mi*len(d.baseline.Services) + si
+	return p, d.win.Meta(p).Flags&flagUsable != 0
+}
+
+// names returns pair p's metric and service.
+func (d *Detector) names(p int) (metric, svc string) {
+	n := len(d.baseline.Services)
+	return d.baseline.Metrics[p/n], d.baseline.Services[p%n]
+}
 
 // Observe feeds one production window-value for a (metric, service) pair.
 // The metric and service must be declared in the baseline universe. A pair
@@ -266,153 +274,74 @@ func (d *Detector) Window() int { return d.window }
 // path would skip it) and an error in strict mode (the batch path would fail
 // it at Detect time; failing at ingest surfaces the problem earlier).
 func (d *Detector) Observe(metric, svc string, v float64) error {
-	bySvc, ok := d.states[metric]
+	mi, ok := d.metricIndex[metric]
 	if !ok {
 		return fmt.Errorf("stream: observe: metric %q not in baseline", metric)
 	}
-	st, ok := bySvc[svc]
-	if !ok || st.ks == nil {
+	p, ok := d.pair(mi, svc)
+	if !ok {
 		if d.tolerant {
 			return nil
 		}
 		return fmt.Errorf("stream: observe: baseline has no usable series for metric %q service %q", metric, svc)
 	}
-	st.ks.Push(v)
-	st.seen = true
-	d.touch(st)
+	d.push(p, v)
 	return nil
 }
 
-// touch marks a pair for recomputation at the next flush.
-func (d *Detector) touch(st *pairState) {
-	if !d.fast || st.dirty {
+// push feeds one value into pair p's window.
+func (d *Detector) push(p int, v float64) {
+	d.win.Push(p, v)
+	d.markDirty(p)
+}
+
+// markDirty queues pair p for recomputation at the next flush (fast path
+// only; a pair is queued once however often it changes in between).
+func (d *Detector) markDirty(p int) {
+	if !d.fast {
 		return
 	}
-	st.dirty = true
-	d.dirty[st.shard] = append(d.dirty[st.shard], st)
-}
-
-// flush brings the fast path's cached detection state current: every pair
-// whose window changed since the last flush is recomputed, with the dirty
-// shards fanned across the worker pool (each pair lives in exactly one
-// shard, so the staged writes are disjoint) and the deltas merged serially
-// into the per-metric aggregates. A no-op outside the fast path or when
-// nothing changed.
-func (d *Detector) flush(ctx context.Context, workers int) error {
-	if !d.fast {
-		return nil
+	if m := d.win.Meta(p); m.Flags&flagDirty == 0 {
+		m.Flags |= flagDirty
+		d.dirty = append(d.dirty, p)
 	}
-	var touched []int
-	for si, pairs := range d.dirty {
-		if len(pairs) > 0 {
-			touched = append(touched, si)
-		}
-	}
-	if len(touched) == 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if _, err := parallel.Map(ctx, workers, len(touched), func(_ context.Context, i int) (struct{}, error) {
-		for _, st := range d.dirty[touched[i]] {
-			st.nextTestable = st.seen && st.baseLen >= d.minSamp && st.ks.Len() >= d.minSamp
-			st.nextPval = 0
-			if st.nextTestable {
-				p, err := d.pairPValue(st)
-				if err != nil {
-					return struct{}{}, fmt.Errorf("stream: anomaly test %s on %s: %w", d.baseline.Metrics[st.mi], st.svc, err)
-				}
-				st.nextPval = p
-			}
-		}
-		return struct{}{}, nil
-	}); err != nil {
-		return err
-	}
-
-	for _, si := range touched {
-		for _, st := range d.dirty[si] {
-			agg := &d.aggs[st.mi]
-			if st.testable {
-				agg.tested--
-				if d.fdr == 0 && st.anom {
-					agg.removeAnom(st.svc)
-				}
-			}
-			st.testable, st.pval = st.nextTestable, st.nextPval
-			st.anom = false
-			if st.testable {
-				agg.tested++
-				if d.fdr == 0 {
-					st.anom = st.pval < d.alpha
-					if st.anom {
-						agg.insertAnom(st.svc)
-					}
-				}
-			}
-			if d.fdr > 0 {
-				d.fdrTouched[st.mi] = true
-			}
-			st.dirty = false
-		}
-		d.dirty[si] = d.dirty[si][:0]
-	}
-
-	// Benjamini-Hochberg couples the whole family: any change within a
-	// metric re-decides that metric's family over the cached p-values (a
-	// float scan, not a re-test).
-	if d.fdr > 0 {
-		for mi := range d.fdrTouched {
-			if !d.fdrTouched[mi] {
-				continue
-			}
-			d.fdrTouched[mi] = false
-			if err := d.redecide(mi); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// redecide reruns the family decision for one metric from the cached
-// p-values, rebuilding its anomalous set.
-func (d *Detector) redecide(mi int) error {
-	pvals := d.pvalBuf[:0]
-	for _, st := range d.byMetric[mi] {
-		if st.testable {
-			pvals = append(pvals, st.pval)
-		}
-	}
-	d.pvalBuf = pvals
-	shifted, err := core.DecideFamily(pvals, d.alpha, d.fdr)
-	if err != nil {
-		return fmt.Errorf("stream: anomalies: %w", err)
-	}
-	agg := &d.aggs[mi]
-	agg.anom = agg.anom[:0]
-	j := 0
-	for _, st := range d.byMetric[mi] {
-		if !st.testable {
-			st.anom = false
-			continue
-		}
-		st.anom = shifted[j]
-		j++
-		if st.anom {
-			agg.anom = append(agg.anom, st.svc)
-		}
-	}
-	sort.Strings(agg.anom)
-	return nil
 }
 
 // ObserveHop feeds one hop's window-values for every (metric, service) pair
-// at once: hop maps metric -> service -> value. Pairs are ingested in sorted
-// order so error reporting is deterministic; ingestion order across distinct
-// pairs does not affect any state.
+// at once: hop maps metric -> service -> value. Ingestion order across
+// distinct pairs does not affect any state, so a hop is checked and then
+// ingested in map order. Only a hop that fails the check is walked again in
+// sorted order, pair by pair, so its partial ingest and its error are
+// deterministic: the pairs before the first failing one, in sorted order,
+// are ingested, and that pair's error is returned.
 func (d *Detector) ObserveHop(hop map[string]map[string]float64) error {
+	checked := d.hop[:0]
+	for m, vals := range hop {
+		mi, ok := d.metricIndex[m]
+		if !ok {
+			return d.observeSorted(hop)
+		}
+		for svc, v := range vals {
+			p, ok := d.pair(mi, svc)
+			if !ok {
+				if d.tolerant {
+					continue
+				}
+				return d.observeSorted(hop)
+			}
+			checked = append(checked, hopValue{pair: p, v: v})
+		}
+	}
+	d.hop = checked
+	for _, hv := range checked {
+		d.push(hv.pair, hv.v)
+	}
+	return nil
+}
+
+// observeSorted ingests a hop pair by pair in sorted (metric, service)
+// order, stopping at the first error.
+func (d *Detector) observeSorted(hop map[string]map[string]float64) error {
 	ms := make([]string, 0, len(hop))
 	for m := range hop {
 		ms = append(ms, m)
@@ -433,6 +362,127 @@ func (d *Detector) ObserveHop(hop map[string]map[string]float64) error {
 	return nil
 }
 
+// flush brings the fast path's cached detection state current: every pair
+// whose window changed since the last flush is recomputed — the dirty list
+// split into up to WithShards parts fanned across the worker pool, each pair
+// in exactly one part, so the staged writes are disjoint — and the deltas
+// merged serially into the per-metric aggregates. A no-op outside the fast
+// path or when nothing changed.
+func (d *Detector) flush(ctx context.Context, workers int) error {
+	if !d.fast || len(d.dirty) == 0 {
+		return nil
+	}
+	if parts := min(d.shards, len(d.dirty)); workers > 1 && parts > 1 {
+		n := len(d.dirty)
+		if err := parallel.ForEach(ctx, workers, parts, func(_ context.Context, k int) error {
+			return d.stage(d.dirty[k*n/parts : (k+1)*n/parts])
+		}); err != nil {
+			return err
+		}
+	} else {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := d.stage(d.dirty); err != nil {
+			return err
+		}
+	}
+
+	nsvc := len(d.baseline.Services)
+	for _, p := range d.dirty {
+		mi := p / nsvc
+		m := d.win.Meta(p)
+		agg := &d.aggs[mi]
+		if m.Flags&flagTestable != 0 {
+			agg.tested--
+			if m.Flags&flagAnom != 0 {
+				agg.removeAnom(d.baseline.Services[p%nsvc])
+			}
+		}
+		m.Flags &^= flagDirty | flagTestable | flagAnom
+		if pv := d.pval[p]; !(pv < 0) {
+			m.Flags |= flagTestable
+			agg.tested++
+			if d.fdr == 0 && pv < d.alpha {
+				m.Flags |= flagAnom
+				agg.insertAnom(d.baseline.Services[p%nsvc])
+			}
+		}
+		if d.fdr > 0 {
+			d.fdrTouched[mi] = true
+		}
+	}
+	d.dirty = d.dirty[:0]
+
+	// Benjamini-Hochberg couples the whole family: any change within a
+	// metric re-decides that metric's family over the cached p-values (a
+	// float scan, not a re-test).
+	if d.fdr > 0 {
+		for mi := range d.fdrTouched {
+			if !d.fdrTouched[mi] {
+				continue
+			}
+			d.fdrTouched[mi] = false
+			if err := d.redecide(mi); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// stage recomputes the given dirty pairs' p-values into d.pval, writing
+// nothing else, so disjoint pair lists can be staged concurrently.
+func (d *Detector) stage(pairs []int) error {
+	for _, p := range pairs {
+		d.pval[p] = untestable
+		if d.win.Pushed(p) == 0 || d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp {
+			continue
+		}
+		pv, err := d.ksPValue(p)
+		if err != nil {
+			m, svc := d.names(p)
+			return fmt.Errorf("stream: anomaly test %s on %s: %w", m, svc, err)
+		}
+		d.pval[p] = pv
+	}
+	return nil
+}
+
+// redecide reruns the family decision for one metric from the cached
+// p-values, rebuilding its anomalous set.
+func (d *Detector) redecide(mi int) error {
+	row := mi * len(d.baseline.Services)
+	pvals := d.pvalBuf[:0]
+	for si := range d.baseline.Services {
+		if d.win.Meta(row+si).Flags&flagTestable != 0 {
+			pvals = append(pvals, d.pval[row+si])
+		}
+	}
+	d.pvalBuf = pvals
+	shifted, err := core.DecideFamily(pvals, d.alpha, d.fdr)
+	if err != nil {
+		return fmt.Errorf("stream: anomalies: %w", err)
+	}
+	agg := &d.aggs[mi]
+	agg.anom = agg.anom[:0]
+	j := 0
+	for si, svc := range d.baseline.Services {
+		m := d.win.Meta(row + si)
+		if m.Flags&flagTestable == 0 {
+			continue
+		}
+		m.Flags &^= flagAnom
+		if shifted[j] {
+			m.Flags |= flagAnom
+			agg.anom = append(agg.anom, svc)
+		}
+		j++
+	}
+	sort.Strings(agg.anom)
+	return nil
+}
+
 // Materialize builds the batch production snapshot a one-shot collector
 // would have produced from the current window contents: per seen pair, the
 // retained arrival-order values (non-finite entries included). It exists for
@@ -440,13 +490,13 @@ func (d *Detector) ObserveHop(hop map[string]map[string]float64) error {
 // core.Detect(cfg, baseline, d.Materialize(), m) — and for debugging.
 func (d *Detector) Materialize() *metrics.Snapshot {
 	out := metrics.NewSnapshot(d.baseline.Metrics, d.baseline.Services)
-	for _, m := range d.baseline.Metrics {
-		for _, svc := range d.baseline.Services {
-			st := d.states[m][svc]
-			if st == nil || !st.seen {
+	for mi, m := range d.baseline.Metrics {
+		for si, svc := range d.baseline.Services {
+			p := mi*len(d.baseline.Services) + si
+			if d.win.Pushed(p) == 0 {
 				continue
 			}
-			out.Data[m][svc] = st.ks.Window()
+			out.Data[m][svc] = d.win.Window(p)
 		}
 	}
 	return out
@@ -470,12 +520,15 @@ func (d *Detector) Detect(ctx context.Context, metric string) (*core.Detection, 
 // detections across its pool (no nested pools — the same discipline
 // core.Localizer applies). The fast path must have been flushed.
 func (d *Detector) detect(ctx context.Context, metric string, workers int) (*core.Detection, error) {
-	if d.fast {
-		mi, ok := d.metricIndex[metric]
-		if !ok {
+	mi, ok := d.metricIndex[metric]
+	if !ok {
+		if d.tolerant {
 			// Batch: production.SeriesOK misses every pair -> empty family.
 			return &core.Detection{Anomalous: []string{}, Tested: 0}, nil
 		}
+		return nil, fmt.Errorf("metrics: snapshot has no metric %q", metric)
+	}
+	if d.fast {
 		agg := &d.aggs[mi]
 		return &core.Detection{
 			Anomalous: append(make([]string, 0, len(agg.anom)), agg.anom...),
@@ -483,36 +536,28 @@ func (d *Detector) detect(ctx context.Context, metric string, workers int) (*cor
 		}, nil
 	}
 
-	bySvc, ok := d.states[metric]
-	if !ok {
-		if d.tolerant {
-			return &core.Detection{Anomalous: []string{}, Tested: 0}, nil
-		}
-		return nil, fmt.Errorf("metrics: snapshot has no metric %q", metric)
-	}
-
 	// Family assembly, serial, in baseline service order — identical skip
 	// decisions to core.Detect's loop over baseline.Services.
-	var family []*pairState
+	var family []int
 	var names []string
 	for _, svc := range d.baseline.Services {
-		st := bySvc[svc]
+		p, usable := d.pair(mi, svc)
 		if d.tolerant {
-			if st == nil || st.ks == nil || !st.seen {
+			if !usable || d.win.Pushed(p) == 0 {
 				continue
 			}
-			if st.baseLen < d.minSamp || st.ks.Len() < d.minSamp {
+			if d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp {
 				continue
 			}
 		} else {
-			if st == nil {
+			if _, ok := d.baseline.SeriesOK(metric, svc); !ok {
 				return nil, fmt.Errorf("metrics: snapshot metric %q has no service %q", metric, svc)
 			}
-			if st.ks == nil || !st.seen {
+			if !usable || d.win.Pushed(p) == 0 {
 				return nil, fmt.Errorf("stream: no production window for metric %q service %q", metric, svc)
 			}
 		}
-		family = append(family, st)
+		family = append(family, p)
 		names = append(names, svc)
 	}
 
@@ -520,7 +565,7 @@ func (d *Detector) detect(ctx context.Context, metric string, workers int) (*cor
 		workers = 1
 	}
 	pvals, err := parallel.Map(ctx, workers, len(family), func(_ context.Context, i int) (float64, error) {
-		p, err := d.pairPValue(family[i])
+		p, err := d.pairPValue(family[i], metric, names[i])
 		if err != nil {
 			return 0, fmt.Errorf("stream: anomaly test %s on %s: %w", metric, names[i], err)
 		}
@@ -544,23 +589,30 @@ func (d *Detector) detect(ctx context.Context, metric string, workers int) (*cor
 	return &core.Detection{Anomalous: anom, Tested: len(family)}, nil
 }
 
-// pairPValue computes one pair's p-value on the fast incremental path when
-// the configured test is (guarded) KS, or by materializing the window for
-// any other test. The materialized path applies the same finite-values
-// filter the tolerant batch path does.
-func (d *Detector) pairPValue(st *pairState) (float64, error) {
-	switch d.mode {
-	case modeGuardedKS:
-		return st.ks.GuardedPValue(d.relTol)
-	case modeRawKS:
-		return st.ks.PValue()
-	default:
-		prod := st.ks.Window()
-		if d.tolerant {
-			prod = finiteValues(prod)
-		}
-		return d.test.PValue(prod, st.base)
+// ksPValue computes pair p's p-value on the incremental path: the (guarded)
+// KS test over the sorted window and the pre-sorted baseline.
+func (d *Detector) ksPValue(p int) (float64, error) {
+	if d.mode == modeRawKS {
+		return d.base.PValue(p, d.win.Sorted(p))
 	}
+	return d.base.GuardedPValue(p, d.win.Sorted(p), d.relTol)
+}
+
+// pairPValue computes the p-value of pair p = (metric, svc) on the
+// incremental path when the configured test is (guarded) KS, or by
+// materializing the window for any other test. The materialized path
+// applies the same finite-values filter the tolerant batch path does and
+// passes the baseline series in snapshot order, as the batch path does.
+func (d *Detector) pairPValue(p int, metric, svc string) (float64, error) {
+	if d.mode != modeGeneric {
+		return d.ksPValue(p)
+	}
+	prod := d.win.Window(p)
+	if d.tolerant {
+		prod = finiteValues(prod)
+	}
+	base, _ := d.baseline.SeriesOK(metric, svc)
+	return d.test.PValue(prod, base)
 }
 
 // DetectAll runs Detect for every baseline metric after a single flush,

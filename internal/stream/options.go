@@ -11,7 +11,7 @@ import (
 
 // Defaults for the option set below. DefaultWindow is the sliding-window
 // length in window-values per (metric, service) pair; DefaultShards is the
-// number of hash shards the detector's dirty-pair flush fans across.
+// number of parts the detector's flush splits the dirty pairs into.
 const (
 	DefaultWindow = 8
 	DefaultShards = 32
@@ -127,7 +127,8 @@ func WithMinSamples(n int) Option {
 }
 
 // WithWorkers bounds the per-hop fan-out (across metrics in the Localizer,
-// across dirty shards in the Detector's flush). Zero or one is serial.
+// across the dirty pairs' parts in the Detector's flush). Zero or one is
+// serial.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -213,10 +214,10 @@ func WithSketch(eps float64) Option {
 	}
 }
 
-// WithShards sets how many hash shards the detector's dirty-pair state is
-// partitioned into; the flush after each hop fans the shards that actually
-// changed across the worker pool. The default is DefaultShards. Purely a
-// throughput knob: results are byte-identical at every shard count.
+// WithShards sets how many parts the detector's flush splits the pairs a hop
+// touched into; with more than one worker the parts are recomputed across
+// the pool. The default is DefaultShards. Purely a throughput knob: results
+// are byte-identical at every shard count.
 func WithShards(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {

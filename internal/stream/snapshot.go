@@ -399,10 +399,11 @@ func (p *Pipeline) ExportState() *PipelineState {
 	}
 
 	d := p.loc.det
-	for _, m := range d.baseline.Metrics {
-		for _, svc := range d.baseline.Services {
-			ps := d.states[m][svc]
-			if ps == nil || ps.ks == nil || ps.ks.Pushed() == 0 {
+	for mi, m := range d.baseline.Metrics {
+		for si, svc := range d.baseline.Services {
+			pair := mi*len(d.baseline.Services) + si
+			pushed := d.win.Pushed(pair)
+			if pushed == 0 {
 				continue
 			}
 			if st.Pairs == nil {
@@ -413,12 +414,12 @@ func (p *Pipeline) ExportState() *PipelineState {
 				bySvc = make(map[string]PairState)
 				st.Pairs[m] = bySvc
 			}
-			win := ps.ks.Window()
+			win := d.win.Window(pair)
 			vals := make([]Float64, len(win))
 			for i, v := range win {
 				vals[i] = Float64(v)
 			}
-			bySvc[svc] = PairState{Values: vals, Pushed: ps.ks.Pushed()}
+			bySvc[svc] = PairState{Values: vals, Pushed: pushed}
 		}
 	}
 
@@ -497,26 +498,25 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 	}
 
 	for m, bySvc := range st.Pairs {
-		states, ok := d.states[m]
+		mi, ok := d.metricIndex[m]
 		if !ok {
 			return fmt.Errorf("stream: snapshot pair metric %q not in model", m)
 		}
 		for svc, ps := range bySvc {
-			pst := states[svc]
-			if pst == nil || pst.ks == nil {
+			pair, ok := d.pair(mi, svc)
+			if !ok {
 				return fmt.Errorf("stream: snapshot pair %s/%s has no usable baseline in the model", m, svc)
 			}
 			vals := make([]float64, len(ps.Values))
 			for i, v := range ps.Values {
 				vals[i] = float64(v)
 			}
-			if err := pst.ks.RestoreWindow(vals, ps.Pushed); err != nil {
+			if err := d.win.Restore(pair, vals, ps.Pushed); err != nil {
 				return fmt.Errorf("stream: snapshot pair %s/%s: %w", m, svc, err)
 			}
-			pst.seen = true
 			// Mark the restored pair for the next flush so the incremental
 			// detection caches are rebuilt from the restored window.
-			d.touch(pst)
+			d.markDirty(pair)
 		}
 	}
 
@@ -562,11 +562,9 @@ func (p *Pipeline) fresh() bool {
 		return false
 	}
 	d := p.loc.det
-	for _, bySvc := range d.states {
-		for _, ps := range bySvc {
-			if ps.seen || (ps.ks != nil && ps.ks.Pushed() > 0) {
-				return false
-			}
+	for pair := 0; pair < d.win.Count(); pair++ {
+		if d.win.Pushed(pair) > 0 {
+			return false
 		}
 	}
 	return true

@@ -6,19 +6,23 @@
 // production snapshot: every call re-sorts every series and re-runs every
 // two-sample test. Re-running it per hop over a sliding window costs
 // O(n log n) per series per tick. This package keeps, per (metric, service)
-// pair, an incremental KS state (stats.IncrementalKS) whose baseline is
-// sorted exactly once and whose production window is maintained by ordered
-// insert/evict — so a hop costs one bounded insert per pair plus the D-walk,
-// never a sort.
+// pair, an incremental KS comparison whose baseline is sorted exactly once
+// and whose production window is maintained by ordered insert/evict — so a
+// hop costs one bounded insert per pair plus the D-walk, never a sort. The
+// pairs' state is dense rather than one object per pair: every window's ring
+// and sorted index sit side by side in one stats.WindowSlab with a 16-byte
+// metadata record each, and every sorted baseline in one stats.KSBaselines
+// arena, so at the default window a push touches two adjacent cache lines
+// and one record.
 //
-// Scale contract: per-pair detection state is hash-sharded, and each hop's
-// flush recomputes only the pairs whose windows actually changed — so a hop
-// that touches T of the S×M pairs costs O(T) test evaluations, not O(S·M),
-// and per-hop latency stays flat as the service count grows with constant
-// hop density. With WithSketch, per-pair baseline memory is O(1/eps)
-// regardless of baseline length. Both are pure representation changes:
-// verdicts are byte-identical at every shard count, and bit-identical to the
-// exact baseline whenever the sketch is lossless for it.
+// Scale contract: each hop's flush recomputes only the pairs whose windows
+// actually changed — so a hop that touches T of the S×M pairs costs O(T)
+// test evaluations, not O(S·M), and per-hop latency stays flat as the
+// service count grows with constant hop density. With WithSketch, per-pair
+// baseline memory is O(1/eps) regardless of baseline length. Both are pure
+// representation changes: verdicts are byte-identical at every shard and
+// worker count, and bit-identical to the exact baseline whenever the sketch
+// is lossless for it.
 //
 // Equivalence contract: the Detector's per-hop output is byte-identical to
 // core.Detect run on the materialized sliding window (same Test, alpha-vs-FDR
