@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report tables figures clean
+.PHONY: all check build loc test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report tables figures clean
 
 all: check
 
@@ -13,6 +13,12 @@ check: build vet lint test race demo-stream demo-serve demo-arena
 
 build:
 	$(GO) build ./...
+
+# Non-test Go line count of the module, excluding the benchmark harness
+# (_perfbench/), test fixtures (testdata/) and hidden build directories.
+# Deletion changes quote it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.*' -not -path './_perfbench/*' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -109,7 +115,7 @@ bench-parallel:
 bench-stream:
 	$(GO) run ./cmd/causalfl bench -stream -out BENCH_stream.json
 
-# Fleet-size sweep: the sharded streaming engine (exact and ECDF-sketch
+# Fleet-size sweep: the incremental streaming engine (exact and ECDF-sketch
 # baselines) from 64 to 4096 services at a fixed reporting density. The
 # headline number is per-hop latency staying flat as the fleet grows; the
 # batch-per-tick comparison runs up to 512 services, where it is already

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -116,6 +117,10 @@ func TestBootFailsOnCorruptSnapshot(t *testing.T) {
 // TestDrainRebootContinuity is the graceful counterpart of the chaos suite:
 // a drained server writes final snapshots even with periodic snapshots
 // disabled, so a reboot resumes with zero loss and the full timeline intact.
+// The legacy case creates the tenant with a config carrying "shards" (a
+// since-removed knob) and injects the field into the saved snapshot too:
+// both must still be accepted, the field ignored, and the timeline
+// byte-identical.
 func TestDrainRebootContinuity(t *testing.T) {
 	fx := buildFixture(t)
 	cfg := tenantCfg(2, 0)
@@ -124,39 +129,76 @@ func TestDrainRebootContinuity(t *testing.T) {
 	wire := wireTicks(fx.ticks)
 	const splitAt = 31
 
-	dir := t.TempDir()
-	srvA, cA, hsA := newTestServer(t, dir)
-	if code := cA.create("prod", cfg, fx.model); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	if code := cA.ingest("prod", wire[:splitAt]); code != http.StatusAccepted {
-		t.Fatalf("ingest: status %d", code)
-	}
-	if err := srvA.Quiesce(context.Background(), "prod"); err != nil {
-		t.Fatal(err)
-	}
-	head := cA.verdicts("prod", 0)
-	if err := srvA.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	hsA.Close()
+	for _, legacy := range []bool{false, true} {
+		dir := t.TempDir()
+		srvA, cA, hsA := newTestServer(t, dir)
+		var req any = createTenantRequest{Config: cfg, Model: fx.model}
+		if legacy {
+			req = map[string]json.RawMessage{
+				"config": withShards(t, mustJSON(t, cfg)),
+				"model":  mustJSON(t, fx.model),
+			}
+		}
+		if code := cA.do(http.MethodPut, "/v1/tenants/prod", req, nil); code != http.StatusCreated {
+			t.Fatalf("legacy=%v create: status %d", legacy, code)
+		}
+		if code := cA.ingest("prod", wire[:splitAt]); code != http.StatusAccepted {
+			t.Fatalf("legacy=%v ingest: status %d", legacy, code)
+		}
+		if err := srvA.Quiesce(context.Background(), "prod"); err != nil {
+			t.Fatal(err)
+		}
+		head := cA.verdicts("prod", 0)
+		if err := srvA.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		hsA.Close()
 
-	srvB, cB, _ := newTestServer(t, dir)
-	if code := cB.ingest("prod", wire[splitAt:]); code != http.StatusAccepted {
-		t.Fatalf("resumed ingest: status %d", code)
+		if legacy {
+			path := filepath.Join(dir, "prod"+snapshotSuffix)
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap map[string]json.RawMessage
+			if err := json.Unmarshal(blob, &snap); err != nil {
+				t.Fatal(err)
+			}
+			snap["config"] = withShards(t, snap["config"])
+			if err := os.WriteFile(path, mustJSON(t, snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		srvB, cB, _ := newTestServer(t, dir)
+		if code := cB.ingest("prod", wire[splitAt:]); code != http.StatusAccepted {
+			t.Fatalf("legacy=%v resumed ingest: status %d", legacy, code)
+		}
+		if err := srvB.Quiesce(context.Background(), "prod"); err != nil {
+			t.Fatal(err)
+		}
+		tail := cB.verdicts("prod", head.Next)
+		var stitched []*verdictJSON
+		for _, sv := range append(head.Verdicts, tail.Verdicts...) {
+			stitched = append(stitched, &verdictJSON{sv.Seq, mustJSON(t, sv.Verdict)})
+		}
+		if got := stitchTimeline(t, stitched); string(got) != string(want) {
+			t.Fatalf("legacy=%v drain/reboot timeline diverges:\n%s\nvs\n%s", legacy, got, want)
+		}
+		if err := srvB.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := srvB.Quiesce(context.Background(), "prod"); err != nil {
+}
+
+// withShards returns the tenant config JSON with a "shards" field added, as
+// configs written before the knob's removal carry it.
+func withShards(t testing.TB, config json.RawMessage) json.RawMessage {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(config, &fields); err != nil {
 		t.Fatal(err)
 	}
-	tail := cB.verdicts("prod", head.Next)
-	var stitched []*verdictJSON
-	for _, sv := range append(head.Verdicts, tail.Verdicts...) {
-		stitched = append(stitched, &verdictJSON{sv.Seq, mustJSON(t, sv.Verdict)})
-	}
-	if got := stitchTimeline(t, stitched); string(got) != string(want) {
-		t.Fatalf("drain/reboot timeline diverges:\n%s\nvs\n%s", got, want)
-	}
-	if err := srvB.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	fields["shards"] = json.RawMessage("7")
+	return mustJSON(t, fields)
 }

@@ -53,10 +53,9 @@ type TenantConfig struct {
 	Rule       core.VoteRule `json:"rule,omitempty"`
 	// SketchEps, when positive, switches the tenant's baselines to
 	// bounded-memory ECDF sketches (stream.WithSketch) with this error
-	// budget. Shards overrides the detector's flush split (stream.WithShards);
-	// zero keeps the stream default.
+	// budget. A "shards" field, which configs from earlier versions carry,
+	// is accepted and ignored: the flush split follows Workers.
 	SketchEps float64 `json:"sketch_eps,omitempty"`
-	Shards    int     `json:"shards,omitempty"`
 	// QueueCap bounds the ingest queue in batches (one POST = one batch);
 	// a full queue sheds with 429. SnapshotEvery snapshots after every N
 	// processed batches (counted, not timed — the serving path is walltime-
@@ -116,9 +115,6 @@ func (c TenantConfig) streamOptions(set []metrics.Metric) []stream.Option {
 	}
 	if c.SketchEps != 0 {
 		opts = append(opts, stream.WithSketch(c.SketchEps))
-	}
-	if c.Shards != 0 {
-		opts = append(opts, stream.WithShards(c.Shards))
 	}
 	return opts
 }

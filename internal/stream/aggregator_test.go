@@ -185,9 +185,6 @@ func TestLocalizerOptionValidation(t *testing.T) {
 	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithWorkers(-1)); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithShards(0)); err == nil {
-		t.Fatal("zero shard count accepted")
-	}
 	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithSketch(1.5)); err == nil {
 		t.Fatal("out-of-range sketch eps accepted")
 	}

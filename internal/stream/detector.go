@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"causalfl/internal/core"
@@ -12,23 +11,10 @@ import (
 	"causalfl/internal/stats"
 )
 
-// testMode selects the per-pair p-value path. The incremental fast paths
-// cover the library defaults (raw KS and guarded KS); any other
-// stats.TwoSampleTest falls back to materializing the arrival-order window,
-// which is still correct (byte-identical to batch) but pays the test's own
-// cost per hop.
-type testMode int
-
-const (
-	modeGuardedKS testMode = iota // GuardedTest{Inner: KSTest} or nil Test
-	modeRawKS                     // bare KSTest
-	modeGeneric                   // anything else: materialize and delegate
-)
-
 // Per-pair flag bits, kept in the spare byte of each pair's
 // stats.WindowMeta. The first two cache facts about the pair's baseline, so
 // the ingest and flush paths read them from the record they touch anyway
-// instead of from the cold baseline arrays; the rest are fast-path state.
+// instead of from the cold baseline arrays; the rest are flush state.
 const (
 	flagUsable   uint8 = 1 << iota // the baseline has a non-empty series: the pair can be observed
 	flagLongBase                   // the baseline series clears the min-sample guard
@@ -37,9 +23,10 @@ const (
 	flagAnom                       // in its metric's anomalous set since the last flush
 )
 
-// untestable is the staged p-value of a pair the min-sample guard or a
-// missing window keeps out of its metric's family. Real p-values lie in
-// [0, 1], so a pair is testable exactly when !(pval < 0).
+// untestable is the staged p-value of a pair kept out of its metric's
+// family: no window yet, the tolerant min-sample guard, or (strict mode
+// only) a test that failed. Real p-values lie in [0, 1], so a pair is
+// testable exactly when !(pval < 0).
 const untestable = -1.0
 
 // hopValue is one checked window-value of a hop, ready to push.
@@ -48,9 +35,9 @@ type hopValue struct {
 	v    float64
 }
 
-// metricAgg is one metric's cached detection aggregate on the fast path: the
-// current family size and the sorted anomalous set, maintained incrementally
-// as pair states flip.
+// metricAgg is one metric's cached detection aggregate: the current family
+// size and the sorted anomalous set, maintained incrementally as pair
+// states flip.
 type metricAgg struct {
 	tested int
 	anom   []string // sorted; never handed out directly
@@ -75,8 +62,8 @@ func (a *metricAgg) removeAnom(svc string) {
 // Detector maintains sliding-window anomaly detection over a fixed baseline:
 // the streaming counterpart of core.Detect. Feed it production window-values
 // with Observe/ObserveHop and ask for the current anomalous set with Detect;
-// the answer is byte-identical to core.Detect on a snapshot holding each
-// pair's last Window values.
+// the answer is byte-identical to core.Detect, with its default guarded-KS
+// test, on a snapshot holding each pair's last Window values.
 //
 // Pair state is dense: (metric, service) pair p = metric index ×
 // len(Services) + service index, in baseline order. The hot state a push
@@ -85,24 +72,20 @@ func (a *metricAgg) removeAnom(svc string) {
 // the cold state only a test reads: the sorted baselines (one arena), their
 // trimmed means and sketches, and the cached p-values.
 //
-// In tolerant mode with the (guarded) KS test — the Localizer's
-// configuration — detection is incremental end to end: Observe only marks a
-// pair dirty, and the flush before the next Detect recomputes exactly the
-// dirty pairs (split across the worker pool) before merging their deltas
-// into per-metric aggregates. A hop that touches T pairs costs O(T) test
-// evaluations regardless of how many services exist. Strict mode and
-// generic tests take the full-scan path, which remains correct at any scale
-// but pays O(S) per metric per Detect.
+// Detection is incremental end to end, in both completeness modes: Observe
+// only marks a pair dirty, and the flush before the next Detect recomputes
+// exactly the dirty pairs' guarded-KS p-values (split across the worker
+// pool) before merging their deltas into per-metric aggregates, which
+// Detect then reads. A hop that touches T pairs costs O(T) test evaluations
+// regardless of how many services exist. Strict mode differs only in what
+// the flush stages (every observed pair, no min-sample guard) and in Detect
+// refusing a metric whose family is incomplete.
 //
-// A Detector is not safe for concurrent use. Parallelism lives inside
-// Detect (the p-value fan-out, WithWorkers) and inside the Localizer's
-// per-metric fan-out, which only reads the flushed states.
+// A Detector is not safe for concurrent use. Parallelism lives inside the
+// flush (WithWorkers).
 type Detector struct {
 	baseline *metrics.Snapshot
 	window   int
-	mode     testMode
-	relTol   float64 // guard tolerance for modeGuardedKS
-	test     stats.TwoSampleTest
 	alpha    float64
 	fdr      float64
 	minSamp  int
@@ -119,9 +102,6 @@ type Detector struct {
 	// tested.
 	base *stats.KSBaselines
 
-	// Fast-path structures, built only when fast is set (tolerant + KS).
-	fast       bool
-	shards     int         // how many parts the flush splits the dirty pairs into
 	dirty      []int       // pairs awaiting recomputation, in touch order
 	pval       []float64   // per pair: the p-value staged by the last flush, or untestable
 	aggs       []metricAgg // per metric
@@ -133,7 +113,8 @@ type Detector struct {
 // NewDetector builds a Detector over the given baseline snapshot. Every
 // baseline series is copied and sorted once here; no per-hop call sorts
 // anything afterwards. The zero option set means: DefaultWindow,
-// guarded-KS test, core.DefaultAlpha, strict completeness, serial execution.
+// core.DefaultAlpha, strict completeness, serial execution. The test is
+// always the batch default, stats.GuardedTest{Inner: stats.KSTest{}}.
 func NewDetector(baseline *metrics.Snapshot, opts ...Option) (*Detector, error) {
 	s, err := applyOptions(opts)
 	if err != nil {
@@ -151,13 +132,11 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 	d := &Detector{
 		baseline: baseline,
 		window:   s.window,
-		test:     s.test,
 		alpha:    s.alpha,
 		fdr:      s.fdr,
 		minSamp:  s.minSamples,
 		tolerant: s.tolerant,
 		workers:  s.workers,
-		shards:   s.shards,
 	}
 	// Resolve defaults exactly as core.Detect does.
 	if d.alpha == 0 && d.fdr == 0 {
@@ -166,29 +145,6 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 	if d.minSamp < 1 {
 		d.minSamp = core.DefaultMinSamples
 	}
-	switch tt := s.test.(type) {
-	case nil:
-		d.mode = modeGuardedKS
-	case stats.KSTest:
-		d.mode = modeRawKS
-	case stats.GuardedTest:
-		if _, ok := tt.Inner.(stats.KSTest); ok {
-			d.mode = modeGuardedKS
-			d.relTol = tt.RelTol
-		} else {
-			d.mode = modeGeneric
-		}
-	default:
-		d.mode = modeGeneric
-	}
-	if d.mode == modeGuardedKS && d.relTol < 0 {
-		return nil, fmt.Errorf("stats: negative relative tolerance %v", d.relTol)
-	}
-	if s.sketchEps > 0 && d.mode == modeGeneric {
-		return nil, fmt.Errorf("stream: sketched baselines require the (guarded) KS test")
-	}
-	d.fast = d.tolerant && d.mode != modeGeneric
-
 	var err error
 	if d.metricIndex, err = indexNames("metric", baseline.Metrics); err != nil {
 		return nil, err
@@ -227,11 +183,9 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 			}
 		}
 	}
-	if d.fast {
-		d.pval = make([]float64, pairs)
-		d.aggs = make([]metricAgg, len(baseline.Metrics))
-		d.fdrTouched = make([]bool, len(baseline.Metrics))
-	}
+	d.pval = make([]float64, pairs)
+	d.aggs = make([]metricAgg, len(baseline.Metrics))
+	d.fdrTouched = make([]bool, len(baseline.Metrics))
 	return d, nil
 }
 
@@ -295,12 +249,9 @@ func (d *Detector) push(p int, v float64) {
 	d.markDirty(p)
 }
 
-// markDirty queues pair p for recomputation at the next flush (fast path
-// only; a pair is queued once however often it changes in between).
+// markDirty queues pair p for recomputation at the next flush (a pair is
+// queued once however often it changes in between).
 func (d *Detector) markDirty(p int) {
-	if !d.fast {
-		return
-	}
 	if m := d.win.Meta(p); m.Flags&flagDirty == 0 {
 		m.Flags |= flagDirty
 		d.dirty = append(d.dirty, p)
@@ -362,30 +313,29 @@ func (d *Detector) observeSorted(hop map[string]map[string]float64) error {
 	return nil
 }
 
-// flush brings the fast path's cached detection state current: every pair
-// whose window changed since the last flush is recomputed — the dirty list
-// split into up to WithShards parts fanned across the worker pool, each pair
-// in exactly one part, so the staged writes are disjoint — and the deltas
-// merged serially into the per-metric aggregates. A no-op outside the fast
-// path or when nothing changed.
-func (d *Detector) flush(ctx context.Context, workers int) error {
-	if !d.fast || len(d.dirty) == 0 {
+// flush brings the cached detection state current: every pair whose window
+// changed since the last flush is recomputed — the dirty list split into
+// min(workers, len(dirty)) contiguous parts fanned across the worker pool,
+// each pair in exactly one part, so the staged writes are disjoint — and the
+// deltas merged serially into the per-metric aggregates. A no-op when
+// nothing changed.
+func (d *Detector) flush(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if len(d.dirty) == 0 {
 		return nil
 	}
-	if parts := min(d.shards, len(d.dirty)); workers > 1 && parts > 1 {
+	if parts := min(d.workers, len(d.dirty)); parts > 1 {
 		n := len(d.dirty)
-		if err := parallel.ForEach(ctx, workers, parts, func(_ context.Context, k int) error {
-			return d.stage(d.dirty[k*n/parts : (k+1)*n/parts])
+		if err := parallel.ForEach(ctx, parts, parts, func(_ context.Context, k int) error {
+			d.stage(d.dirty[k*n/parts : (k+1)*n/parts])
+			return nil
 		}); err != nil {
 			return err
 		}
 	} else {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := d.stage(d.dirty); err != nil {
-			return err
-		}
+		d.stage(d.dirty)
 	}
 
 	nsvc := len(d.baseline.Services)
@@ -432,21 +382,31 @@ func (d *Detector) flush(ctx context.Context, workers int) error {
 }
 
 // stage recomputes the given dirty pairs' p-values into d.pval, writing
-// nothing else, so disjoint pair lists can be staged concurrently.
-func (d *Detector) stage(pairs []int) error {
+// nothing else, so disjoint pair lists can be staged concurrently. Tolerant
+// mode applies the batch min-sample guard; strict mode tests every observed
+// pair, as batch strict mode does. The test fails only on a window with no
+// finite value, which the tolerant guard excludes: a strict pair whose test
+// fails is staged untestable, and its metric's Detect rebuilds the error
+// (strictError).
+func (d *Detector) stage(pairs []int) {
 	for _, p := range pairs {
 		d.pval[p] = untestable
-		if d.win.Pushed(p) == 0 || d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp {
+		if d.win.Pushed(p) == 0 {
 			continue
 		}
-		pv, err := d.ksPValue(p)
-		if err != nil {
-			m, svc := d.names(p)
-			return fmt.Errorf("stream: anomaly test %s on %s: %w", m, svc, err)
+		if d.tolerant && (d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp) {
+			continue
 		}
-		d.pval[p] = pv
+		if pv, err := d.pvalue(p); err == nil {
+			d.pval[p] = pv
+		}
 	}
-	return nil
+}
+
+// pvalue computes pair p's guarded-KS p-value over the sorted finite window
+// and the pre-sorted (or sketched) baseline.
+func (d *Detector) pvalue(p int) (float64, error) {
+	return d.base.GuardedPValue(p, d.win.Sorted(p), 0)
 }
 
 // redecide reruns the family decision for one metric from the cached
@@ -503,23 +463,44 @@ func (d *Detector) Materialize() *metrics.Snapshot {
 }
 
 // Detect computes the current anomalous set A(metric) over the sliding
-// windows, mirroring core.Detect stage by stage: family assembly in baseline
-// service order with the same strict/tolerant skip rules and min-sample
-// guard, and the alpha-vs-FDR family decision made once by core.DecideFamily.
-// On the fast path the answer is assembled from the incrementally maintained
-// aggregates after a flush of the pairs the last hops touched.
+// windows, mirroring core.Detect stage by stage: the same strict/tolerant
+// completeness rules and min-sample guard, and the alpha-vs-FDR family
+// decision made by core.DecideFamily. The answer is read from the metric's
+// aggregate after a flush of the pairs the last hops touched.
 func (d *Detector) Detect(ctx context.Context, metric string) (*core.Detection, error) {
-	if err := d.flush(ctx, d.workers); err != nil {
+	if err := d.flush(ctx); err != nil {
 		return nil, err
 	}
-	return d.detect(ctx, metric, d.workers)
+	return d.detect(metric)
 }
 
-// detect is Detect without the flush and with an explicit worker count, so
-// the Localizer can flush once per hop and then fan read-only per-metric
-// detections across its pool (no nested pools — the same discipline
-// core.Localizer applies). The fast path must have been flushed.
-func (d *Detector) detect(ctx context.Context, metric string, workers int) (*core.Detection, error) {
+// DetectAll runs Detect for every baseline metric after a single flush. The
+// result is aligned with baseline.Metrics by index; on failure the error is
+// the first failing metric's.
+func (d *Detector) DetectAll(ctx context.Context) ([]*core.Detection, error) {
+	return d.detectEach(ctx, d.baseline.Metrics)
+}
+
+// detectEach flushes once, then detects each named metric in order,
+// stopping at the first error.
+func (d *Detector) detectEach(ctx context.Context, names []string) ([]*core.Detection, error) {
+	if err := d.flush(ctx); err != nil {
+		return nil, err
+	}
+	out := make([]*core.Detection, len(names))
+	for i, m := range names {
+		det, err := d.detect(m)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = det
+	}
+	return out, nil
+}
+
+// detect reads a metric's flushed aggregate. Strict mode refuses a family
+// that does not cover every baseline service, as batch strict mode does.
+func (d *Detector) detect(metric string) (*core.Detection, error) {
 	mi, ok := d.metricIndex[metric]
 	if !ok {
 		if d.tolerant {
@@ -528,133 +509,38 @@ func (d *Detector) detect(ctx context.Context, metric string, workers int) (*cor
 		}
 		return nil, fmt.Errorf("metrics: snapshot has no metric %q", metric)
 	}
-	if d.fast {
-		agg := &d.aggs[mi]
-		return &core.Detection{
-			Anomalous: append(make([]string, 0, len(agg.anom)), agg.anom...),
-			Tested:    agg.tested,
-		}, nil
+	agg := &d.aggs[mi]
+	if !d.tolerant && agg.tested < len(d.baseline.Services) {
+		return nil, d.strictError(mi)
 	}
-
-	// Family assembly, serial, in baseline service order — identical skip
-	// decisions to core.Detect's loop over baseline.Services.
-	var family []int
-	var names []string
-	for _, svc := range d.baseline.Services {
-		p, usable := d.pair(mi, svc)
-		if d.tolerant {
-			if !usable || d.win.Pushed(p) == 0 {
-				continue
-			}
-			if d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp {
-				continue
-			}
-		} else {
-			if _, ok := d.baseline.SeriesOK(metric, svc); !ok {
-				return nil, fmt.Errorf("metrics: snapshot metric %q has no service %q", metric, svc)
-			}
-			if !usable || d.win.Pushed(p) == 0 {
-				return nil, fmt.Errorf("stream: no production window for metric %q service %q", metric, svc)
-			}
-		}
-		family = append(family, p)
-		names = append(names, svc)
-	}
-
-	if workers < 1 {
-		workers = 1
-	}
-	pvals, err := parallel.Map(ctx, workers, len(family), func(_ context.Context, i int) (float64, error) {
-		p, err := d.pairPValue(family[i], metric, names[i])
-		if err != nil {
-			return 0, fmt.Errorf("stream: anomaly test %s on %s: %w", metric, names[i], err)
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	shifted, err := core.DecideFamily(pvals, d.alpha, d.fdr)
-	if err != nil {
-		return nil, fmt.Errorf("stream: anomalies: %w", err)
-	}
-	anom := make([]string, 0, len(family))
-	for i, svc := range names {
-		if shifted[i] {
-			anom = append(anom, svc)
-		}
-	}
-	sort.Strings(anom)
-	return &core.Detection{Anomalous: anom, Tested: len(family)}, nil
+	return &core.Detection{
+		Anomalous: append(make([]string, 0, len(agg.anom)), agg.anom...),
+		Tested:    agg.tested,
+	}, nil
 }
 
-// ksPValue computes pair p's p-value on the incremental path: the (guarded)
-// KS test over the sorted window and the pre-sorted baseline.
-func (d *Detector) ksPValue(p int) (float64, error) {
-	if d.mode == modeRawKS {
-		return d.base.PValue(p, d.win.Sorted(p))
-	}
-	return d.base.GuardedPValue(p, d.win.Sorted(p), d.relTol)
-}
-
-// pairPValue computes the p-value of pair p = (metric, svc) on the
-// incremental path when the configured test is (guarded) KS, or by
-// materializing the window for any other test. The materialized path
-// applies the same finite-values filter the tolerant batch path does and
-// passes the baseline series in snapshot order, as the batch path does.
-func (d *Detector) pairPValue(p int, metric, svc string) (float64, error) {
-	if d.mode != modeGeneric {
-		return d.ksPValue(p)
-	}
-	prod := d.win.Window(p)
-	if d.tolerant {
-		prod = finiteValues(prod)
-	}
-	base, _ := d.baseline.SeriesOK(metric, svc)
-	return d.test.PValue(prod, base)
-}
-
-// DetectAll runs Detect for every baseline metric after a single flush,
-// fanning the metrics across the worker pool with the per-metric work kept
-// serial (the localizer's parallelism shape). The result is aligned with
-// baseline.Metrics by index.
-func (d *Detector) DetectAll(ctx context.Context) ([]*core.Detection, error) {
-	workers := d.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if err := d.flush(ctx, workers); err != nil {
-		return nil, err
-	}
-	return parallel.Map(ctx, workers, len(d.baseline.Metrics), func(ctx context.Context, i int) (*core.Detection, error) {
-		return d.detect(ctx, d.baseline.Metrics[i], 1)
-	})
-}
-
-// finiteValues filters non-finite entries, mirroring the unexported helper
-// the tolerant batch path uses (including its no-alloc clean fast path, so
-// a clean window takes the same code shape).
-func finiteValues(s []float64) []float64 {
-	clean := true
-	for _, v := range s {
-		if !isFinite(v) {
-			clean = false
-			break
+// strictError rebuilds the error batch strict mode reports for metric mi's
+// incomplete family. Completeness is checked before any test, in baseline
+// service order: the first pair the baseline lacks or that was never
+// observed; failing that, the first pair whose test fails.
+func (d *Detector) strictError(mi int) error {
+	metric := d.baseline.Metrics[mi]
+	row := mi * len(d.baseline.Services)
+	for si, svc := range d.baseline.Services {
+		if _, ok := d.baseline.SeriesOK(metric, svc); !ok {
+			return fmt.Errorf("metrics: snapshot metric %q has no service %q", metric, svc)
+		}
+		if d.win.Pushed(row+si) == 0 {
+			return fmt.Errorf("stream: no production window for metric %q service %q", metric, svc)
 		}
 	}
-	if clean {
-		return s
-	}
-	out := make([]float64, 0, len(s))
-	for _, v := range s {
-		if isFinite(v) {
-			out = append(out, v)
+	for si, svc := range d.baseline.Services {
+		if d.win.Meta(row+si).Flags&flagTestable != 0 {
+			continue
+		}
+		if _, err := d.pvalue(row + si); err != nil {
+			return fmt.Errorf("stream: anomaly test %s on %s: %w", metric, svc, err)
 		}
 	}
-	return out
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return fmt.Errorf("stream: metric %q tested %d of %d services", metric, d.aggs[mi].tested, len(d.baseline.Services))
 }

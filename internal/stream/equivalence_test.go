@@ -85,11 +85,14 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 		{"fdr-tolerant", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}, false},
 		{"alpha-strict", w.Hops, core.DetectConfig{Alpha: 0.05}, false},
 		{"fdr-strict", w.Hops, core.DetectConfig{FDR: 0.05}, false},
+		// Batch strict mode ignores MinSamples: every pair is tested.
+		{"minsamples-strict", w.Hops, core.DetectConfig{Alpha: 0.05, MinSamples: 6}, false},
 		{"minsamples-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true, MinSamples: 6}, false},
 		// BaselineLen 12 <= stats.SketchCutoff(DefaultSketchEps): the sketch
 		// is lossless, so even the sketched detector must match batch exactly.
 		{"alpha-tolerant-sketch", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true}, true},
 		{"fdr-tolerant-sketch", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}, true},
+		{"alpha-strict-sketch", w.Hops, core.DetectConfig{Alpha: 0.05}, true},
 	}
 
 	const window = 8
@@ -98,9 +101,9 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 		for workers := 1; workers <= 8; workers++ {
 			cfg := tc.detect
 			cfg.Workers = workers
-			// Vary the shard count with the worker count: detection output
-			// must not depend on either.
-			opts := append(detectOpts(window, cfg), stream.WithShards(workers))
+			// The worker count sets the flush split: detection output must
+			// not depend on it.
+			opts := detectOpts(window, cfg)
 			if tc.sketch {
 				opts = append(opts, stream.WithSketch(stream.DefaultSketchEps))
 			}
@@ -156,7 +159,7 @@ func TestLocalizerMatchesBatchEveryHop(t *testing.T) {
 	for _, mode := range modes {
 		for workers := 1; workers <= 8; workers++ {
 			lopts := []stream.Option{
-				stream.WithWindow(window), stream.WithWorkers(workers), stream.WithShards(workers * 3),
+				stream.WithWindow(window), stream.WithWorkers(workers),
 			}
 			if mode.alpha != 0 {
 				lopts = append(lopts, stream.WithAlpha(mode.alpha))
@@ -252,5 +255,178 @@ func TestDetectorStrictMissingPair(t *testing.T) {
 	}
 	if got.Tested != 1 {
 		t.Fatalf("tolerant family size %d, want 1", got.Tested)
+	}
+}
+
+// TestDetectorStrictErrorContract pins strict mode's error contract pair by
+// pair: a never-observed pair, a pair the baseline lacks and an all-NaN
+// window each fail the Detect of their own metric with the exact error
+// text, completeness errors ahead of test errors; the other metric still
+// detects (and matches batch); DetectAll returns the first failing metric's
+// error; and refilling the bad pair with finite values clears the error.
+func TestDetectorStrictErrorContract(t *testing.T) {
+	const window, baseLen = 4, 10
+	type pair struct{ m, svc string }
+	cases := []struct {
+		name     string
+		dropBase []pair // absent from the baseline snapshot
+		skip     []pair // never observed
+		nan      []pair // observed, but only NaN
+		errs     map[string]string
+		heals    bool
+	}{
+		{
+			name: "never-observed", skip: []pair{{"m2", "b"}},
+			errs:  map[string]string{"m2": `stream: no production window for metric "m2" service "b"`},
+			heals: true,
+		},
+		{
+			name: "baseline-lacks-service", dropBase: []pair{{"m2", "b"}},
+			errs: map[string]string{"m2": `metrics: snapshot metric "m2" has no service "b"`},
+		},
+		{
+			name: "all-nan-window", nan: []pair{{"m2", "b"}},
+			errs:  map[string]string{"m2": "stream: anomaly test m2 on b: stats: guarded test needs non-empty samples (|x|=0 |y|=10)"},
+			heals: true,
+		},
+		{
+			name: "completeness-before-test", nan: []pair{{"m2", "a"}}, skip: []pair{{"m2", "c"}},
+			errs:  map[string]string{"m2": `stream: no production window for metric "m2" service "c"`},
+			heals: true,
+		},
+		{
+			name: "first-failing-metric", skip: []pair{{"m1", "c"}}, nan: []pair{{"m2", "b"}},
+			errs: map[string]string{
+				"m1": `stream: no production window for metric "m1" service "c"`,
+				"m2": "stream: anomaly test m2 on b: stats: guarded test needs non-empty samples (|x|=0 |y|=10)",
+			},
+			heals: true,
+		},
+	}
+	modes := []struct {
+		name string
+		cfg  core.DetectConfig
+	}{
+		{"alpha", core.DetectConfig{Alpha: 0.05}},
+		{"fdr", core.DetectConfig{FDR: 0.10}},
+	}
+	ms, svcs := []string{"m1", "m2"}, []string{"a", "b", "c"}
+	in := func(ps []pair, m, svc string) bool {
+		for _, p := range ps {
+			if p.m == m && p.svc == svc {
+				return true
+			}
+		}
+		return false
+	}
+	ctx := context.Background()
+
+	for _, tc := range cases {
+		for _, mode := range modes {
+			for _, workers := range []int{1, 4} {
+				name := tc.name + "/" + mode.name
+				rng := rand.New(rand.NewSource(17))
+				base := metrics.NewSnapshot(ms, svcs)
+				for _, m := range ms {
+					for si, svc := range svcs {
+						if in(tc.dropBase, m, svc) {
+							continue
+						}
+						s := make([]float64, baseLen)
+						for i := range s {
+							s[i] = float64(si) + rng.NormFloat64()
+						}
+						base.Data[m][svc] = s
+					}
+				}
+				cfg := mode.cfg
+				cfg.Workers = workers
+				det, err := stream.NewDetector(base, detectOpts(window, cfg)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fill := func(m, svc string, v func() float64) {
+					for i := 0; i < window; i++ {
+						if err := det.Observe(m, svc, v()); err != nil {
+							t.Fatalf("%s: observe %s/%s: %v", name, m, svc, err)
+						}
+					}
+				}
+				finite := func() float64 { return 2 + rng.NormFloat64() }
+				for _, m := range ms {
+					for _, svc := range svcs {
+						switch {
+						case in(tc.dropBase, m, svc):
+							want := `stream: observe: baseline has no usable series for metric "` + m + `" service "` + svc + `"`
+							if err := det.Observe(m, svc, 1); err == nil || err.Error() != want {
+								t.Fatalf("%s: observe on a pair the baseline lacks: %v, want %q", name, err, want)
+							}
+						case in(tc.skip, m, svc):
+						case in(tc.nan, m, svc):
+							fill(m, svc, math.NaN)
+						default:
+							fill(m, svc, finite)
+						}
+					}
+				}
+
+				// checkOK asserts metric m detects, byte-identical to batch.
+				checkOK := func(stage, m string) {
+					got, err := det.Detect(ctx, m)
+					if err != nil {
+						t.Fatalf("%s w=%d %s: Detect(%s): %v", name, workers, stage, m, err)
+					}
+					want, err := core.Detect(ctx, cfg, base, det.Materialize(), m)
+					if err != nil {
+						t.Fatalf("%s w=%d %s: batch Detect(%s): %v", name, workers, stage, m, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s w=%d %s: Detect(%s) = %+v, batch %+v", name, workers, stage, m, got, want)
+					}
+				}
+				for _, m := range ms {
+					want, bad := tc.errs[m]
+					if !bad {
+						checkOK("broken", m)
+						continue
+					}
+					if _, err := det.Detect(ctx, m); err == nil || err.Error() != want {
+						t.Fatalf("%s w=%d: Detect(%s) error %v, want %q", name, workers, m, err, want)
+					}
+				}
+				firstErr := tc.errs["m1"]
+				if firstErr == "" {
+					firstErr = tc.errs["m2"]
+				}
+				if _, err := det.DetectAll(ctx); err == nil || err.Error() != firstErr {
+					t.Fatalf("%s w=%d: DetectAll error %v, want %q", name, workers, err, firstErr)
+				}
+				if _, err := det.Detect(ctx, "zz"); err == nil || err.Error() != `metrics: snapshot has no metric "zz"` {
+					t.Fatalf("%s w=%d: unknown metric error %v", name, workers, err)
+				}
+
+				if !tc.heals {
+					continue
+				}
+				for _, ps := range [][]pair{tc.skip, tc.nan} {
+					for _, p := range ps {
+						fill(p.m, p.svc, finite)
+					}
+				}
+				for _, m := range ms {
+					checkOK("healed", m)
+				}
+				all, err := det.DetectAll(ctx)
+				if err != nil {
+					t.Fatalf("%s w=%d: healed DetectAll: %v", name, workers, err)
+				}
+				for i, m := range ms {
+					got, _ := det.Detect(ctx, m)
+					if !reflect.DeepEqual(all[i], got) {
+						t.Fatalf("%s w=%d: healed DetectAll[%s] = %+v, Detect %+v", name, workers, m, all[i], got)
+					}
+				}
+			}
+		}
 	}
 }

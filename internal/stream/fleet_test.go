@@ -53,7 +53,7 @@ func warmFleetDetector(tb testing.TB, w *SynthWorkload) *Detector {
 		if err := d.ObserveHop(hop); err != nil {
 			tb.Fatal(err)
 		}
-		if err := d.flush(context.Background(), 1); err != nil {
+		if err := d.flush(context.Background()); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestDetectorSteadyHopAllocatesNothing(t *testing.T) {
 		if err := d.ObserveHop(steadyHop(w, i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.flush(ctx, 1); err != nil {
+		if err := d.flush(ctx); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -99,7 +99,7 @@ func BenchmarkDetectorObserveHop4096(b *testing.B) {
 		if err := d.ObserveHop(steadyHop(w, i)); err != nil {
 			b.Fatal(err)
 		}
-		if err := d.flush(ctx, 1); err != nil {
+		if err := d.flush(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

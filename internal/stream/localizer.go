@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"causalfl/internal/core"
-	"causalfl/internal/parallel"
 	"causalfl/internal/sim"
 )
 
@@ -46,16 +45,15 @@ type Verdict struct {
 // sparse causal index (core.CausalIndex), so a hop's vote cost scales with
 // the anomalous sets, not the target universe.
 //
-// A Localizer is not safe for concurrent use; Step parallelizes internally
-// across shards and metrics.
+// A Localizer is not safe for concurrent use; Step parallelizes internally,
+// in the detector's flush of the pairs a hop touched (WithWorkers).
 type Localizer struct {
-	model   *core.Model
-	idx     *core.CausalIndex
-	det     *Detector
-	voter   *core.Localizer
-	workers int
-	hystK   int
-	hystN   int
+	model *core.Model
+	idx   *core.CausalIndex
+	det   *Detector
+	voter *core.Localizer
+	hystK int
+	hystN int
 	// history holds the candidate sets of the last hystN hops, oldest
 	// first. Hops where no metric cast a vote contribute an empty set, so
 	// quiet periods break confirmation streaks instead of sustaining them.
@@ -87,11 +85,6 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 	if hystK == 0 && hystN == 0 {
 		hystK, hystN = DefaultHystK, DefaultHystN
 	}
-	workers := s.workers
-	if workers < 1 {
-		workers = 1
-	}
-
 	ds := s
 	if ds.alpha == 0 {
 		// Fall back to the model's training alpha, exactly as the batch
@@ -99,7 +92,6 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 		ds.alpha = model.Alpha
 	}
 	ds.tolerant = true // the batch localizer always detects tolerantly
-	ds.workers = 1     // the localizer owns the pool; no nested fan-out
 	det, err := newDetector(model.Baseline, ds)
 	if err != nil {
 		return nil, err
@@ -117,13 +109,12 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 		return nil, err
 	}
 	return &Localizer{
-		model:   model,
-		idx:     idx,
-		det:     det,
-		voter:   voter,
-		workers: workers,
-		hystK:   hystK,
-		hystN:   hystN,
+		model: model,
+		idx:   idx,
+		det:   det,
+		voter: voter,
+		hystK: hystK,
+		hystN: hystN,
 	}, nil
 }
 
@@ -133,8 +124,8 @@ func (l *Localizer) Detector() *Detector { return l.det }
 
 // Step ingests one hop (metric -> service -> window value) stamped at the
 // window end `at`, then re-localizes: the detector flushes the touched
-// shards across the worker pool, the per-metric detections are assembled
-// read-only, the vote phase is core.Localizer.Aggregate over the sparse
+// pairs across the worker pool, the model's per-metric detections are read
+// from the flushed aggregates, the vote phase is core.Localizer.Aggregate over the sparse
 // causal index, and the hysteresis filter updates last. The returned
 // Verdict's vote fields are byte-identical to core.Localizer.Localize on the
 // materialized windows.
@@ -142,12 +133,7 @@ func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[st
 	if err := l.det.ObserveHop(hop); err != nil {
 		return nil, err
 	}
-	if err := l.det.flush(ctx, l.workers); err != nil {
-		return nil, err
-	}
-	detections, err := parallel.Map(ctx, l.workers, len(l.model.Metrics), func(ctx context.Context, i int) (*core.Detection, error) {
-		return l.det.detect(ctx, l.model.Metrics[i], 1)
-	})
+	detections, err := l.det.detectEach(ctx, l.model.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -9,13 +9,9 @@ import (
 	"causalfl/internal/stats"
 )
 
-// Defaults for the option set below. DefaultWindow is the sliding-window
-// length in window-values per (metric, service) pair; DefaultShards is the
-// number of parts the detector's flush splits the dirty pairs into.
-const (
-	DefaultWindow = 8
-	DefaultShards = 32
-)
+// DefaultWindow is the default sliding-window length in window-values per
+// (metric, service) pair.
+const DefaultWindow = 8
 
 // DefaultSketchEps re-exports the stats package's default sketch error budget
 // so callers configuring WithSketch need not import internal/stats.
@@ -34,13 +30,11 @@ type settings struct {
 	minSamples int
 	workers    int
 	rule       core.VoteRule
-	test       stats.TwoSampleTest
 	tolerant   bool
 	length     time.Duration
 	hop        time.Duration
 	set        []metrics.Metric
 	sketchEps  float64
-	shards     int
 }
 
 // Option configures a Detector, Localizer or Pipeline. All three constructors
@@ -50,7 +44,7 @@ type Option func(*settings) error
 
 // applyOptions resolves an option list over the defaults.
 func applyOptions(opts []Option) (settings, error) {
-	s := settings{window: DefaultWindow, shards: DefaultShards}
+	s := settings{window: DefaultWindow}
 	for _, opt := range opts {
 		if opt == nil {
 			return s, fmt.Errorf("stream: nil option")
@@ -126,9 +120,10 @@ func WithMinSamples(n int) Option {
 	}
 }
 
-// WithWorkers bounds the per-hop fan-out (across metrics in the Localizer,
-// across the dirty pairs' parts in the Detector's flush). Zero or one is
-// serial.
+// WithWorkers bounds the per-hop fan-out: the detector's flush splits the
+// pairs the last hops touched into min(workers, touched) contiguous parts
+// and recomputes them across the pool. Zero or one is serial. Results are
+// byte-identical at every worker count.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -144,19 +139,6 @@ func WithWorkers(n int) Option {
 func WithVoteRule(rule core.VoteRule) Option {
 	return func(s *settings) error {
 		s.rule = rule
-		return nil
-	}
-}
-
-// WithTest overrides the two-sample test. The default (guarded KS) rides the
-// incremental fast path; any other test falls back to materializing the
-// window per hop.
-func WithTest(t stats.TwoSampleTest) Option {
-	return func(s *settings) error {
-		if t == nil {
-			return fmt.Errorf("stream: nil two-sample test")
-		}
-		s.test = t
 		return nil
 	}
 }
@@ -202,28 +184,14 @@ func WithGeometry(length, hop time.Duration) Option {
 // ECDF sketch of error budget eps (stats.NewECDFSketch): per-pair baseline
 // memory drops from O(len(baseline)) to O(1/eps) and every KS statistic is
 // within the sketch's rank-error bound of exact — bit-identical whenever
-// len(baseline) <= stats.SketchCutoff(eps). Requires the (guarded) KS test;
-// pass DefaultSketchEps when in doubt.
+// len(baseline) <= stats.SketchCutoff(eps), in strict and tolerant mode
+// alike. Pass DefaultSketchEps when in doubt.
 func WithSketch(eps float64) Option {
 	return func(s *settings) error {
 		if eps <= 0 || eps >= 1 {
 			return fmt.Errorf("stats: sketch eps must be in (0,1), got %v", eps)
 		}
 		s.sketchEps = eps
-		return nil
-	}
-}
-
-// WithShards sets how many parts the detector's flush splits the pairs a hop
-// touched into; with more than one worker the parts are recomputed across
-// the pool. The default is DefaultShards. Purely a throughput knob: results
-// are byte-identical at every shard count.
-func WithShards(n int) Option {
-	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("stream: shard count must be >= 1, got %d", n)
-		}
-		s.shards = n
 		return nil
 	}
 }

@@ -26,8 +26,8 @@ import (
 // timelines to be deeply equal. The paper apps' baselines fit inside the
 // sketch cutoff (the sketch keeps every sorted baseline value), so this is
 // the lossless regime: parity is a hard equality, not an approximation bound.
-// The sketch pipeline also runs with different worker and shard counts, so
-// the equality additionally witnesses shard/worker invariance on real apps.
+// The sketch pipeline also runs with a different worker count, so the
+// equality additionally witnesses worker invariance on real apps.
 func TestSketchExactParityPaperApps(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -53,7 +53,6 @@ func TestSketchExactParityPaperApps(t *testing.T) {
 				stream.WithWindow(6),
 				stream.WithSketch(stream.DefaultSketchEps),
 				stream.WithWorkers(4),
-				stream.WithShards(5),
 			)
 			if err != nil {
 				t.Fatal(err)

@@ -18,15 +18,17 @@
 // Scale contract: each hop's flush recomputes only the pairs whose windows
 // actually changed — so a hop that touches T of the S×M pairs costs O(T)
 // test evaluations, not O(S·M), and per-hop latency stays flat as the
-// service count grows with constant hop density. With WithSketch, per-pair
-// baseline memory is O(1/eps) regardless of baseline length. Both are pure
-// representation changes: verdicts are byte-identical at every shard and
-// worker count, and bit-identical to the exact baseline whenever the sketch
-// is lossless for it.
+// service count grows with constant hop density. This holds in strict and
+// tolerant mode alike: the flush is the Detector's only detection path.
+// With WithSketch, per-pair baseline memory is O(1/eps) regardless of
+// baseline length. Both are pure representation changes: verdicts are
+// byte-identical at every worker count, and bit-identical to the exact
+// baseline whenever the sketch is lossless for it.
 //
 // Equivalence contract: the Detector's per-hop output is byte-identical to
-// core.Detect run on the materialized sliding window (same Test, alpha-vs-FDR
-// family decision, strict-vs-tolerant completeness, min-sample guard), and
+// core.Detect with its default test (guarded KS) run on the materialized
+// sliding window (same alpha-vs-FDR family decision, strict-vs-tolerant
+// completeness, min-sample guard, and in strict mode the same errors), and
 // the Localizer's per-hop votes are produced by the same vote phase
 // (core.Localizer.Aggregate) the batch localizer runs. The conformance suite
 // in this package (equivalence tests, golden corpus, FuzzIncrementalKS in
