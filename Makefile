@@ -90,18 +90,23 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadModel -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzReadReport -fuzztime $(FUZZTIME) ./internal/repair
 	$(GO) test -run xxx -fuzz FuzzReadArenaReport -fuzztime $(FUZZTIME) ./internal/arena
+	$(GO) test -run xxx -fuzz FuzzIngestHandler -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzCreateTenantHandler -fuzztime $(FUZZTIME) ./internal/serve
 
 # Every table, figure, ablation and extension, abbreviated windows.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 
-# Short-budget run of the stream engine's fleet-scale micro-benchmarks
-# (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
-# synthetic fleet), with allocations. A smoke check: it fails only if a
-# benchmark errors or panics; raise BENCHTIME locally for numbers to compare.
+# Short-budget run of the micro-benchmarks, with allocations: the stream
+# engine's fleet-scale ones (detector ingest + flush, and a whole
+# Localizer.Step, on the 4096-service synthetic fleet) and serve's ingest
+# decode and handler (a 64-tick, 12-service robotshop batch). A smoke check:
+# it fails only if a benchmark errors or panics; raise BENCHTIME locally for
+# numbers to compare.
 BENCHTIME ?= 200x
 bench-micro:
 	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
+	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 
 # Serial vs parallel wall-clock comparison of the causal-learning stages.
 # The JSON artifact records learn/localize/campaign timings at workers=1 and

@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 
 	"causalfl/internal/core"
-	"causalfl/internal/stream"
 	"causalfl/internal/telemetry"
 )
 
@@ -50,6 +50,9 @@ type Server struct {
 func NewServer(opts Options) (*Server, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("serve: nil store")
+	}
+	if opts.Defaults.QueueCap > maxQueueCap {
+		return nil, fmt.Errorf("serve: default queue capacity %d > %d", opts.Defaults.QueueCap, maxQueueCap)
 	}
 	s := &Server{opts: opts, tenants: make(map[string]*tenant)}
 	names, err := opts.Store.List()
@@ -106,6 +109,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	// A failed write means the client is gone; there is no one to tell.
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// readBody reads a request body of at most maxBodyBytes. The buffer grows
+// with the bytes that arrive, not with a length the client claims.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 }
 
 // tenantFor resolves the path's tenant or writes a 404.
@@ -222,6 +231,9 @@ func (s *Server) CreateTenant(ctx context.Context, name string, cfg TenantConfig
 		return fmt.Errorf("serve: tenant %q: %w", name, err)
 	}
 	cfg = overlay(cfg, s.opts.Defaults)
+	if err := checkBounds(name, cfg, model); err != nil {
+		return err
+	}
 	t, err := newTenant(name, cfg, model, s.opts.Store, nil)
 	if err != nil {
 		return err
@@ -255,8 +267,11 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createTenantRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		jsonError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -309,39 +324,23 @@ func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
 }
 
-// ingestRequest is the POST body: a batch of ticks, each mapping service to
-// samples in stream wire form (non-finite counter values spelled "NaN",
-// "+Inf", "-Inf").
-type ingestRequest struct {
-	Ticks []map[string][]stream.SampleState `json:"ticks"`
-}
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t := s.tenantFor(w, r)
 	if t == nil {
 		return
 	}
-	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	var ticks []map[string][]telemetry.Sample
+	if err == nil {
+		ticks, err = decodeIngest(body, t.services)
+	}
+	if err != nil {
 		jsonError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	if len(req.Ticks) == 0 {
+	if len(ticks) == 0 {
 		jsonError(w, http.StatusBadRequest, "empty batch")
 		return
-	}
-	ticks := make([]map[string][]telemetry.Sample, len(req.Ticks))
-	for i, wire := range req.Ticks {
-		tick := make(map[string][]telemetry.Sample, len(wire))
-		for svc, ss := range wire {
-			samples := make([]telemetry.Sample, len(ss))
-			for j, one := range ss {
-				samples[j] = one.Sample()
-			}
-			tick[svc] = samples
-		}
-		ticks[i] = tick
 	}
 	if err := t.validateTicks(ticks); err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)

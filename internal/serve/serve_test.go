@@ -40,25 +40,60 @@ const (
 func buildFixture(t testing.TB) *fixture {
 	t.Helper()
 	services := []string{"svc-a", "svc-b", "svc-c"}
+	model := fixtureModel(t, services)
+
+	var ticks []map[string][]telemetry.Sample
+	gap := 0
+	for tick := 41; tick <= 40+fixTicks; tick++ {
+		at := sim.Time(tick) * sim.Time(fixInterval)
+		one := make(map[string][]telemetry.Sample, len(services))
+		for si, svc := range services {
+			smp := telemetry.Sample{At: at, Deltas: fixtureCPU(si, tick, tick > 65 && si == 1), Span: 1}
+			switch {
+			// One long outage (ticks 44-50): the recovery sample's 8-tick
+			// span cannot fit inside any 30s window, so it is dead-trimmed
+			// and the affected windows report under-coverage — the exact
+			// accounting the stats endpoint must surface.
+			case si == 2 && (tick%9 == 0 || (tick >= 44 && tick <= 50)):
+				smp = telemetry.Sample{At: at, Missing: true}
+				gap++
+			case si == 2:
+				smp.Span = 1 + gap
+				gap = 0
+			case si == 0 && tick%13 == 0:
+				smp.Deltas.CPUSeconds = math.NaN()
+				smp.Corrupt = true
+			}
+			one[svc] = []telemetry.Sample{smp}
+		}
+		ticks = append(ticks, one)
+	}
+	return &fixture{model: model, ticks: ticks}
+}
+
+// fixtureCPU is the fixture's counter reading for service si at a tick.
+func fixtureCPU(si, tick int, faulty bool) sim.Counters {
+	c := sim.Counters{CPUSeconds: 1.0 + 0.1*float64(si) + 0.01*float64((tick*11+si*5)%7)}
+	if faulty {
+		c.CPUSeconds *= 2.1
+	}
+	return c
+}
+
+// fixtureModel builds a "raw-cpu" model of services whose baseline is 40
+// healthy fixture ticks and whose causal sets name each service alone.
+func fixtureModel(t testing.TB, services []string) *core.Model {
+	t.Helper()
 	set, err := metrics.Preset(metrics.SetRawCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cpu := func(si, tick int, faulty bool) sim.Counters {
-		c := sim.Counters{CPUSeconds: 1.0 + 0.1*float64(si) + 0.01*float64((tick*11+si*5)%7)}
-		if faulty {
-			c.CPUSeconds *= 2.1
-		}
-		return c
-	}
-
 	baseSamples := make(map[string][]telemetry.Sample, len(services))
 	for tick := 1; tick <= 40; tick++ {
 		at := sim.Time(tick) * sim.Time(fixInterval)
 		for si, svc := range services {
 			baseSamples[svc] = append(baseSamples[svc], telemetry.Sample{
-				At: at, Deltas: cpu(si, tick, false), Span: 1,
+				At: at, Deltas: fixtureCPU(si, tick, false), Span: 1,
 			})
 		}
 	}
@@ -89,34 +124,7 @@ func buildFixture(t testing.TB) *fixture {
 	if err := model.Validate(); err != nil {
 		t.Fatal(err)
 	}
-
-	var ticks []map[string][]telemetry.Sample
-	gap := 0
-	for tick := 41; tick <= 40+fixTicks; tick++ {
-		at := sim.Time(tick) * sim.Time(fixInterval)
-		one := make(map[string][]telemetry.Sample, len(services))
-		for si, svc := range services {
-			smp := telemetry.Sample{At: at, Deltas: cpu(si, tick, tick > 65 && si == 1), Span: 1}
-			switch {
-			// One long outage (ticks 44-50): the recovery sample's 8-tick
-			// span cannot fit inside any 30s window, so it is dead-trimmed
-			// and the affected windows report under-coverage — the exact
-			// accounting the stats endpoint must surface.
-			case si == 2 && (tick%9 == 0 || (tick >= 44 && tick <= 50)):
-				smp = telemetry.Sample{At: at, Missing: true}
-				gap++
-			case si == 2:
-				smp.Span = 1 + gap
-				gap = 0
-			case si == 0 && tick%13 == 0:
-				smp.Deltas.CPUSeconds = math.NaN()
-				smp.Corrupt = true
-			}
-			one[svc] = []telemetry.Sample{smp}
-		}
-		ticks = append(ticks, one)
-	}
-	return &fixture{model: model, ticks: ticks}
+	return model
 }
 
 // tenantCfg is the fixture's standard tenant configuration.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"causalfl/internal/core"
@@ -20,6 +21,29 @@ const (
 	DefaultSnapshotEvery = 16
 	DefaultVerdictLog    = 512
 )
+
+// maxQueueCap and maxWindowValues bound the knobs a create request sizes
+// eager allocations by: the ingest queue's channel, and the detector's
+// window slab, which holds 2 × Window values for every (metric, service)
+// pair of the model (1<<24 values: 256 MiB of slab).
+const (
+	maxQueueCap     = 1 << 16
+	maxWindowValues = 1 << 24
+)
+
+// checkBounds refuses a new tenant's config when it sizes an eager
+// allocation past maxQueueCap or maxWindowValues. Only creation applies it:
+// a tenant restored on boot keeps the config it was created with.
+func checkBounds(name string, cfg TenantConfig, model *core.Model) error {
+	cfg = cfg.withDefaults()
+	if cfg.QueueCap > maxQueueCap {
+		return fmt.Errorf("serve: tenant %q: queue capacity %d > %d", name, cfg.QueueCap, maxQueueCap)
+	}
+	if pairs := len(model.Metrics) * len(model.Services); pairs > 0 && cfg.Window > maxWindowValues/pairs {
+		return fmt.Errorf("serve: tenant %q: window %d over %d metric-service pairs retains more than %d values", name, cfg.Window, pairs, maxWindowValues)
+	}
+	return nil
+}
 
 // maxSampleStamp bounds ingest timestamps (about 146 virtual years in
 // nanoseconds). An honest virtual clock starts at zero; a stamp parked next
@@ -179,6 +203,10 @@ type tenant struct {
 	model *core.Model
 	set   []metrics.Metric
 	store *Store
+	// services holds each model service name as its own key and value:
+	// validateTicks tests membership, and the ingest scanner interns
+	// decoded names against it.
+	services map[string]string
 
 	queue chan job
 	stop  chan struct{} // closed once: begin shutdown
@@ -221,8 +249,12 @@ func newTenant(name string, cfg TenantConfig, model *core.Model, store *Store, s
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: %w", name, err)
 	}
+	services := make(map[string]string, len(model.Services))
+	for _, svc := range model.Services {
+		services[svc] = svc
+	}
 	t := &tenant{
-		name: name, cfg: cfg, model: model, set: set, store: store,
+		name: name, cfg: cfg, model: model, set: set, store: store, services: services,
 		queue:  make(chan job, cfg.QueueCap),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -500,25 +532,41 @@ func (t *tenant) snapshotStats() TenantStats {
 }
 
 // validateTicks rejects hostile ingest shapes before they reach the queue:
-// unknown services, out-of-range stamps, negative spans.
+// unknown services, out-of-range stamps, negative spans. The first invalid
+// tick is re-checked in service-name order, so the error names the same
+// service whatever the map order.
 func (t *tenant) validateTicks(ticks []map[string][]telemetry.Sample) error {
-	known := make(map[string]bool, len(t.model.Services))
-	for _, svc := range t.model.Services {
-		known[svc] = true
-	}
 	for _, tick := range ticks {
 		for svc, samples := range tick {
-			if !known[svc] {
-				return fmt.Errorf("serve: unknown service %q (model has %v)", svc, t.model.Services)
+			if t.validateService(svc, samples) == nil {
+				continue
 			}
-			for _, smp := range samples {
-				if smp.At < 0 || smp.At >= maxSampleStamp {
-					return fmt.Errorf("serve: sample stamp %v for %q out of range", smp.At, svc)
-				}
-				if smp.Span < 0 {
-					return fmt.Errorf("serve: negative sample span %d for %q", smp.Span, svc)
+			names := make([]string, 0, len(tick))
+			for name := range tick {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				if err := t.validateService(name, tick[name]); err != nil {
+					return err
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// validateService checks one service's samples of a tick.
+func (t *tenant) validateService(svc string, samples []telemetry.Sample) error {
+	if _, ok := t.services[svc]; !ok {
+		return fmt.Errorf("serve: unknown service %q (model has %v)", svc, t.model.Services)
+	}
+	for _, smp := range samples {
+		if smp.At < 0 || smp.At >= maxSampleStamp {
+			return fmt.Errorf("serve: sample stamp %v for %q out of range", smp.At, svc)
+		}
+		if smp.Span < 0 {
+			return fmt.Errorf("serve: negative sample span %d for %q", smp.Span, svc)
 		}
 	}
 	return nil
