@@ -81,6 +81,7 @@ fmt-check:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzIncrementalKS -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run xxx -fuzz FuzzKSDistanceUnsorted -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSketchRankError -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSanitize -fuzztime $(FUZZTIME) ./internal/metrics
 	$(GO) test -run xxx -fuzz FuzzReadTrainingData -fuzztime $(FUZZTIME) ./internal/eval
@@ -97,14 +98,17 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 
-# Short-budget run of the micro-benchmarks, with allocations: the stream
-# engine's fleet-scale ones (detector ingest + flush, and a whole
-# Localizer.Step, on the 4096-service synthetic fleet) and serve's ingest
-# decode and handler (a 64-tick, 12-service robotshop batch). A smoke check:
+# Short-budget run of the micro-benchmarks, with allocations: one guarded KS
+# test of a window of 8 against a 384-value baseline read in place (a
+# shifted and an overlapping window), the stream engine's fleet-scale ones
+# (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
+# synthetic fleet) and serve's ingest decode and handler (a 64-tick,
+# 12-service robotshop batch). A smoke check:
 # it fails only if a benchmark errors or panics; raise BENCHTIME locally for
 # numbers to compare.
 BENCHTIME ?= 200x
 bench-micro:
+	$(GO) test -run xxx -bench '^BenchmarkKSBaselinesGuardedPValue$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
 	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 

@@ -181,6 +181,14 @@ func ReadReport(rd io.Reader) (*Report, error) {
 	if env.Report == nil {
 		return nil, fmt.Errorf("repair: envelope has no report")
 	}
+	// WriteJSON omits an empty list, so an empty list reads back as none:
+	// a report then survives a write/read round trip unchanged.
+	if len(env.Report.Candidates) == 0 {
+		env.Report.Candidates = nil
+	}
+	if len(env.Report.Sets) == 0 {
+		env.Report.Sets = nil
+	}
 	if err := env.Report.Validate(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // This file is the incremental two-sample KS engine. Its storage comes in
@@ -12,9 +13,9 @@ import (
 //     back to back in one []float64, plus a 16-byte bookkeeping record per
 //     window. A push touches one window's stretch of the slab and its
 //     record, nothing else.
-//   - KSBaselines is the cold half: every baseline sorted once into one
-//     arena (or summarized by an ECDFSketch), with its size and the guard's
-//     trimmed mean. Only a statistic reads it.
+//   - KSBaselines is the cold half: a reference to every caller's baseline,
+//     read in place and never copied (or an ECDFSketch summary of it), with
+//     its size and the guard's trimmed mean. Only a statistic reads it.
 //
 // IncrementalKS is the single-comparison view over one window of each — the
 // stream detector uses the two halves directly, at one window per (metric,
@@ -25,13 +26,13 @@ import (
 //
 // The batch pipeline re-sorts both samples on every PValue call — O(n log n)
 // per tick once a streaming consumer re-tests after every hop. This state
-// sorts the baseline exactly once at construction and maintains the
-// production window through ordered insert/evict: a ring buffer remembers
-// arrival order (so the oldest value can be evicted when the window is full)
-// and an order-statistics index keeps the finite values sorted between
-// pushes. A push costs O(window): a count of the values below the new one
-// and a bounded shift inside the window; the D-statistic walk over the
-// merged support never pays a sort.
+// maintains the production window through ordered insert/evict: a ring
+// buffer remembers arrival order (so the oldest value can be evicted when
+// the window is full) and an order-statistics index keeps the finite values
+// sorted between pushes. A push costs O(window): a count of the values
+// below the new one and a bounded shift inside the window. The D statistic
+// never pays a sort either: one pass drops each baseline value, in its
+// original order, into the sorted window's buckets (ksDistanceUnsorted).
 //
 // Equivalence contract: after any sequence of pushes, PValue equals
 // KSTest{}.PValue(window, baseline) and GuardedPValue equals
@@ -51,8 +52,8 @@ type IncrementalKS struct {
 }
 
 // NewIncrementalKS builds the state for one (baseline, sliding window) pair.
-// The baseline is copied and sorted once; window is the maximum number of
-// production values retained.
+// The baseline is copied once, so the caller may reuse it; window is the
+// maximum number of production values retained.
 func NewIncrementalKS(baseline []float64, window int) (*IncrementalKS, error) {
 	return newIncrementalKS(baseline, window, 0)
 }
@@ -83,9 +84,13 @@ func newIncrementalKS(baseline []float64, window int, eps float64) (*Incremental
 		return nil, err
 	}
 	k.win = *win
-	base, err := NewKSBaselines(eps, 1, len(baseline))
+	base, err := NewKSBaselines(eps, 1)
 	if err != nil {
 		return nil, err
+	}
+	if eps == 0 {
+		// The set reads its baselines in place; this state owns its copy.
+		baseline = append([]float64(nil), baseline...)
 	}
 	k.base = *base
 	if err := k.base.Add(baseline); err != nil {
@@ -326,25 +331,28 @@ func removeSorted(s []float64, v float64) []float64 {
 }
 
 // KSBaselines holds the baseline side of many incremental KS comparisons in
-// cold arrays: every baseline sorted once into one arena (exact mode) or
-// summarized by an ECDFSketch (sketch mode), plus its size and the
-// practical-equivalence guard's trimmed mean. Baseline i pairs with window
-// i of a WindowSlab; the statistics take that window's sorted values.
+// cold arrays. Exact mode keeps a reference to each caller's baseline series
+// as it was added — no copy and no sort — and computes the exact statistic
+// against it in place (ksDistanceUnsorted); sketch mode summarizes each
+// baseline by an ECDFSketch. Either way the set holds each baseline's size
+// and the practical-equivalence guard's trimmed mean. Baseline i pairs with
+// window i of a WindowSlab; the statistics take that window's sorted values.
+//
+// Because exact mode reads the callers' series on every statistic, a
+// baseline must not be modified after it is added.
 type KSBaselines struct {
 	eps     float64       // sketch error budget; zero retains baselines exactly
-	arena   []float64     // exact mode: the sorted baselines, back to back
-	off     []int         // exact mode: baseline i starts at arena[off[i]]
+	series  [][]float64   // exact mode: the callers' baselines, read in place
 	size    []int         // original sample sizes; zero for an untestable entry
 	trimmed []float64     // trimmedMeanSorted(baseline, DefaultTrim)
 	sketch  []*ECDFSketch // sketch mode only
-	scratch []float64     // sketch mode: the sort buffer Add reuses
+	scratch []float64     // the sort buffer Add reuses for the trimmed mean
 }
 
 // NewKSBaselines returns an empty baseline set. eps > 0 selects sketch mode
-// with that error budget. count and total (the summed sample length) are
-// capacity hints: with them exact, building the set allocates each array
-// once.
-func NewKSBaselines(eps float64, count, total int) (*KSBaselines, error) {
+// with that error budget. count is a capacity hint: with it exact, building
+// the set allocates each array once.
+func NewKSBaselines(eps float64, count int) (*KSBaselines, error) {
 	if eps < 0 || eps >= 1 {
 		return nil, fmt.Errorf("stats: sketch eps must be in (0,1), got %v", eps)
 	}
@@ -356,54 +364,46 @@ func NewKSBaselines(eps float64, count, total int) (*KSBaselines, error) {
 	if eps > 0 {
 		b.sketch = make([]*ECDFSketch, 0, count)
 	} else {
-		b.arena = make([]float64, 0, total)
-		b.off = make([]int, 0, count)
+		b.series = make([][]float64, 0, count)
 	}
 	return b, nil
 }
 
-// Add appends baseline number Count(): the sample is copied and sorted once
-// (and, in sketch mode, summarized and dropped). An empty sample adds an
-// entry that can never be tested: its Len is zero.
+// Add appends baseline number Count(). In exact mode the set keeps a
+// reference to sample, which must not be modified afterwards; in sketch mode
+// the sample is summarized and dropped. Either way the guard's trimmed mean
+// is computed here, over a sorted copy in a reused buffer. A NaN value is
+// rejected (it has no place in the order the KS statistic walks), and so is
+// ±Inf in sketch mode. An empty sample adds an entry that can never be
+// tested: its Len is zero.
 func (b *KSBaselines) Add(sample []float64) error {
-	var sorted []float64
-	if b.eps > 0 {
-		for _, v := range sample {
-			if !isFinite(v) {
-				return fmt.Errorf("stats: incremental ks: sketch baseline must be finite, got %v", v)
-			}
+	for _, v := range sample {
+		switch {
+		case b.eps > 0 && !isFinite(v):
+			return fmt.Errorf("stats: incremental ks: sketch baseline must be finite, got %v", v)
+		case math.IsNaN(v):
+			return fmt.Errorf("stats: incremental ks: baseline holds NaN")
 		}
-		sorted = append(b.scratch[:0], sample...)
-		b.scratch = sorted
-	} else {
-		b.off = append(b.off, len(b.arena))
-		b.arena = append(b.arena, sample...)
-		sorted = b.arena[len(b.arena)-len(sample):]
 	}
+	sorted := append(b.scratch[:0], sample...)
+	b.scratch = sorted
 	sortFloat64s(sorted)
 	var trimmed float64
-	var sk *ECDFSketch
 	if len(sorted) > 0 {
 		trimmed = trimmedMeanSorted(sorted, DefaultTrim)
-		if b.eps > 0 {
-			sk = newECDFSketchSorted(sorted, b.eps)
-		}
 	}
 	if b.eps > 0 {
+		var sk *ECDFSketch
+		if len(sorted) > 0 {
+			sk = newECDFSketchSorted(sorted, b.eps)
+		}
 		b.sketch = append(b.sketch, sk)
+	} else {
+		b.series = append(b.series, sample)
 	}
 	b.size = append(b.size, len(sample))
 	b.trimmed = append(b.trimmed, trimmed)
 	return nil
-}
-
-// sorted returns baseline i sorted ascending, or nil in sketch mode. The
-// slice aliases the arena.
-func (b *KSBaselines) sorted(i int) []float64 {
-	if b.eps > 0 {
-		return nil
-	}
-	return b.arena[b.off[i] : b.off[i]+b.size[i]]
 }
 
 // sketchOf returns baseline i's sketch, or nil when baselines are retained
@@ -421,15 +421,20 @@ func (b *KSBaselines) distance(i int, window []float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: incremental ks: empty window")
 	}
+	return b.dist(i, window), nil
+}
+
+// dist is distance for a non-empty window.
+func (b *KSBaselines) dist(i int, window []float64) float64 {
 	if b.eps > 0 {
-		return ksDistanceSketch(window, b.sketch[i]), nil
+		return ksDistanceSketch(window, b.sketch[i])
 	}
-	return ksDistanceSorted(window, b.sorted(i)), nil
+	return ksDistanceUnsorted(window, b.series[i])
 }
 
 // PValue returns KSTest{}.PValue(window, baseline i) for the sorted finite
-// window without re-sorting either sample. In sketch mode the D statistic
-// comes from the sketched baseline ECDF.
+// window without sorting either sample. In sketch mode the D statistic comes
+// from the sketched baseline ECDF.
 func (b *KSBaselines) PValue(i int, window []float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: ks first sample: stats: ECDF of empty sample")
@@ -438,10 +443,7 @@ func (b *KSBaselines) PValue(i int, window []float64) (float64, error) {
 }
 
 func (b *KSBaselines) pvalue(i int, window []float64) float64 {
-	if b.eps > 0 {
-		return ksPValueSketch(window, b.sketch[i])
-	}
-	return ksPValueSorted(window, b.sorted(i))
+	return ksPValue(b.dist(i, window), len(window), b.size[i])
 }
 
 // GuardedPValue returns GuardedTest{Inner: KSTest{}, RelTol:
@@ -471,6 +473,116 @@ func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (fl
 		return 1, nil
 	}
 	return b.pvalue(i, window), nil
+}
+
+// ksStackWindow is the largest window whose bucket counts
+// ksDistanceUnsorted keeps on the stack; larger windows borrow pooled
+// counts.
+const ksStackWindow = 32
+
+// bucketPool holds the bucket counts of windows above ksStackWindow.
+var bucketPool = sync.Pool{New: func() any { return new([]int) }}
+
+// ksDistanceUnsorted returns ksDistanceSorted(a, b') bit for bit, where a is
+// sorted ascending and non-empty and b' is b sorted: the exact KS statistic
+// against a baseline read in place, in any order, with one pass over it.
+//
+// The pass drops each baseline value at or below a[n-1] into one of 2n
+// buckets of the window a (length n): c[2k] counts values strictly between
+// a[k-1] and a[k] (below a[0] for k = 0), c[2k+1] values equal to a[k],
+// where k is the first index of a run of tied window values. Values outside
+// [a[0], a[n-1]] — most of a shifted window's baseline, the only kind the
+// guard lets through — take a one-compare path; those above need no bucket.
+//
+// The sorted walk evaluates |i/n − j/m| at every distinct point of the
+// merged support, with i and j the counts of window and baseline values at
+// or below it. With J the running baseline count, D is the largest of
+//
+//   - |k/n − J/m| at the last point of each non-empty open bucket 2k, and
+//   - |t/n − J/m| at each distinct window value, t counting the window
+//     values at or below it.
+//
+// Across one open bucket i = k is fixed and fl(j/m) is monotone in j, so the
+// rounded difference is monotone and its absolute value peaks at an end of
+// the bucket. The first point never wins: the preceding window value (or,
+// for bucket 0, the origin) has the same i and a smaller j. Points above
+// a[n-1] have i = n and only shrink toward |1 − 1| = 0. The candidates are
+// evaluated with the walk's own expression, so the maximum is the same
+// float64. The walk stops when either sample is exhausted; every point it
+// skips has i = n or j = m and lies at or below the last point it reached.
+func ksDistanceUnsorted(a, b []float64) float64 {
+	if n := len(a); n > ksStackWindow {
+		pooled := bucketPool.Get().(*[]int)
+		if cap(*pooled) < 2*n {
+			*pooled = make([]int, 2*n)
+		}
+		c := (*pooled)[:2*n]
+		clear(c)
+		d := ksDistanceBuckets(a, b, c)
+		bucketPool.Put(pooled)
+		return d
+	}
+	var stack [2 * ksStackWindow]int
+	return ksDistanceBuckets(a, b, stack[:2*len(a)])
+}
+
+// ksDistanceBuckets is ksDistanceUnsorted over zeroed bucket counts c of
+// length 2×len(a).
+func ksDistanceBuckets(a, b []float64, c []int) float64 {
+	n := len(a)
+	lo, hi := a[0], a[n-1]
+	below := 0
+	for _, v := range b {
+		switch {
+		case v < lo:
+			below++
+		case v > hi:
+			// Above the window i = n: never the maximum.
+		default:
+			k := searchBelow(a, v)
+			if a[k] == v { //vet:allow floateq -- ties between the samples are exact equality, as in the sorted walk
+				c[2*k+1]++
+			} else {
+				c[2*k]++
+			}
+		}
+	}
+	c[0] += below
+	na, nb := float64(n), float64(len(b))
+	var d float64
+	j := 0
+	for k := 0; k < n; k++ {
+		if c[2*k] > 0 {
+			j += c[2*k]
+			if diff := abs(float64(k)/na - float64(j)/nb); diff > d {
+				d = diff
+			}
+		}
+		j += c[2*k+1]
+		if k+1 == n || a[k+1] != a[k] { //vet:allow floateq -- a run of tied window values is one point of the support
+			if diff := abs(float64(k+1)/na - float64(j)/nb); diff > d {
+				d = diff
+			}
+		}
+	}
+	return d
+}
+
+// searchBelow returns lowerBound(a, v) — the count of the ascending,
+// non-empty a's values below v — by a branch-free binary search.
+func searchBelow(a []float64, v float64) int {
+	base, size := 0, len(a)
+	for size > 1 {
+		half := size / 2
+		if a[base+half-1] < v {
+			base += half
+		}
+		size -= half
+	}
+	if a[base] < v {
+		base++
+	}
+	return base
 }
 
 // isFinite reports whether v is neither NaN nor ±Inf.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,4 +246,201 @@ func FuzzIncrementalKS(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzFloats decodes fuzzer bytes into a sample. With grid zero every 8
+// bytes are one float64 bit pattern, NaN read as 0. Otherwise every byte is
+// one value on the integer grid [-grid/2, grid/2), which forces ties, except
+// for the top three bytes: +Inf, -Inf and -0.
+func fuzzFloats(data []byte, grid uint8) []float64 {
+	var out []float64
+	if grid == 0 {
+		for ; len(data) >= 8; data = data[8:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			if math.IsNaN(v) {
+				v = 0
+			}
+			out = append(out, v)
+		}
+		return out
+	}
+	for _, c := range data {
+		switch c {
+		case 255:
+			out = append(out, math.Inf(1))
+		case 254:
+			out = append(out, math.Inf(-1))
+		case 253:
+			out = append(out, math.Copysign(0, -1))
+		default:
+			out = append(out, float64(int(c)%int(grid)-int(grid)/2))
+		}
+	}
+	return out
+}
+
+// FuzzKSDistanceUnsorted holds the one-pass kernel the exact baselines use
+// bit for bit to the sorted merge walk, ksDistanceSorted(window,
+// sort(baseline)), and checks it leaves the baseline as it was.
+func FuzzKSDistanceUnsorted(f *testing.F) {
+	grid := func(vs ...byte) []byte { return vs }
+	long := make([]byte, 200)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	f.Add(grid(3), grid(1, 2, 3, 3, 4), uint8(8))                    // window of one, tied with the baseline
+	f.Add(grid(1, 1, 1, 2), grid(1, 1, 2, 2, 2, 0), uint8(4))        // ties inside and across the samples
+	f.Add(grid(253, 4, 5), grid(4, 253, 253, 6), uint8(8))           // -0 against +0
+	f.Add(grid(2, 5, 9), grid(255, 254, 3, 255, 254, 9), uint8(16))  // ±Inf baseline values
+	f.Add(grid(254, 0, 255), grid(254, 255, 1, 2), uint8(6))         // ±Inf in the window
+	f.Add(grid(0, 1, 2, 3), grid(10, 11, 12, 13, 14, 15), uint8(32)) // disjoint: every value on the fast path
+	f.Add(long[:100], long, uint8(50))                               // a window over the stack buckets
+	f.Add(long[:40], long[100:], uint8(0))                           // raw bit patterns
+	f.Add(grid(7), grid(), uint8(8))                                 // empty baseline
+	f.Fuzz(func(t *testing.T, window, baseline []byte, g uint8) {
+		a := fuzzFloats(window, g)
+		b := fuzzFloats(baseline, g)
+		if len(a) == 0 {
+			return
+		}
+		sortFloat64s(a)
+		orig := append([]float64(nil), b...)
+		sorted := append([]float64(nil), b...)
+		sortFloat64s(sorted)
+		want := ksDistanceSorted(a, sorted)
+		got := ksDistanceUnsorted(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("D = %v, sorted walk %v (window %v, baseline %v)", got, want, a, orig)
+		}
+		if !sameValues(b, orig) {
+			t.Fatalf("kernel modified the baseline: %v, was %v", b, orig)
+		}
+	})
+}
+
+// TestKSBaselinesReadInPlace: an exact set keeps a reference to each
+// baseline, not a copy, and neither building it nor testing against it
+// reorders or modifies the caller's series. NewIncrementalKS, by contrast,
+// owns a copy.
+func TestKSBaselinesReadInPlace(t *testing.T) {
+	series := []float64{5, 3, 9, 1, 7, 3}
+	orig := append([]float64(nil), series...)
+	b, err := NewKSBaselines(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(series); err != nil {
+		t.Fatal(err)
+	}
+	if &b.series[0][0] != &series[0] {
+		t.Fatal("exact baseline was copied")
+	}
+	window := []float64{10, 11, 12}
+	want, err := (GuardedTest{Inner: KSTest{}}).PValue(window, series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.GuardedPValue(0, window, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want { //vet:allow floateq -- the equivalence contract is bitwise
+		t.Fatalf("guarded p = %v, batch %v", got, want)
+	}
+	if !sameValues(series, orig) {
+		t.Fatalf("baseline changed to %v, was %v", series, orig)
+	}
+
+	// NewIncrementalKS keeps its own copy, so the caller may reuse its slice.
+	k, err := NewIncrementalKS(series, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range window {
+		k.Push(v)
+	}
+	before, err := k.D()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range series {
+		series[i] = 100
+	}
+	after, err := k.D()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before { //vet:allow floateq -- the state must not see the caller's writes at all
+		t.Fatalf("D moved from %v to %v when the caller reused its baseline slice", before, after)
+	}
+}
+
+// TestKSBaselinesRejectNaN: exact mode refuses a NaN baseline value, which
+// the KS order cannot place, and keeps ±Inf; sketch mode refuses both.
+func TestKSBaselinesRejectNaN(t *testing.T) {
+	exact, err := NewKSBaselines(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exact.Add([]float64{1, math.NaN(), 2}); err == nil {
+		t.Fatal("exact baseline accepted NaN")
+	}
+	if err := exact.Add([]float64{math.Inf(-1), 1, math.Inf(1)}); err != nil {
+		t.Fatalf("exact baseline refused ±Inf: %v", err)
+	}
+	sketch, err := NewKSBaselines(0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		if err := sketch.Add([]float64{1, v}); err == nil {
+			t.Fatalf("sketch baseline accepted %v", v)
+		}
+	}
+	if _, err := NewIncrementalKS([]float64{1, math.NaN()}, 4); err == nil {
+		t.Fatal("NewIncrementalKS accepted a NaN baseline")
+	}
+}
+
+// BenchmarkKSBaselinesGuardedPValue times one guarded test of a window of 8
+// against a 384-value baseline read in place, in the two regimes the kernel
+// sees: a shifted window, whose baseline values all take the one-compare
+// path, and a window inside the baseline's range (guard tolerance lowered so
+// the KS test runs), whose values each need a count over the window.
+func BenchmarkKSBaselinesGuardedPValue(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	baseline := make([]float64, 384)
+	for i := range baseline {
+		baseline[i] = 100 + rng.NormFloat64()*10
+	}
+	for _, bc := range []struct {
+		name  string
+		shift float64
+		tol   float64
+	}{
+		{"shifted", 200, 0},
+		{"overlap", 5, 0.001},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			set, err := NewKSBaselines(0, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := set.Add(baseline); err != nil {
+				b.Fatal(err)
+			}
+			window := make([]float64, 8)
+			for i := range window {
+				window[i] = 100 + bc.shift + rng.NormFloat64()*10
+			}
+			sortFloat64s(window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p, err := set.GuardedPValue(0, window, bc.tol); err != nil || p == 1 {
+					b.Fatalf("p = %v, err = %v: the KS test did not run", p, err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -25,7 +26,12 @@ var _ TwoSampleTest = KSTest{}
 // Name implements TwoSampleTest.
 func (KSTest) Name() string { return "ks" }
 
-// Statistic returns the KS statistic D between samples x and y.
+// errNaN rejects a KS sample holding NaN: NaN has no place in the order
+// the statistic walks. ±Inf keep their defined order and are accepted.
+var errNaN = errors.New("stats: sample holds NaN")
+
+// Statistic returns the KS statistic D between samples x and y. An empty
+// sample, or one holding NaN, is an error.
 func (KSTest) Statistic(x, y []float64) (float64, error) {
 	ex, err := NewECDF(x)
 	if err != nil {
@@ -35,6 +41,10 @@ func (KSTest) Statistic(x, y []float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("stats: ks second sample: %w", err)
 	}
+	// The ECDF sorts NaN first.
+	if err := nanError(ex.sorted, ey.sorted); err != nil {
+		return 0, err
+	}
 	return KSDistance(ex, ey), nil
 }
 
@@ -42,7 +52,8 @@ func (KSTest) Statistic(x, y []float64) (float64, error) {
 // values: the samples are copied into pooled scratch buffers, sorted there,
 // and the buffers are reused across calls — the per-call allocations on the
 // learner's (service × metric × intervention) matrix would otherwise
-// dominate the parallel pipeline's garbage-collection budget.
+// dominate the parallel pipeline's garbage-collection budget. An empty
+// sample, or one holding NaN, is an error.
 func (t KSTest) PValue(x, y []float64) (float64, error) {
 	if len(x) == 0 {
 		return 0, fmt.Errorf("stats: ks first sample: stats: ECDF of empty sample")
@@ -51,18 +62,36 @@ func (t KSTest) PValue(x, y []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: ks second sample: stats: ECDF of empty sample")
 	}
 	s := borrowScratch(x, y)
-	p := ksPValueSorted(s.a, s.b)
+	err := nanError(s.a, s.b)
+	var p float64
+	if err == nil {
+		p = ksPValue(ksDistanceSorted(s.a, s.b), len(x), len(y))
+	}
 	s.release()
-	return p, nil
+	return p, err
 }
 
-// ksPValueSorted is the KS p-value over two already-sorted samples. It is the
-// single arithmetic path shared by KSTest.PValue and IncrementalKS, so the
-// streaming engine's per-hop p-values are bit-identical to the batch test's.
-func ksPValueSorted(a, b []float64) float64 {
-	d := ksDistanceSorted(a, b)
-	n := float64(len(a))
-	m := float64(len(b))
+// nanError reports which of two sorted, non-empty samples holds NaN, which
+// both sorts order first.
+func nanError(a, b []float64) error {
+	switch {
+	case math.IsNaN(a[0]):
+		return fmt.Errorf("stats: ks first sample: %w", errNaN)
+	case math.IsNaN(b[0]):
+		return fmt.Errorf("stats: ks second sample: %w", errNaN)
+	}
+	return nil
+}
+
+// ksPValue turns the statistic d between samples of sizes sizeA and sizeB
+// into the KS p-value: the asymptotic Kolmogorov tail at the
+// Stephens-corrected effective size. It is the single arithmetic path of
+// KSTest.PValue, IncrementalKS and the stream detector, so equal statistics
+// give bit-identical p-values; a sketch passes the size of the baseline it
+// summarizes.
+func ksPValue(d float64, sizeA, sizeB int) float64 {
+	n := float64(sizeA)
+	m := float64(sizeB)
 	ne := n * m / (n + m)
 	sq := math.Sqrt(ne)
 	lambda := (sq + 0.12 + 0.11/sq) * d

@@ -183,17 +183,3 @@ func ksDistanceSketch(a []float64, b *ECDFSketch) float64 {
 	}
 	return d
 }
-
-// ksPValueSketch mirrors ksPValueSorted with the baseline side sketched: the
-// D statistic comes from the sketch walk and the effective-sample-size
-// arithmetic uses the original baseline size the sketch summarizes, so an
-// exact-regime sketch (n ≤ k) yields a bit-identical p-value.
-func ksPValueSketch(a []float64, b *ECDFSketch) float64 {
-	d := ksDistanceSketch(a, b)
-	n := float64(len(a))
-	m := float64(b.n)
-	ne := n * m / (n + m)
-	sq := math.Sqrt(ne)
-	lambda := (sq + 0.12 + 0.11/sq) * d
-	return kolmogorovQ(lambda)
-}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestECDFBasics(t *testing.T) {
@@ -202,6 +203,47 @@ func TestKSEmptySampleRejected(t *testing.T) {
 	}
 	if _, err := ks.PValue([]float64{1}, nil); err == nil {
 		t.Fatal("KS accepted empty second sample")
+	}
+}
+
+// TestKSRejectsNaN: a NaN in either sample is an error, not a hang. The
+// merge walk never moves past a NaN sorted first in the window, so the
+// checks run on a goroutine under a deadline.
+func TestKSRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		x, y []float64
+	}{
+		{"first", []float64{nan, 1}, []float64{1, 2}},
+		{"second", []float64{1, 2}, []float64{3, nan}},
+		{"both", []float64{nan}, []float64{nan}},
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var ks KSTest
+		for _, c := range cases {
+			if p, err := ks.PValue(c.x, c.y); err == nil {
+				t.Errorf("%s: PValue = %v, want an error", c.name, p)
+			}
+			if d, err := ks.Statistic(c.x, c.y); err == nil {
+				t.Errorf("%s: Statistic = %v, want an error", c.name, d)
+			}
+		}
+		// ±Inf keep their order and are accepted.
+		inf := []float64{math.Inf(-1), 0, math.Inf(1)}
+		if _, err := ks.PValue(inf, []float64{1, 2}); err != nil {
+			t.Errorf("PValue with ±Inf: %v", err)
+		}
+		if _, err := ks.Statistic([]float64{1, 2}, inf); err != nil {
+			t.Errorf("Statistic with ±Inf: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("KSTest did not return on a NaN sample")
 	}
 }
 

@@ -69,8 +69,9 @@ func (a *metricAgg) removeAnom(svc string) {
 // len(Services) + service index, in baseline order. The hot state a push
 // touches — the pair's ring and sorted index, side by side in one
 // detector-wide slab, and its 16-byte metadata record — is kept apart from
-// the cold state only a test reads: the sorted baselines (one arena), their
-// trimmed means and sketches, and the cached p-values.
+// the cold state only a test reads: a reference to each baseline series
+// (read in place, never copied), its trimmed mean or sketch, and the cached
+// p-values.
 //
 // Detection is incremental end to end, in both completeness modes: Observe
 // only marks a pair dirty, and the flush before the next Detect recomputes
@@ -96,10 +97,10 @@ type Detector struct {
 	svcIndex    map[string]int // service name -> index into baseline.Services
 	// win is the hot per-pair state: ring, sorted index and metadata.
 	win stats.WindowSlab
-	// base is the cold per-pair baseline side, built once here so no
-	// per-hop call sorts anything. A pair whose baseline has no usable
-	// series has Len 0 (and no flagUsable): it can never be observed or
-	// tested.
+	// base is the cold per-pair baseline side: the baseline snapshot's
+	// series, referenced in place, with their trimmed means (or sketches).
+	// A pair whose baseline has no usable series has Len 0 (and no
+	// flagUsable): it can never be observed or tested.
 	base *stats.KSBaselines
 
 	dirty      []int       // pairs awaiting recomputation, in touch order
@@ -110,11 +111,14 @@ type Detector struct {
 	hop        []hopValue  // ObserveHop's checked values, reused across hops
 }
 
-// NewDetector builds a Detector over the given baseline snapshot. Every
-// baseline series is copied and sorted once here; no per-hop call sorts
-// anything afterwards. The zero option set means: DefaultWindow,
-// core.DefaultAlpha, strict completeness, serial execution. The test is
-// always the batch default, stats.GuardedTest{Inner: stats.KSTest{}}.
+// NewDetector builds a Detector over the given baseline snapshot. The
+// detector keeps the snapshot and, in exact mode, reads its series in place
+// on every test, with no copy: the caller must not modify the snapshot or
+// its series while the detector is in use. A NaN baseline value is rejected
+// (with WithSketch, ±Inf too); no per-hop call sorts anything. The zero
+// option set means: DefaultWindow, core.DefaultAlpha, strict completeness,
+// serial execution. The test is always the batch default,
+// stats.GuardedTest{Inner: stats.KSTest{}}.
 func NewDetector(baseline *metrics.Snapshot, opts ...Option) (*Detector, error) {
 	s, err := applyOptions(opts)
 	if err != nil {
@@ -153,19 +157,12 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 		return nil, err
 	}
 	pairs := len(baseline.Metrics) * len(baseline.Services)
-	total := 0
-	for _, m := range baseline.Metrics {
-		for _, svc := range baseline.Services {
-			series, _ := baseline.SeriesOK(m, svc)
-			total += len(series)
-		}
-	}
 	win, err := stats.NewWindowSlab(pairs, s.window)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	d.win = *win
-	if d.base, err = stats.NewKSBaselines(s.sketchEps, pairs, total); err != nil {
+	if d.base, err = stats.NewKSBaselines(s.sketchEps, pairs); err != nil {
 		return nil, err
 	}
 	for mi, m := range baseline.Metrics {

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"causalfl/internal/sim"
@@ -126,6 +128,101 @@ func BenchmarkLocalizerStep4096(b *testing.B) {
 		at := sim.Time(len(w.Hops)+i) * hopEvery
 		if _, err := loc.Step(ctx, at, steadyHop(w, i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// newRetentionSynth is the 512-service × 8-metric × 384-value workload the
+// memory and aliasing tests share: a 12.6 MB baseline, a fault on service 0
+// after 8 dense hops, then a sparse steady state.
+func newRetentionSynth(tb testing.TB) *SynthWorkload {
+	tb.Helper()
+	w, err := NewSynth(SynthConfig{
+		Services: 512, Metrics: fleetMetrics, BaselineLen: fleetBaseline,
+		Hops: 24, Seed: 3, FaultService: 0, FaultAfter: fleetWarmup,
+		ActiveServices: fleetActive, Warmup: fleetWarmup,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// heapInUse returns the live heap after a full collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDetectorRetainsNoBaselineCopy: an exact-mode detector reads its
+// baseline series in place, so what it retains is its windows and per-pair
+// records — under a tenth of the baseline's bytes — not a second copy of
+// the baseline.
+func TestDetectorRetainsNoBaselineCopy(t *testing.T) {
+	w := newRetentionSynth(t)
+	baseBytes := uint64(len(w.Services) * len(w.MetricNames) * fleetBaseline * 8)
+	before := heapInUse()
+	d, err := NewDetector(w.Baseline, WithWindow(fleetWindow), WithTolerant(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heapInUse()
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(w)
+	var held uint64
+	if after > before {
+		held = after - before
+	}
+	if held*10 >= baseBytes {
+		t.Fatalf("detector retains %d B over a %d B baseline, want under 10%%", held, baseBytes)
+	}
+}
+
+// TestDetectorLeavesBaselineIntact: building a detector and a localizer and
+// stepping them through a faulty stream leaves every baseline series with
+// the values it had, in the order it had them.
+func TestDetectorLeavesBaselineIntact(t *testing.T) {
+	w := newRetentionSynth(t)
+	want := make(map[string]map[string][]float64)
+	for m, bySvc := range w.Baseline.Data {
+		want[m] = make(map[string][]float64, len(bySvc))
+		for svc, series := range bySvc {
+			want[m][svc] = append([]float64(nil), series...)
+		}
+	}
+	d, err := NewDetector(w.Baseline, WithWindow(fleetWindow), WithTolerant(true), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := NewLocalizer(w.Model(), WithWindow(fleetWindow), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for h, hop := range w.Hops {
+		if err := d.ObserveHop(hop); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DetectAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loc.Step(ctx, sim.Time(h)*30e9, hop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m, bySvc := range want {
+		for svc, series := range bySvc {
+			got := w.Baseline.Data[m][svc]
+			if len(got) != len(series) {
+				t.Fatalf("%s/%s: baseline length %d, was %d", m, svc, len(got), len(series))
+			}
+			for i := range series {
+				if math.Float64bits(got[i]) != math.Float64bits(series[i]) {
+					t.Fatalf("%s/%s: baseline[%d] = %v, was %v", m, svc, i, got[i], series[i])
+				}
+			}
 		}
 	}
 }

@@ -60,8 +60,10 @@ type Localizer struct {
 	history []map[string]bool
 }
 
-// NewLocalizer builds a streaming localizer for a trained model. The model's
-// baseline series are sorted (or sketched, with WithSketch) once here.
+// NewLocalizer builds a streaming localizer for a trained model. Its
+// detector reads the model's baseline series in place (or sketches them
+// once here, with WithSketch): the caller must not modify model.Baseline
+// while the localizer is in use.
 // Detection is always tolerant, as in the batch localizer; WithTolerant is
 // ignored.
 func NewLocalizer(model *core.Model, opts ...Option) (*Localizer, error) {

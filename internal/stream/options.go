@@ -180,12 +180,14 @@ func WithGeometry(length, hop time.Duration) Option {
 	}
 }
 
-// WithSketch replaces each pair's retained baseline with a bounded-memory
-// ECDF sketch of error budget eps (stats.NewECDFSketch): per-pair baseline
-// memory drops from O(len(baseline)) to O(1/eps) and every KS statistic is
-// within the sketch's rank-error bound of exact — bit-identical whenever
-// len(baseline) <= stats.SketchCutoff(eps), in strict and tolerant mode
-// alike. Pass DefaultSketchEps when in doubt.
+// WithSketch tests each pair against an ECDF sketch of its baseline, of
+// error budget eps (stats.NewECDFSketch), instead of the baseline itself: a
+// KS statistic then reads O(1/eps) anchors rather than O(len(baseline))
+// values, and is within the sketch's rank-error bound of exact —
+// bit-identical whenever len(baseline) <= stats.SketchCutoff(eps), in strict
+// and tolerant mode alike. It saves no detector memory: the exact mode reads
+// the caller's baseline in place, while the sketches are built next to it.
+// Pass DefaultSketchEps when in doubt.
 func WithSketch(eps float64) Option {
 	return func(s *settings) error {
 		if eps <= 0 || eps >= 1 {

@@ -6,24 +6,26 @@
 // production snapshot: every call re-sorts every series and re-runs every
 // two-sample test. Re-running it per hop over a sliding window costs
 // O(n log n) per series per tick. This package keeps, per (metric, service)
-// pair, an incremental KS comparison whose baseline is sorted exactly once
-// and whose production window is maintained by ordered insert/evict — so a
-// hop costs one bounded insert per pair plus the D-walk, never a sort. The
-// pairs' state is dense rather than one object per pair: every window's ring
-// and sorted index sit side by side in one stats.WindowSlab with a 16-byte
-// metadata record each, and every sorted baseline in one stats.KSBaselines
-// arena, so at the default window a push touches two adjacent cache lines
-// and one record.
+// pair, an incremental KS comparison whose production window is maintained
+// by ordered insert/evict — so a hop costs one bounded insert per pair plus
+// one pass of the D statistic over the baseline, never a sort. The pairs'
+// state is dense rather than one object per pair: every window's ring and
+// sorted index sit side by side in one stats.WindowSlab with a 16-byte
+// metadata record each, so at the default window a push touches two
+// adjacent cache lines and one record. The baselines are not copied:
+// stats.KSBaselines keeps a reference to each series of the caller's
+// baseline snapshot (the model's, for a Localizer) and reads it in place,
+// so that snapshot must not be modified while the engine uses it.
 //
 // Scale contract: each hop's flush recomputes only the pairs whose windows
 // actually changed — so a hop that touches T of the S×M pairs costs O(T)
 // test evaluations, not O(S·M), and per-hop latency stays flat as the
 // service count grows with constant hop density. This holds in strict and
 // tolerant mode alike: the flush is the Detector's only detection path.
-// With WithSketch, per-pair baseline memory is O(1/eps) regardless of
-// baseline length. Both are pure representation changes: verdicts are
-// byte-identical at every worker count, and bit-identical to the exact
-// baseline whenever the sketch is lossless for it.
+// With WithSketch, the KS statistic reads O(1/eps) anchors per pair
+// regardless of baseline length. Both are pure representation changes:
+// verdicts are byte-identical at every worker count, and bit-identical to
+// the exact baseline whenever the sketch is lossless for it.
 //
 // Equivalence contract: the Detector's per-hop output is byte-identical to
 // core.Detect with its default test (guarded KS) run on the materialized
