@@ -124,14 +124,14 @@ bench-parallel:
 bench-stream:
 	$(GO) run ./cmd/causalfl bench -stream -out BENCH_stream.json
 
-# Fleet-size sweep: the incremental streaming engine (exact and ECDF-sketch
-# baselines) from 64 to 4096 services at a fixed reporting density. The
+# Fleet-size sweep: the incremental streaming engine from 64 to 4096
+# services at a fixed reporting density. The
 # headline number is per-hop latency staying flat as the fleet grows; the
 # batch-per-tick comparison runs up to 512 services, where it is already
 # orders of magnitude off the pace. See docs/SCALING.md.
 bench-scale:
 	$(GO) run ./cmd/causalfl bench -stream \
-		-services 64,256,512,1024,2048,4096 -baseline 384 -sketch \
+		-services 64,256,512,1024,2048,4096 -baseline 384 \
 		-out BENCH_stream.json
 
 # End-to-end streaming demo: train, watch a live session, break a service,

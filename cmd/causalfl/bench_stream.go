@@ -17,20 +17,18 @@ import (
 	"causalfl/internal/core"
 	"causalfl/internal/metrics"
 	"causalfl/internal/parallel"
-	"causalfl/internal/stats"
 	"causalfl/internal/stream"
 )
 
 // streamBenchEntry is one timed engine run over a scale point's hop sequence.
 type streamBenchEntry struct {
-	Engine      string  `json:"engine"` // "stream", "stream-sketch" or "batch-per-tick"
+	Engine      string  `json:"engine"` // "stream" or "batch-per-tick"
 	Workers     int     `json:"workers"`
 	Services    int     `json:"services"`
 	Metrics     int     `json:"metrics"`
 	Window      int     `json:"window"`
 	BaselineLen int     `json:"baseline_len"`
 	Hops        int     `json:"hops"` // timed hops (warmup excluded)
-	Sketch      bool    `json:"sketch,omitempty"`
 	WallMS      float64 `json:"wall_ms"`
 	PerHopMS    float64 `json:"per_hop_ms"`
 }
@@ -45,7 +43,6 @@ type streamBenchReport struct {
 type streamBenchFlags struct {
 	services string
 	baseline int
-	sketch   bool
 }
 
 const (
@@ -81,11 +78,10 @@ func streamMetricCount(preset string) (int, error) {
 //
 // Engines per scale point:
 //
-//   - "stream": exact incremental engine, full baselines in memory.
-//   - "stream-sketch" (-sketch): bounded-memory ECDF-sketch baselines.
+//   - "stream": the incremental engine, baselines read in place.
 //   - "batch-per-tick" (fleets up to streamBenchMaxCmp services): rebuild the
 //     sliding-window snapshot and rerun the batch localizer from scratch each
-//     hop. Its candidates must match the exact stream engine bit for bit.
+//     hop. Its candidates must match the stream engine bit for bit.
 func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPath string) error {
 	nMetrics, err := streamMetricCount(cf.metrics)
 	if err != nil {
@@ -134,45 +130,17 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 		faulty := w.Services[faultIdx]
 
 		for _, workers := range counts {
-			entry := func(engine string, sketch bool, wallMS float64) streamBenchEntry {
+			entry := func(engine string, wallMS float64) streamBenchEntry {
 				return streamBenchEntry{
 					Engine: engine, Workers: workers,
 					Services: services, Metrics: nMetrics,
 					Window: streamBenchWindow, BaselineLen: sf.baseline,
-					Hops: streamBenchTimed, Sketch: sketch,
+					Hops:   streamBenchTimed,
 					WallMS: wallMS, PerHopMS: wallMS / streamBenchTimed,
 				}
 			}
 
-			// runStream feeds the warmup untimed, then times the steady
-			// state. It returns the last hop's verdict.
-			runStream := func(extra ...stream.Option) (*stream.Verdict, float64, error) {
-				opts := append([]stream.Option{
-					stream.WithWindow(streamBenchWindow),
-					stream.WithWorkers(workers),
-				}, extra...)
-				sl, err := stream.NewLocalizer(model, opts...)
-				if err != nil {
-					return nil, 0, err
-				}
-				var last *stream.Verdict
-				var start time.Time
-				for h, hop := range w.Hops {
-					if h == streamBenchWarmup {
-						// Collect the warmup's (and prior scale points')
-						// garbage outside the timed region, so steady-state
-						// hops are not charged for someone else's allocations.
-						runtime.GC()
-						start = clock.Wall.Now()
-					}
-					if last, err = sl.Step(ctx, 0, hop); err != nil {
-						return nil, 0, err
-					}
-				}
-				return last, float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3, nil
-			}
-
-			streamV, streamMS, err := runStream()
+			streamV, streamMS, err := benchStreamEngine(ctx, w, model, workers)
 			if err != nil {
 				return err
 			}
@@ -180,26 +148,7 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 				return fmt.Errorf("bench: stream engine missed the fault at %d services: candidates %v, votes %v", services, streamV.Candidates, streamV.Votes)
 			}
 			streamCand := streamV.Candidates
-			rep.Entries = append(rep.Entries, entry("stream", false, streamMS))
-
-			var sketchMS float64
-			if sf.sketch {
-				sketchV, ms, err := runStream(stream.WithSketch(stream.DefaultSketchEps))
-				if err != nil {
-					return err
-				}
-				sketchMS = ms
-				if !detected(sketchV, faulty) {
-					return fmt.Errorf("bench: sketch engine missed the fault at %d services: candidates %v, votes %v", services, sketchV.Candidates, sketchV.Votes)
-				}
-				sketchCand := sketchV.Candidates
-				// In the lossless regime (baseline within the sketch cutoff)
-				// the sketch path must be bit-identical to the exact one.
-				if sf.baseline <= stats.SketchCutoff(stream.DefaultSketchEps) && !reflect.DeepEqual(sketchCand, streamCand) {
-					return fmt.Errorf("bench: lossless sketch diverged from exact: %v vs %v", sketchCand, streamCand)
-				}
-				rep.Entries = append(rep.Entries, entry("stream-sketch", true, ms))
-			}
+			rep.Entries = append(rep.Entries, entry("stream", streamMS))
 
 			var batchMS float64
 			if services <= streamBenchMaxCmp {
@@ -211,14 +160,11 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 				if !reflect.DeepEqual(streamCand, batchCand) {
 					return fmt.Errorf("bench: engines diverged at %d services: stream %v, batch %v", services, streamCand, batchCand)
 				}
-				rep.Entries = append(rep.Entries, entry("batch-per-tick", false, ms))
+				rep.Entries = append(rep.Entries, entry("batch-per-tick", ms))
 			}
 
 			line := fmt.Sprintf("services=%-5d workers=%d  stream %7.2fms (%.3fms/hop)",
 				services, workers, streamMS, streamMS/streamBenchTimed)
-			if sf.sketch {
-				line += fmt.Sprintf("  sketch %7.2fms", sketchMS)
-			}
 			if services <= streamBenchMaxCmp {
 				line += fmt.Sprintf("  batch-per-tick %8.2fms (%.1fx)", batchMS, batchMS/streamMS)
 			}
@@ -231,6 +177,30 @@ func benchStream(ctx context.Context, cf commonFlags, sf streamBenchFlags, outPa
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	})
+}
+
+// benchStreamEngine feeds the warmup to a fresh streaming localizer untimed,
+// then times the steady state. It returns the last hop's verdict.
+func benchStreamEngine(ctx context.Context, w *stream.SynthWorkload, model *core.Model, workers int) (*stream.Verdict, float64, error) {
+	sl, err := stream.NewLocalizer(model, stream.WithWindow(streamBenchWindow), stream.WithWorkers(workers))
+	if err != nil {
+		return nil, 0, err
+	}
+	var last *stream.Verdict
+	var start time.Time
+	for h, hop := range w.Hops {
+		if h == streamBenchWarmup {
+			// Collect the warmup's (and prior scale points') garbage outside
+			// the timed region, so steady-state hops are not charged for
+			// someone else's allocations.
+			runtime.GC()
+			start = clock.Wall.Now()
+		}
+		if last, err = sl.Step(ctx, 0, hop); err != nil {
+			return nil, 0, err
+		}
+	}
+	return last, float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3, nil
 }
 
 // benchBatchPerTick maintains the same sliding windows as the stream engine

@@ -650,7 +650,6 @@ func cmdBench(ctx context.Context, args []string) error {
 	var sf streamBenchFlags
 	fs.StringVar(&sf.services, "services", "64", "with -stream: comma list of fleet sizes to sweep")
 	fs.IntVar(&sf.baseline, "baseline", 24, "with -stream: baseline series length per (metric, service) pair")
-	fs.BoolVar(&sf.sketch, "sketch", false, "with -stream: also time the bounded-memory ECDF-sketch engine")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

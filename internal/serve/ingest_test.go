@@ -377,6 +377,7 @@ func FuzzCreateTenantHandler(f *testing.F) {
 	f.Add([]byte(`{"CONFIG":{"window":6,"preset":"raw-cpu"},"Model":null}`), false)
 	f.Add([]byte(`{"config":{"window":6,"queue_cap":99999999,"preset":"raw-cpu"},"model":{}}`), false)
 	f.Add([]byte(`{"config":{"window":6,"shards":7},"model":null} `), false)
+	f.Add([]byte(`{"config":{"window":6,"sketch_eps":0.05},"model":null}`), false)
 	f.Add([]byte(`{"config":[]}`), false)
 	f.Add([]byte(nil), false)
 

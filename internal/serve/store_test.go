@@ -117,10 +117,10 @@ func TestBootFailsOnCorruptSnapshot(t *testing.T) {
 // TestDrainRebootContinuity is the graceful counterpart of the chaos suite:
 // a drained server writes final snapshots even with periodic snapshots
 // disabled, so a reboot resumes with zero loss and the full timeline intact.
-// The legacy case creates the tenant with a config carrying "shards" (a
-// since-removed knob) and injects the field into the saved snapshot too:
-// both must still be accepted, the field ignored, and the timeline
-// byte-identical.
+// The legacy case creates the tenant with a config carrying "shards" and
+// "sketch_eps" (since-removed knobs) and injects the fields into the saved
+// snapshot too: both must still be accepted, the fields ignored, and the
+// timeline byte-identical.
 func TestDrainRebootContinuity(t *testing.T) {
 	fx := buildFixture(t)
 	cfg := tenantCfg(2, 0)
@@ -135,7 +135,7 @@ func TestDrainRebootContinuity(t *testing.T) {
 		var req any = createTenantRequest{Config: cfg, Model: fx.model}
 		if legacy {
 			req = map[string]json.RawMessage{
-				"config": withShards(t, mustJSON(t, cfg)),
+				"config": withLegacyFields(t, mustJSON(t, cfg)),
 				"model":  mustJSON(t, fx.model),
 			}
 		}
@@ -164,7 +164,7 @@ func TestDrainRebootContinuity(t *testing.T) {
 			if err := json.Unmarshal(blob, &snap); err != nil {
 				t.Fatal(err)
 			}
-			snap["config"] = withShards(t, snap["config"])
+			snap["config"] = withLegacyFields(t, snap["config"])
 			if err := os.WriteFile(path, mustJSON(t, snap), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -191,14 +191,16 @@ func TestDrainRebootContinuity(t *testing.T) {
 	}
 }
 
-// withShards returns the tenant config JSON with a "shards" field added, as
-// configs written before the knob's removal carry it.
-func withShards(t testing.TB, config json.RawMessage) json.RawMessage {
+// withLegacyFields returns the tenant config JSON with the "shards" and
+// "sketch_eps" fields added, as configs written before those knobs' removal
+// carry them.
+func withLegacyFields(t testing.TB, config json.RawMessage) json.RawMessage {
 	t.Helper()
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(config, &fields); err != nil {
 		t.Fatal(err)
 	}
 	fields["shards"] = json.RawMessage("7")
+	fields["sketch_eps"] = json.RawMessage("0.05")
 	return mustJSON(t, fields)
 }

@@ -56,6 +56,10 @@ const maxSampleStamp = sim.Time(1) << 62
 // exactly the configuration the state was exported under — a requirement for
 // byte-identical resumption, since the statistical config lives outside
 // stream.PipelineState.
+//
+// Configs from earlier versions may carry "shards" or "sketch_eps". Both are
+// accepted and ignored: the flush split follows Workers, and every tenant
+// tests against its exact baselines.
 type TenantConfig struct {
 	// WindowLength / WindowHop set the aggregation grid in nanoseconds;
 	// zero selects the paper defaults (60s / 30s).
@@ -75,11 +79,6 @@ type TenantConfig struct {
 	MinSamples int           `json:"min_samples,omitempty"`
 	Workers    int           `json:"workers,omitempty"`
 	Rule       core.VoteRule `json:"rule,omitempty"`
-	// SketchEps, when positive, switches the tenant's baselines to
-	// bounded-memory ECDF sketches (stream.WithSketch) with this error
-	// budget. A "shards" field, which configs from earlier versions carry,
-	// is accepted and ignored: the flush split follows Workers.
-	SketchEps float64 `json:"sketch_eps,omitempty"`
 	// QueueCap bounds the ingest queue in batches (one POST = one batch);
 	// a full queue sheds with 429. SnapshotEvery snapshots after every N
 	// processed batches (counted, not timed — the serving path is walltime-
@@ -136,9 +135,6 @@ func (c TenantConfig) streamOptions(set []metrics.Metric) []stream.Option {
 	}
 	if c.Rule != 0 {
 		opts = append(opts, stream.WithVoteRule(c.Rule))
-	}
-	if c.SketchEps != 0 {
-		opts = append(opts, stream.WithSketch(c.SketchEps))
 	}
 	return opts
 }

@@ -75,31 +75,27 @@ func (g GuardedTest) PValue(x, y []float64) (float64, error) {
 
 // practicallyEqual reports whether the trimmed means of x and y differ by at
 // most tol relative to the larger magnitude. Two all-zero samples are equal;
-// zero-versus-nonzero always differs (relative difference 1). Both samples
-// are sorted into one pooled scratch, so the guard adds no allocations to
-// the hot test path.
+// zero-versus-nonzero always differs (relative difference 1), and so does a
+// non-finite trimmed mean. Both samples are sorted into one pooled scratch,
+// so the guard adds no allocations to the hot test path.
 func practicallyEqual(x, y []float64, tol float64) bool {
 	s := borrowScratch(x, y)
-	eq := practicallyEqualSorted(s.a, s.b, tol)
+	eq := sameLocation(trimmedMeanSorted(s.a, DefaultTrim), trimmedMeanSorted(s.b, DefaultTrim), tol)
 	s.release()
 	return eq
 }
 
-// practicallyEqualSorted is practicallyEqual over already-sorted samples —
-// the arithmetic path shared with IncrementalKS, whose window is kept sorted
-// between hops.
-func practicallyEqualSorted(a, b []float64, tol float64) bool {
-	tx := trimmedMeanSorted(a, DefaultTrim)
-	ty := trimmedMeanSorted(b, DefaultTrim)
-	diff := abs(tx - ty)
-	scale := abs(tx)
-	if s := abs(ty); s > scale {
-		scale = s
+// sameLocation is the guard's location decision on two trimmed means, shared
+// by GuardedTest and KSBaselines.GuardedPValue: they differ by at most tol
+// relative to the larger magnitude, or are both zero. A non-finite mean (a
+// sample holding ±Inf or NaN) is never equal to anything, so the inner test
+// decides.
+func sameLocation(tx, ty, tol float64) bool {
+	if !isFinite(tx) || !isFinite(ty) {
+		return false
 	}
-	if scale == 0 {
-		return true
-	}
-	return diff <= tol*scale
+	scale := max(abs(tx), abs(ty))
+	return scale == 0 || abs(tx-ty) <= tol*scale
 }
 
 // trimmedMean averages the sample after dropping the trim fraction from each

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -77,6 +78,48 @@ func TestGuardedTestBothZeroEqual(t *testing.T) {
 	}
 	if p != 1 {
 		t.Fatalf("all-zero samples not equal (p=%v)", p)
+	}
+}
+
+// infGuardCases are windows and baselines whose trimmed mean is infinite: a
+// window of under ten values keeps its ±Inf through the 10% trim, and so
+// does a short baseline. The locations are far apart, so the guard must hand
+// each case to the inner test instead of declaring the infinite means equal.
+func infGuardCases() []struct {
+	name             string
+	window, baseline []float64
+} {
+	window := []float64{49.2, 50.1, 50.7, 49.8, 50.3, 49.6, 50.9}
+	baseline := []float64{0.9, 1.1, 1.0, 0.8, 1.2, 1.05, 0.95, 1.15, 0.85, 1.0, 0.98, 1.02}
+	with := func(s []float64, v float64) []float64 { return append(append([]float64(nil), s...), v) }
+	return []struct {
+		name             string
+		window, baseline []float64
+	}{
+		{"window+Inf", with(window, math.Inf(1)), baseline},
+		{"window-Inf", with(window, math.Inf(-1)), baseline},
+		{"baseline+Inf", window, []float64{0.9, 1.1, 1.0, math.Inf(1)}},
+		{"baseline-Inf", window, []float64{0.9, 1.1, 1.0, math.Inf(-1)}},
+	}
+}
+
+// TestGuardedTestInfiniteLocationRunsInner: an infinite trimmed mean is not
+// practically equal to anything, so the guard returns the inner test's
+// p-value rather than p = 1.
+func TestGuardedTestInfiniteLocationRunsInner(t *testing.T) {
+	g := GuardedTest{Inner: KSTest{}}
+	for _, tc := range infGuardCases() {
+		want, err := KSTest{}.PValue(tc.window, tc.baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.PValue(tc.window, tc.baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == 1 || got != want { //vet:allow floateq -- the guard must return the inner p-value bit for bit
+			t.Errorf("%s: guarded p = %v, KS p = %v", tc.name, got, want)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 //     window. A push touches one window's stretch of the slab and its
 //     record, nothing else.
 //   - KSBaselines is the cold half: a reference to every caller's baseline,
-//     read in place and never copied (or an ECDFSketch summary of it), with
-//     its size and the guard's trimmed mean. Only a statistic reads it.
+//     read in place and never copied, with its size and the guard's trimmed
+//     mean. Only a statistic reads it.
 //
 // IncrementalKS is the single-comparison view over one window of each — the
 // stream detector uses the two halves directly, at one window per (metric,
@@ -40,12 +40,6 @@ import (
 // window is the retained arrival-order suffix with non-finite values dropped
 // (the same finiteValues filtering the tolerant detection path applies).
 // FuzzIncrementalKS cross-checks this invariant.
-// Sketch mode (NewIncrementalKSSketch) replaces the retained baseline with a
-// bounded-memory ECDFSketch: per-pair memory drops from O(len(baseline)) to
-// O(1/eps) and the KS statistic is computed against the sketched baseline
-// ECDF, within ECDFSketch.ErrorBound of the exact statistic — and bit-equal
-// to it whenever len(baseline) ≤ SketchCutoff(eps). The guard's trimmed
-// baseline mean is computed exactly at construction either way.
 type IncrementalKS struct {
 	win  WindowSlab
 	base KSBaselines
@@ -55,53 +49,20 @@ type IncrementalKS struct {
 // The baseline is copied once, so the caller may reuse it; window is the
 // maximum number of production values retained.
 func NewIncrementalKS(baseline []float64, window int) (*IncrementalKS, error) {
-	return newIncrementalKS(baseline, window, 0)
-}
-
-// NewIncrementalKSSketch is NewIncrementalKS with the baseline summarized by
-// an ECDFSketch of error budget eps instead of retained exactly: the state
-// holds O(1/eps) baseline anchors plus the window, regardless of baseline
-// length. The window side is untouched (same ring, same restore semantics),
-// the guard's baseline trimmed mean is computed exactly before the baseline
-// is dropped, and whenever len(baseline) ≤ SketchCutoff(eps) the sketch is
-// lossless and every statistic matches the exact state bit for bit.
-func NewIncrementalKSSketch(baseline []float64, window int, eps float64) (*IncrementalKS, error) {
-	if eps <= 0 || eps >= 1 {
-		return nil, fmt.Errorf("stats: sketch eps must be in (0,1), got %v", eps)
-	}
-	return newIncrementalKS(baseline, window, eps)
-}
-
-// newIncrementalKS builds a one-window slab and a one-baseline set; eps > 0
-// selects sketch mode.
-func newIncrementalKS(baseline []float64, window int, eps float64) (*IncrementalKS, error) {
 	if len(baseline) == 0 {
 		return nil, fmt.Errorf("stats: incremental ks: empty baseline")
 	}
-	k := &IncrementalKS{}
 	win, err := NewWindowSlab(1, window)
 	if err != nil {
 		return nil, err
 	}
-	k.win = *win
-	base, err := NewKSBaselines(eps, 1)
-	if err != nil {
-		return nil, err
-	}
-	if eps == 0 {
-		// The set reads its baselines in place; this state owns its copy.
-		baseline = append([]float64(nil), baseline...)
-	}
-	k.base = *base
-	if err := k.base.Add(baseline); err != nil {
+	k := &IncrementalKS{win: *win, base: *NewKSBaselines(1)}
+	// The set reads its baselines in place; this state owns its copy.
+	if err := k.base.Add(append([]float64(nil), baseline...)); err != nil {
 		return nil, err
 	}
 	return k, nil
 }
-
-// Sketch returns the baseline sketch, or nil when the state retains the
-// baseline exactly.
-func (k *IncrementalKS) Sketch() *ECDFSketch { return k.base.sketchOf(0) }
 
 // Push appends one production value, evicting the oldest when the window is
 // full. Non-finite values age through the ring like any other but never
@@ -117,10 +78,6 @@ func (k *IncrementalKS) Len() int { return k.win.Len(0) }
 // aged out).
 func (k *IncrementalKS) Pushed() int { return k.win.Pushed(0) }
 
-// BaselineLen reports the baseline sample size — the original size in sketch
-// mode, where the values themselves are no longer retained.
-func (k *IncrementalKS) BaselineLen() int { return k.base.size[0] }
-
 // Window materializes the retained values in arrival order (a copy),
 // non-finite entries included. It is the exact series a batch consumer would
 // see for this pair, used by the generic-test fallback and the conformance
@@ -132,9 +89,7 @@ func (k *IncrementalKS) Window() []float64 { return k.win.Window(0) }
 func (k *IncrementalKS) D() (float64, error) { return k.base.distance(0, k.win.Sorted(0)) }
 
 // PValue returns KSTest{}.PValue(window, baseline) without re-sorting either
-// sample. In sketch mode the D statistic comes from the sketched baseline
-// ECDF (within the sketch's error bound of exact; bit-identical when the
-// sketch is lossless).
+// sample.
 func (k *IncrementalKS) PValue() (float64, error) { return k.base.PValue(0, k.win.Sorted(0)) }
 
 // GuardedPValue returns GuardedTest{Inner: KSTest{}, RelTol:
@@ -331,57 +286,40 @@ func removeSorted(s []float64, v float64) []float64 {
 }
 
 // KSBaselines holds the baseline side of many incremental KS comparisons in
-// cold arrays. Exact mode keeps a reference to each caller's baseline series
-// as it was added — no copy and no sort — and computes the exact statistic
-// against it in place (ksDistanceUnsorted); sketch mode summarizes each
-// baseline by an ECDFSketch. Either way the set holds each baseline's size
-// and the practical-equivalence guard's trimmed mean. Baseline i pairs with
-// window i of a WindowSlab; the statistics take that window's sorted values.
+// cold arrays. It keeps a reference to each caller's baseline series as it
+// was added — no copy and no sort — and computes the exact statistic against
+// it in place (ksDistanceUnsorted), next to each baseline's size and the
+// practical-equivalence guard's trimmed mean. Baseline i pairs with window i
+// of a WindowSlab; the statistics take that window's sorted values.
 //
-// Because exact mode reads the callers' series on every statistic, a
-// baseline must not be modified after it is added.
+// Because the set reads the callers' series on every statistic, a baseline
+// must not be modified after it is added.
 type KSBaselines struct {
-	eps     float64       // sketch error budget; zero retains baselines exactly
-	series  [][]float64   // exact mode: the callers' baselines, read in place
-	size    []int         // original sample sizes; zero for an untestable entry
-	trimmed []float64     // trimmedMeanSorted(baseline, DefaultTrim)
-	sketch  []*ECDFSketch // sketch mode only
-	scratch []float64     // the sort buffer Add reuses for the trimmed mean
+	series  [][]float64 // the callers' baselines, read in place
+	size    []int       // sample sizes; zero for an untestable entry
+	trimmed []float64   // trimmedMeanSorted(baseline, DefaultTrim)
+	scratch []float64   // the sort buffer Add reuses for the trimmed mean
 }
 
-// NewKSBaselines returns an empty baseline set. eps > 0 selects sketch mode
-// with that error budget. count is a capacity hint: with it exact, building
-// the set allocates each array once.
-func NewKSBaselines(eps float64, count int) (*KSBaselines, error) {
-	if eps < 0 || eps >= 1 {
-		return nil, fmt.Errorf("stats: sketch eps must be in (0,1), got %v", eps)
-	}
-	b := &KSBaselines{
-		eps:     eps,
+// NewKSBaselines returns an empty baseline set. count is a capacity hint:
+// with it exact, building the set allocates each array once.
+func NewKSBaselines(count int) *KSBaselines {
+	return &KSBaselines{
+		series:  make([][]float64, 0, count),
 		size:    make([]int, 0, count),
 		trimmed: make([]float64, 0, count),
 	}
-	if eps > 0 {
-		b.sketch = make([]*ECDFSketch, 0, count)
-	} else {
-		b.series = make([][]float64, 0, count)
-	}
-	return b, nil
 }
 
-// Add appends baseline number Count(). In exact mode the set keeps a
-// reference to sample, which must not be modified afterwards; in sketch mode
-// the sample is summarized and dropped. Either way the guard's trimmed mean
-// is computed here, over a sorted copy in a reused buffer. A NaN value is
-// rejected (it has no place in the order the KS statistic walks), and so is
-// ±Inf in sketch mode. An empty sample adds an entry that can never be
+// Add appends the next baseline, which pairs with the window of the same
+// index. The set keeps a reference to sample, which must not be modified
+// afterwards. The guard's trimmed mean is computed here, over a sorted copy
+// in a reused buffer. A NaN value is rejected: it has no place in the order
+// the KS statistic walks. An empty sample adds an entry that can never be
 // tested: its Len is zero.
 func (b *KSBaselines) Add(sample []float64) error {
 	for _, v := range sample {
-		switch {
-		case b.eps > 0 && !isFinite(v):
-			return fmt.Errorf("stats: incremental ks: sketch baseline must be finite, got %v", v)
-		case math.IsNaN(v):
+		if math.IsNaN(v) {
 			return fmt.Errorf("stats: incremental ks: baseline holds NaN")
 		}
 	}
@@ -392,26 +330,9 @@ func (b *KSBaselines) Add(sample []float64) error {
 	if len(sorted) > 0 {
 		trimmed = trimmedMeanSorted(sorted, DefaultTrim)
 	}
-	if b.eps > 0 {
-		var sk *ECDFSketch
-		if len(sorted) > 0 {
-			sk = newECDFSketchSorted(sorted, b.eps)
-		}
-		b.sketch = append(b.sketch, sk)
-	} else {
-		b.series = append(b.series, sample)
-	}
+	b.series = append(b.series, sample)
 	b.size = append(b.size, len(sample))
 	b.trimmed = append(b.trimmed, trimmed)
-	return nil
-}
-
-// sketchOf returns baseline i's sketch, or nil when baselines are retained
-// exactly.
-func (b *KSBaselines) sketchOf(i int) *ECDFSketch {
-	if b.eps > 0 {
-		return b.sketch[i]
-	}
 	return nil
 }
 
@@ -421,20 +342,11 @@ func (b *KSBaselines) distance(i int, window []float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: incremental ks: empty window")
 	}
-	return b.dist(i, window), nil
-}
-
-// dist is distance for a non-empty window.
-func (b *KSBaselines) dist(i int, window []float64) float64 {
-	if b.eps > 0 {
-		return ksDistanceSketch(window, b.sketch[i])
-	}
-	return ksDistanceUnsorted(window, b.series[i])
+	return ksDistanceUnsorted(window, b.series[i]), nil
 }
 
 // PValue returns KSTest{}.PValue(window, baseline i) for the sorted finite
-// window without sorting either sample. In sketch mode the D statistic comes
-// from the sketched baseline ECDF.
+// window without sorting either sample.
 func (b *KSBaselines) PValue(i int, window []float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: ks first sample: stats: ECDF of empty sample")
@@ -443,7 +355,7 @@ func (b *KSBaselines) PValue(i int, window []float64) (float64, error) {
 }
 
 func (b *KSBaselines) pvalue(i int, window []float64) float64 {
-	return ksPValue(b.dist(i, window), len(window), b.size[i])
+	return ksPValue(ksDistanceUnsorted(window, b.series[i]), len(window), b.size[i])
 }
 
 // GuardedPValue returns GuardedTest{Inner: KSTest{}, RelTol:
@@ -462,14 +374,7 @@ func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (fl
 	if tol < 0 {
 		return 0, fmt.Errorf("stats: negative relative tolerance %v", tol)
 	}
-	tx := trimmedMeanSorted(window, DefaultTrim)
-	ty := b.trimmed[i]
-	diff := abs(tx - ty)
-	scale := abs(tx)
-	if s := abs(ty); s > scale {
-		scale = s
-	}
-	if scale == 0 || diff <= tol*scale {
+	if sameLocation(trimmedMeanSorted(window, DefaultTrim), b.trimmed[i], tol) {
 		return 1, nil
 	}
 	return b.pvalue(i, window), nil

@@ -325,10 +325,7 @@ func FuzzKSDistanceUnsorted(f *testing.F) {
 func TestKSBaselinesReadInPlace(t *testing.T) {
 	series := []float64{5, 3, 9, 1, 7, 3}
 	orig := append([]float64(nil), series...)
-	b, err := NewKSBaselines(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewKSBaselines(1)
 	if err := b.Add(series); err != nil {
 		t.Fatal(err)
 	}
@@ -375,30 +372,43 @@ func TestKSBaselinesReadInPlace(t *testing.T) {
 	}
 }
 
-// TestKSBaselinesRejectNaN: exact mode refuses a NaN baseline value, which
-// the KS order cannot place, and keeps ±Inf; sketch mode refuses both.
+// TestKSBaselinesRejectNaN: a baseline set refuses a NaN baseline value,
+// which the KS order cannot place, and keeps ±Inf.
 func TestKSBaselinesRejectNaN(t *testing.T) {
-	exact, err := NewKSBaselines(0, 2)
-	if err != nil {
-		t.Fatal(err)
+	set := NewKSBaselines(2)
+	if err := set.Add([]float64{1, math.NaN(), 2}); err == nil {
+		t.Fatal("baseline accepted NaN")
 	}
-	if err := exact.Add([]float64{1, math.NaN(), 2}); err == nil {
-		t.Fatal("exact baseline accepted NaN")
-	}
-	if err := exact.Add([]float64{math.Inf(-1), 1, math.Inf(1)}); err != nil {
-		t.Fatalf("exact baseline refused ±Inf: %v", err)
-	}
-	sketch, err := NewKSBaselines(0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{math.NaN(), math.Inf(1)} {
-		if err := sketch.Add([]float64{1, v}); err == nil {
-			t.Fatalf("sketch baseline accepted %v", v)
-		}
+	if err := set.Add([]float64{math.Inf(-1), 1, math.Inf(1)}); err != nil {
+		t.Fatalf("baseline refused ±Inf: %v", err)
 	}
 	if _, err := NewIncrementalKS([]float64{1, math.NaN()}, 4); err == nil {
 		t.Fatal("NewIncrementalKS accepted a NaN baseline")
+	}
+}
+
+// TestKSBaselinesInfiniteLocationRunsKS: with an infinite trimmed mean on
+// either side, the cached-mean guard hands the pair to the KS test, exactly
+// as GuardedTest does.
+func TestKSBaselinesInfiniteLocationRunsKS(t *testing.T) {
+	for _, tc := range infGuardCases() {
+		set := NewKSBaselines(1)
+		if err := set.Add(tc.baseline); err != nil {
+			t.Fatal(err)
+		}
+		window := append([]float64(nil), tc.window...)
+		sortFloat64s(window)
+		want, err := KSTest{}.PValue(window, tc.baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := set.GuardedPValue(0, window, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == 1 || got != want { //vet:allow floateq -- the guard must return the KS p-value bit for bit
+			t.Errorf("%s: guarded p = %v, KS p = %v", tc.name, got, want)
+		}
 	}
 }
 
@@ -422,10 +432,7 @@ func BenchmarkKSBaselinesGuardedPValue(b *testing.B) {
 		{"overlap", 5, 0.001},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			set, err := NewKSBaselines(0, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
+			set := NewKSBaselines(1)
 			if err := set.Add(baseline); err != nil {
 				b.Fatal(err)
 			}

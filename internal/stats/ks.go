@@ -87,8 +87,7 @@ func nanError(a, b []float64) error {
 // into the KS p-value: the asymptotic Kolmogorov tail at the
 // Stephens-corrected effective size. It is the single arithmetic path of
 // KSTest.PValue, IncrementalKS and the stream detector, so equal statistics
-// give bit-identical p-values; a sketch passes the size of the baseline it
-// summarizes.
+// give bit-identical p-values.
 func ksPValue(d float64, sizeA, sizeB int) float64 {
 	n := float64(sizeA)
 	m := float64(sizeB)

@@ -6,12 +6,6 @@ import (
 	"sort"
 )
 
-// DefaultSketchEps is the rank-error budget a sketch is built with when the
-// caller does not pick one. At 0.05 the sketch keeps k = ⌈2/ε⌉ = 40 anchors,
-// which stores the paper apps' ~19–24-window baselines exactly (n ≤ k) while
-// compressing the multi-hundred-sample baselines wide deployments retain.
-const DefaultSketchEps = 0.05
-
 // ECDFSketch is a bounded-memory summary of a fixed sample's empirical CDF
 // with a deterministic, provable rank-error bound:
 //
@@ -26,9 +20,11 @@ const DefaultSketchEps = 0.05
 // reproduces the exact ECDF; SketchCutoff reports that threshold.
 //
 // Unlike randomized KLL/t-digest summaries the construction draws no
-// randomness, so sketch-backed detectors stay bit-reproducible across runs —
-// the same determinism contract the exact path is held to (and that
-// causalfl-vet's rand-flow pass enforces for this package).
+// randomness, so a sketch is bit-reproducible across runs (the determinism
+// contract causalfl-vet's rand-flow pass enforces for this package).
+//
+// No detector uses the sketch: every KS test runs against the exact
+// baseline. The type stays as a tested standalone summary.
 type ECDFSketch struct {
 	// n is the original sample size; ranks are exact counts out of n.
 	n   int
@@ -41,8 +37,7 @@ type ECDFSketch struct {
 }
 
 // SketchCutoff returns k = ⌈2/ε⌉, the anchor budget for error bound eps. A
-// sample of size n ≤ k is stored exactly (zero rank error), which is what
-// makes sketch↔exact verdict parity provable at paper scale.
+// sample of size n ≤ k is stored exactly (zero rank error).
 func SketchCutoff(eps float64) int {
 	if eps <= 0 || eps >= 1 {
 		return 0
@@ -121,15 +116,9 @@ func (s *ECDFSketch) At(x float64) float64 {
 	return float64(s.ranks[idx-1]) / float64(s.n)
 }
 
-// N returns the summarized sample's size.
-func (s *ECDFSketch) N() int { return s.n }
-
 // Size returns the number of retained anchors — the sketch's memory footprint
 // in values, at most ⌈2/ε⌉ regardless of n.
 func (s *ECDFSketch) Size() int { return len(s.cuts) }
-
-// Eps returns the error budget the sketch was built with.
-func (s *ECDFSketch) Eps() float64 { return s.eps }
 
 // ErrorBound returns the sketch's actual worst-case rank error
 // (⌈n/k⌉−1)/n — zero when the sample fit entirely (n ≤ k), always strictly
@@ -142,44 +131,4 @@ func (s *ECDFSketch) ErrorBound() float64 {
 	}
 	step := (s.n + k - 1) / k
 	return float64(step-1) / float64(s.n)
-}
-
-// ksDistanceSketch is ksDistanceSorted with the second sample replaced by its
-// sketch: D̃ = sup_x |F_a(x) − F̃_b(x)| over the merged support of a and the
-// anchor cuts. Because F̃_b is within ErrorBound of F_b everywhere,
-// |D̃ − D| ≤ ErrorBound; when the sketch is exact (n ≤ k) the walk visits the
-// same step function and D̃ == D bit for bit.
-func ksDistanceSketch(a []float64, b *ECDFSketch) float64 {
-	var d float64
-	i, j := 0, 0
-	na, nb := float64(len(a)), float64(b.n)
-	for i < len(a) && j < len(b.cuts) {
-		x := a[i]
-		if b.cuts[j] < x {
-			x = b.cuts[j]
-		}
-		for i < len(a) && a[i] <= x {
-			i++
-		}
-		for j < len(b.cuts) && b.cuts[j] <= x {
-			j++
-		}
-		fb := 0.0
-		if j > 0 {
-			fb = float64(b.ranks[j-1]) / nb
-		}
-		diff := abs(float64(i)/na - fb)
-		if diff > d {
-			d = diff
-		}
-	}
-	fb := 0.0
-	if j > 0 {
-		fb = float64(b.ranks[j-1]) / nb
-	}
-	diff := abs(float64(i)/na - fb)
-	if diff > d {
-		d = diff
-	}
-	return d
 }

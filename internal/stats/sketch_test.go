@@ -103,34 +103,6 @@ func TestSketchExactWhenSmall(t *testing.T) {
 	}
 }
 
-// TestSketchDistanceWithinBound: the sketched KS statistic deviates from the
-// exact statistic by at most the sketch's rank-error bound.
-func TestSketchDistanceWithinBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 50; trial++ {
-		nBase := 50 + rng.Intn(500)
-		nWin := 1 + rng.Intn(30)
-		shift := rng.Float64() * 3
-		base := make([]float64, nBase)
-		win := make([]float64, nWin)
-		for i := range base {
-			base[i] = rng.NormFloat64()
-		}
-		for i := range win {
-			win[i] = rng.NormFloat64() + shift
-		}
-		sort.Float64s(base)
-		sort.Float64s(win)
-		eps := []float64{0.02, 0.05, 0.2}[trial%3]
-		sk := newECDFSketchSorted(base, eps)
-		exact := ksDistanceSorted(win, base)
-		approx := ksDistanceSketch(win, sk)
-		if diff := math.Abs(exact - approx); diff > sk.ErrorBound()+1e-15 {
-			t.Fatalf("trial %d: |D̃−D| = %v exceeds bound %v (eps=%v n=%d)", trial, diff, sk.ErrorBound(), eps, nBase)
-		}
-	}
-}
-
 func TestSketchValidation(t *testing.T) {
 	if _, err := NewECDFSketch(nil, 0.05); err == nil {
 		t.Fatal("empty sample accepted")
@@ -150,73 +122,6 @@ func TestSketchValidation(t *testing.T) {
 	}
 	if got := SketchCutoff(0.01); got != 200 {
 		t.Fatalf("SketchCutoff(0.01) = %d, want 200", got)
-	}
-}
-
-// TestIncrementalKSSketchLossless: with a baseline small enough for the
-// lossless regime, the sketch-backed state reproduces the exact state's
-// D/PValue/GuardedPValue bit for bit through pushes, evictions and non-finite
-// values — the guarantee the verdict-parity suite at paper scale rests on.
-func TestIncrementalKSSketchLossless(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	base := make([]float64, 24)
-	for i := range base {
-		base[i] = 10 + rng.NormFloat64()
-	}
-	exact, err := NewIncrementalKS(base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sketched, err := NewIncrementalKSSketch(base, 8, DefaultSketchEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sketched.Sketch() == nil || exact.Sketch() != nil {
-		t.Fatal("Sketch() accessor does not reflect the mode")
-	}
-	if sketched.BaselineLen() != len(base) {
-		t.Fatalf("BaselineLen = %d, want %d", sketched.BaselineLen(), len(base))
-	}
-	for i := 0; i < 64; i++ {
-		v := 10 + rng.NormFloat64()*2
-		if i%11 == 5 {
-			v = math.NaN()
-		}
-		exact.Push(v)
-		sketched.Push(v)
-		if exact.Len() == 0 {
-			continue
-		}
-		de, err1 := exact.D()
-		ds, err2 := sketched.D()
-		if err1 != nil || err2 != nil || de != ds { //vet:allow floateq -- lossless regime must be bit-identical
-			t.Fatalf("push %d: D exact=%v(%v) sketch=%v(%v)", i, de, err1, ds, err2)
-		}
-		pe, err1 := exact.PValue()
-		ps, err2 := sketched.PValue()
-		if err1 != nil || err2 != nil || pe != ps { //vet:allow floateq -- lossless regime must be bit-identical
-			t.Fatalf("push %d: PValue exact=%v(%v) sketch=%v(%v)", i, pe, err1, ps, err2)
-		}
-		ge, err1 := exact.GuardedPValue(0)
-		gs, err2 := sketched.GuardedPValue(0)
-		if err1 != nil || err2 != nil || ge != gs { //vet:allow floateq -- lossless regime must be bit-identical
-			t.Fatalf("push %d: GuardedPValue exact=%v(%v) sketch=%v(%v)", i, ge, err1, gs, err2)
-		}
-	}
-}
-
-func TestIncrementalKSSketchValidation(t *testing.T) {
-	if _, err := NewIncrementalKSSketch(nil, 4, 0.05); err == nil {
-		t.Fatal("empty baseline accepted")
-	}
-	if _, err := NewIncrementalKSSketch([]float64{1, 2}, 0, 0.05); err == nil {
-		t.Fatal("window 0 accepted")
-	}
-	if _, err := NewIncrementalKSSketch([]float64{1, 2}, 4, 1.5); err == nil {
-		t.Fatal("eps 1.5 accepted")
-	}
-	if _, err := NewIncrementalKSSketch([]float64{1, math.NaN()}, 4, 0.05); err == nil {
-		t.Fatal("non-finite baseline accepted")
 	}
 }
 

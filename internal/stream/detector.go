@@ -63,14 +63,18 @@ func (a *metricAgg) removeAnom(svc string) {
 // the streaming counterpart of core.Detect. Feed it production window-values
 // with Observe/ObserveHop and ask for the current anomalous set with Detect;
 // the answer is byte-identical to core.Detect, with its default guarded-KS
-// test, on a snapshot holding each pair's last Window values.
+// test, on a snapshot holding each pair's last Window values — always in
+// tolerant mode, and in strict mode only while those windows are finite. A
+// NaN or ±Inf production value ages through its window but is never tested,
+// in either mode; strict core.Detect instead fails on a NaN and tests a ±Inf
+// as a value.
 //
 // Pair state is dense: (metric, service) pair p = metric index ×
 // len(Services) + service index, in baseline order. The hot state a push
 // touches — the pair's ring and sorted index, side by side in one
 // detector-wide slab, and its 16-byte metadata record — is kept apart from
 // the cold state only a test reads: a reference to each baseline series
-// (read in place, never copied), its trimmed mean or sketch, and the cached
+// (read in place, never copied), its trimmed mean, and the cached
 // p-values.
 //
 // Detection is incremental end to end, in both completeness modes: Observe
@@ -98,7 +102,7 @@ type Detector struct {
 	// win is the hot per-pair state: ring, sorted index and metadata.
 	win stats.WindowSlab
 	// base is the cold per-pair baseline side: the baseline snapshot's
-	// series, referenced in place, with their trimmed means (or sketches).
+	// series, referenced in place, with their trimmed means.
 	// A pair whose baseline has no usable series has Len 0 (and no
 	// flagUsable): it can never be observed or tested.
 	base *stats.KSBaselines
@@ -112,13 +116,12 @@ type Detector struct {
 }
 
 // NewDetector builds a Detector over the given baseline snapshot. The
-// detector keeps the snapshot and, in exact mode, reads its series in place
-// on every test, with no copy: the caller must not modify the snapshot or
-// its series while the detector is in use. A NaN baseline value is rejected
-// (with WithSketch, ±Inf too); no per-hop call sorts anything. The zero
-// option set means: DefaultWindow, core.DefaultAlpha, strict completeness,
-// serial execution. The test is always the batch default,
-// stats.GuardedTest{Inner: stats.KSTest{}}.
+// detector keeps the snapshot and reads its series in place on every test,
+// with no copy: the caller must not modify the snapshot or its series while
+// the detector is in use. A NaN baseline value is rejected; no per-hop call
+// sorts anything. The zero option set means: DefaultWindow,
+// core.DefaultAlpha, strict completeness, serial execution. The test is
+// always the batch default, stats.GuardedTest{Inner: stats.KSTest{}}.
 func NewDetector(baseline *metrics.Snapshot, opts ...Option) (*Detector, error) {
 	s, err := applyOptions(opts)
 	if err != nil {
@@ -162,9 +165,7 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	d.win = *win
-	if d.base, err = stats.NewKSBaselines(s.sketchEps, pairs); err != nil {
-		return nil, err
-	}
+	d.base = stats.NewKSBaselines(pairs)
 	for mi, m := range baseline.Metrics {
 		for si, svc := range baseline.Services {
 			series, _ := baseline.SeriesOK(m, svc)
@@ -401,7 +402,7 @@ func (d *Detector) stage(pairs []int) {
 }
 
 // pvalue computes pair p's guarded-KS p-value over the sorted finite window
-// and the pre-sorted (or sketched) baseline.
+// and the baseline read in place.
 func (d *Detector) pvalue(p int) (float64, error) {
 	return d.base.GuardedPValue(p, d.win.Sorted(p), 0)
 }

@@ -79,20 +79,14 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 		name   string
 		hops   []map[string]map[string]float64
 		detect core.DetectConfig
-		sketch bool
 	}{
-		{"alpha-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true}, false},
-		{"fdr-tolerant", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}, false},
-		{"alpha-strict", w.Hops, core.DetectConfig{Alpha: 0.05}, false},
-		{"fdr-strict", w.Hops, core.DetectConfig{FDR: 0.05}, false},
+		{"alpha-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true}},
+		{"fdr-tolerant", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}},
+		{"alpha-strict", w.Hops, core.DetectConfig{Alpha: 0.05}},
+		{"fdr-strict", w.Hops, core.DetectConfig{FDR: 0.05}},
 		// Batch strict mode ignores MinSamples: every pair is tested.
-		{"minsamples-strict", w.Hops, core.DetectConfig{Alpha: 0.05, MinSamples: 6}, false},
-		{"minsamples-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true, MinSamples: 6}, false},
-		// BaselineLen 12 <= stats.SketchCutoff(DefaultSketchEps): the sketch
-		// is lossless, so even the sketched detector must match batch exactly.
-		{"alpha-tolerant-sketch", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true}, true},
-		{"fdr-tolerant-sketch", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}, true},
-		{"alpha-strict-sketch", w.Hops, core.DetectConfig{Alpha: 0.05}, true},
+		{"minsamples-strict", w.Hops, core.DetectConfig{Alpha: 0.05, MinSamples: 6}},
+		{"minsamples-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true, MinSamples: 6}},
 	}
 
 	const window = 8
@@ -103,11 +97,7 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 			cfg.Workers = workers
 			// The worker count sets the flush split: detection output must
 			// not depend on it.
-			opts := detectOpts(window, cfg)
-			if tc.sketch {
-				opts = append(opts, stream.WithSketch(stream.DefaultSketchEps))
-			}
-			det, err := stream.NewDetector(w.Baseline, opts...)
+			det, err := stream.NewDetector(w.Baseline, detectOpts(window, cfg)...)
 			if err != nil {
 				t.Fatal(err)
 			}

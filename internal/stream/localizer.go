@@ -61,9 +61,8 @@ type Localizer struct {
 }
 
 // NewLocalizer builds a streaming localizer for a trained model. Its
-// detector reads the model's baseline series in place (or sketches them
-// once here, with WithSketch): the caller must not modify model.Baseline
-// while the localizer is in use.
+// detector reads the model's baseline series in place: the caller must not
+// modify model.Baseline while the localizer is in use.
 // Detection is always tolerant, as in the batch localizer; WithTolerant is
 // ignored.
 func NewLocalizer(model *core.Model, opts ...Option) (*Localizer, error) {

@@ -6,16 +6,11 @@ import (
 
 	"causalfl/internal/core"
 	"causalfl/internal/metrics"
-	"causalfl/internal/stats"
 )
 
 // DefaultWindow is the default sliding-window length in window-values per
 // (metric, service) pair.
 const DefaultWindow = 8
-
-// DefaultSketchEps re-exports the stats package's default sketch error budget
-// so callers configuring WithSketch need not import internal/stats.
-const DefaultSketchEps = stats.DefaultSketchEps
 
 // settings is the resolved configuration shared by Detector, Localizer and
 // Pipeline. Each constructor reads the subset it understands; options that do
@@ -34,7 +29,6 @@ type settings struct {
 	length     time.Duration
 	hop        time.Duration
 	set        []metrics.Metric
-	sketchEps  float64
 }
 
 // Option configures a Detector, Localizer or Pipeline. All three constructors
@@ -176,24 +170,6 @@ func WithGeometry(length, hop time.Duration) Option {
 			return fmt.Errorf("stream: window geometry must be >= 0, got length=%v hop=%v", length, hop)
 		}
 		s.length, s.hop = length, hop
-		return nil
-	}
-}
-
-// WithSketch tests each pair against an ECDF sketch of its baseline, of
-// error budget eps (stats.NewECDFSketch), instead of the baseline itself: a
-// KS statistic then reads O(1/eps) anchors rather than O(len(baseline))
-// values, and is within the sketch's rank-error bound of exact —
-// bit-identical whenever len(baseline) <= stats.SketchCutoff(eps), in strict
-// and tolerant mode alike. It saves no detector memory: the exact mode reads
-// the caller's baseline in place, while the sketches are built next to it.
-// Pass DefaultSketchEps when in doubt.
-func WithSketch(eps float64) Option {
-	return func(s *settings) error {
-		if eps <= 0 || eps >= 1 {
-			return fmt.Errorf("stats: sketch eps must be in (0,1), got %v", eps)
-		}
-		s.sketchEps = eps
 		return nil
 	}
 }

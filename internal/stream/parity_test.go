@@ -20,15 +20,11 @@ import (
 	"causalfl/internal/telemetry"
 )
 
-// TestSketchExactParityPaperApps drives both paper applications through two
-// streaming pipelines fed identical ticks — one with exact baselines, one
-// with ECDF-sketch baselines at the default eps — and requires the verdict
-// timelines to be deeply equal. The paper apps' baselines fit inside the
-// sketch cutoff (the sketch keeps every sorted baseline value), so this is
-// the lossless regime: parity is a hard equality, not an approximation bound.
-// The sketch pipeline also runs with a different worker count, so the
-// equality additionally witnesses worker invariance on real apps.
-func TestSketchExactParityPaperApps(t *testing.T) {
+// TestWorkerParityPaperApps drives both paper applications through two
+// streaming pipelines fed identical ticks — one serial, one flushing across
+// four workers — and requires the verdict timelines to be deeply equal: the
+// worker-invariance contract, witnessed on real apps with a real fault.
+func TestWorkerParityPaperApps(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build apps.Builder
@@ -39,24 +35,19 @@ func TestSketchExactParityPaperApps(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			model, cfg := parityModel(t, tc.build, 31)
 
-			exact, err := stream.NewPipeline(model,
-				stream.WithMetricSet(cfg.Metrics),
-				stream.WithGeometry(cfg.WindowLength, cfg.WindowHop),
-				stream.WithWindow(6),
-			)
-			if err != nil {
-				t.Fatal(err)
+			pipeline := func(workers int) *stream.Pipeline {
+				p, err := stream.NewPipeline(model,
+					stream.WithMetricSet(cfg.Metrics),
+					stream.WithGeometry(cfg.WindowLength, cfg.WindowHop),
+					stream.WithWindow(6),
+					stream.WithWorkers(workers),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
 			}
-			sketched, err := stream.NewPipeline(model,
-				stream.WithMetricSet(cfg.Metrics),
-				stream.WithGeometry(cfg.WindowLength, cfg.WindowHop),
-				stream.WithWindow(6),
-				stream.WithSketch(stream.DefaultSketchEps),
-				stream.WithWorkers(4),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial, pooled := pipeline(1), pipeline(4)
 
 			// Production: a fresh session with the first fault target broken
 			// two minutes in; both pipelines see the exact same drained ticks.
@@ -69,7 +60,7 @@ func TestSketchExactParityPaperApps(t *testing.T) {
 			ctx := context.Background()
 			start := ls.Now()
 			injected := false
-			var exactTL, sketchTL []*stream.Verdict
+			var serialTL, pooledTL []*stream.Verdict
 			for ls.Now()-start < sim.Time(6*time.Minute) {
 				if !injected && ls.Now()-start >= sim.Time(2*time.Minute) {
 					if err := ls.Inject(fault, chaos.Unavailable()); err != nil {
@@ -78,29 +69,29 @@ func TestSketchExactParityPaperApps(t *testing.T) {
 					injected = true
 				}
 				tick := ls.Advance(cfg.SampleInterval)
-				ev, err := exact.Tick(ctx, tick)
+				sv, err := serial.Tick(ctx, tick)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sv, err := sketched.Tick(ctx, tick)
+				pv, err := pooled.Tick(ctx, tick)
 				if err != nil {
 					t.Fatal(err)
 				}
-				exactTL = append(exactTL, ev...)
-				sketchTL = append(sketchTL, sv...)
+				serialTL = append(serialTL, sv...)
+				pooledTL = append(pooledTL, pv...)
 			}
 
-			if !reflect.DeepEqual(exactTL, sketchTL) {
-				t.Fatalf("sketch pipeline diverged from exact on %s:\nexact:  %+v\nsketch: %+v",
-					tc.name, verdictDigest(exactTL), verdictDigest(sketchTL))
+			if !reflect.DeepEqual(serialTL, pooledTL) {
+				t.Fatalf("4-worker pipeline diverged from serial on %s:\nserial: %+v\npooled: %+v",
+					tc.name, verdictDigest(serialTL), verdictDigest(pooledTL))
 			}
 			// The run must be non-trivial: windows materialized and the fault
 			// produced at least one non-abstained, candidate-bearing verdict.
-			if len(exactTL) == 0 {
+			if len(serialTL) == 0 {
 				t.Fatal("no verdicts produced; scenario misconfigured")
 			}
 			voted := false
-			for _, v := range exactTL {
+			for _, v := range serialTL {
 				if !v.Abstained && len(v.Candidates) > 0 {
 					voted = true
 					break
@@ -135,16 +126,6 @@ func parityModel(t *testing.T, build apps.Builder, seed int64) (*core.Model, eva
 	if err != nil {
 		t.Fatal(err)
 	}
-	cutoff := stats.SketchCutoff(stream.DefaultSketchEps)
-	for _, m := range metrics.Names(cfg.Metrics) {
-		for svc, series := range baseline.Data[m] {
-			if len(series) > cutoff {
-				t.Fatalf("baseline %s/%s has %d windows, beyond the lossless sketch cutoff %d",
-					m, svc, len(series), cutoff)
-			}
-		}
-	}
-
 	topo := parityTopology(t, build)
 	closure := topologyClosure(services, topo.Edges)
 	sets := make(map[string]map[string][]string, len(cfg.Metrics))

@@ -153,7 +153,6 @@ func TestPipelineSnapshotResume(t *testing.T) {
 		{"alpha-w1", []stream.Option{stream.WithWindow(6), stream.WithWorkers(1)}},
 		{"alpha-w4", []stream.Option{stream.WithWindow(6), stream.WithWorkers(4)}},
 		{"fdr-w8", []stream.Option{stream.WithWindow(6), stream.WithWorkers(8), stream.WithFDR(0.1)}},
-		{"alpha-sketch", []stream.Option{stream.WithWindow(6), stream.WithWorkers(4), stream.WithSketch(stream.DefaultSketchEps)}},
 	}
 	splits := []int{0, 1, 9, 17, 26, 33, snapTicks - 1}
 

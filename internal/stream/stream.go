@@ -22,17 +22,17 @@
 // test evaluations, not O(S·M), and per-hop latency stays flat as the
 // service count grows with constant hop density. This holds in strict and
 // tolerant mode alike: the flush is the Detector's only detection path.
-// With WithSketch, the KS statistic reads O(1/eps) anchors per pair
-// regardless of baseline length. Both are pure representation changes:
-// verdicts are byte-identical at every worker count, and bit-identical to
-// the exact baseline whenever the sketch is lossless for it.
+// Verdicts are byte-identical at every worker count.
 //
 // Equivalence contract: the Detector's per-hop output is byte-identical to
 // core.Detect with its default test (guarded KS) run on the materialized
 // sliding window (same alpha-vs-FDR family decision, strict-vs-tolerant
 // completeness, min-sample guard, and in strict mode the same errors), and
 // the Localizer's per-hop votes are produced by the same vote phase
-// (core.Localizer.Aggregate) the batch localizer runs. The conformance suite
+// (core.Localizer.Aggregate) the batch localizer runs. In strict mode the
+// contract covers finite windows only: the Detector never tests a NaN or
+// ±Inf production value, while strict core.Detect fails on a NaN and tests
+// a ±Inf. The conformance suite
 // in this package (equivalence tests, golden corpus, FuzzIncrementalKS in
 // internal/stats) enforces the contract at every hop for workers 1..8 in
 // both alpha and FDR modes.
