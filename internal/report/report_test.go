@@ -1,12 +1,19 @@
 package report
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"causalfl/internal/clock"
 	"causalfl/internal/eval"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestSectionsAreComplete(t *testing.T) {
 	sections := Sections()
@@ -41,11 +48,30 @@ func TestGenerateQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report generation skipped in -short mode")
 	}
+	// A fake clock with Step 0 prints every wall time as 0s, so the whole
+	// report is byte-stable and pinned against a golden: any change that
+	// moves one random draw of the simulator shifts a table and fails here.
 	var b strings.Builder
-	if err := Generate(context.Background(), eval.Options{Seed: 42, Quick: true}, &b); err != nil {
+	if err := Generate(context.Background(), eval.Options{Seed: 42, Quick: true, Clock: &clock.Fake{}}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
+	golden := filepath.Join("testdata", "quick.golden.md")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal([]byte(out), want) {
+		t.Errorf("quick report diverges from golden %s (run with -update and review the diff if intentional)", golden)
+	}
 	for _, want := range []string{
 		"# causalfl evaluation report",
 		"abbreviated",
