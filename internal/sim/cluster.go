@@ -49,6 +49,10 @@ type Cluster struct {
 	lastTraceID  uint64
 	lastSpanID   uint64
 	nodes        map[string]*node
+	// free holds released request records for reuse.
+	free []*request
+	// lastToken numbers the attempts of blocking calls (request.wait).
+	lastToken uint64
 }
 
 // NewCluster creates an empty cluster on eng. A nil engine is a
@@ -138,81 +142,168 @@ func (c *Cluster) netLatency() time.Duration {
 // name may be unknown to the cluster (an external client such as the load
 // generator); in that case only the target's counters advance.
 func (c *Cluster) Call(from, target, endpoint string, done func(Result)) {
-	c.callTraced(c.newTraceCtx(), from, target, workItem{from: from, endpoint: endpoint, respond: done})
+	c.clientCall(c.services[from], from, target, endpoint, KVOp{}, false, done)
 }
 
 // CallKV issues a key-value operation against a KV store service.
 func (c *Cluster) CallKV(from, store string, op KVOp, done func(Result)) {
-	opCopy := op
-	c.callTraced(c.newTraceCtx(), from, store, workItem{from: from, kvOp: &opCopy, respond: done})
+	c.clientCall(c.services[from], from, store, "", op, true, done)
 }
 
-// callTraced issues a call under an existing trace context: a span is opened
-// for the call, the handler inherits the context for its own downstream
-// calls, and the span completes when the response reaches the caller.
-func (c *Cluster) callTraced(ctx traceCtx, from, target string, item workItem) {
+// clientCall issues a call from outside any handler (a load generator, a
+// poller body, a test), so it starts a new trace.
+func (c *Cluster) clientCall(caller *Service, from, target, endpoint string, kv KVOp, isKV bool, done func(Result)) {
+	ctx := c.newTraceCtx()
 	if c.err != nil {
 		// No engine: fail synchronously without opening a span.
-		if item.respond != nil {
-			item.respond(Result{Err: c.err})
+		if done != nil {
+			done(Result{Err: c.err})
 		}
 		return
 	}
-	endpoint := item.endpoint
-	if item.kvOp != nil {
-		endpoint = item.kvOp.Kind.String() + " " + item.kvOp.Key
+	req := c.newRequest(caller, from, endpoint)
+	if tgt, ok := c.services[target]; ok {
+		req.target, req.ep = tgt, tgt.endpoints[endpoint]
 	}
-	span := c.startSpan(ctx, from, target, endpoint)
-	item.trace = traceCtx{traceID: span.TraceID, spanID: span.SpanID}
-	orig := item.respond
-	item.respond = func(res Result) {
-		c.finishSpan(span, res.Err != nil)
-		if orig != nil {
-			orig(res)
-		}
-	}
-	c.call(from, target, item)
+	req.kv, req.isKV = kv, isKV
+	req.then, req.done = thenFunc, done
+	c.send(ctx, req, target)
 }
 
-func (c *Cluster) call(from, target string, item workItem) {
-	if item.respond == nil {
-		item.respond = func(Result) {}
+// then says what a response does when it reaches the caller.
+type then uint8
+
+const (
+	thenFunc  then = iota // call done (a client's callback)
+	thenAsync             // count a failure on the caller, nothing more
+	thenStep              // settle the caller's blocking step, attempt tok
+)
+
+// request is one call in flight, from its issue to the delivery of its
+// response (or refusal) to the caller, and the state of the target's handler
+// while it serves the call. The hot events act on request records instead of
+// closures; the cluster pools them, releasing each once its response has
+// been delivered.
+type request struct {
+	cluster  *Cluster
+	caller   *Service // nil for a client outside the cluster
+	target   *Service // nil when no such service is registered
+	from     string
+	to       string
+	endpoint string
+	ep       *handler // the target's handler; nil for KV operations and unknown endpoints
+	kv       KVOp
+	isKV     bool
+
+	// trace is the context the handler runs under: the trace and this
+	// call's span. spanParent and spanStart complete the span.
+	trace      traceCtx
+	spanParent uint64
+	spanStart  Time
+
+	// The handler's progress.
+	startedAt Time
+	step      int    // index of the step being executed
+	attempt   int    // retries spent on the current CallStep
+	wait      uint64 // the blocking attempt the handler waits on; 0 when none
+	node      *node  // the node charged for the compute in flight
+
+	// The outcome and what it does on arrival.
+	res    Result
+	then   then
+	done   func(Result)
+	parent *request // the handler blocked on this call (thenStep)
+	tok    uint64   // the parent's attempt this call answers (thenStep)
+}
+
+// newRequest takes a record from the pool and addresses it from the caller.
+func (c *Cluster) newRequest(caller *Service, from, endpoint string) *request {
+	var req *request
+	if n := len(c.free); n > 0 {
+		req = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		req = &request{cluster: c}
 	}
-	if c.err != nil {
-		// No engine to schedule on: fail the call synchronously.
-		item.respond(Result{Err: c.err})
-		return
+	req.caller, req.from, req.endpoint = caller, from, endpoint
+	return req
+}
+
+// release returns a delivered request's record to the pool.
+func (c *Cluster) release(req *request) {
+	*req = request{cluster: c}
+	c.free = append(c.free, req)
+}
+
+// newToken numbers one attempt of a blocking call. Tokens are never reused,
+// so a timeout or a late response naming an attempt that has settled (even on
+// a record since released and reused) finds no match and is discarded.
+func (c *Cluster) newToken() uint64 {
+	c.lastToken++
+	return c.lastToken
+}
+
+// send opens req's span under ctx and puts the request on the network
+// towards target; req.target (nil when the name is unknown) is already set.
+func (c *Cluster) send(ctx traceCtx, req *request, target string) {
+	c.lastSpanID++
+	req.to = target
+	req.trace = traceCtx{traceID: ctx.traceID, spanID: c.lastSpanID}
+	req.spanParent = ctx.spanID
+	req.spanStart = c.eng.Now()
+	if req.caller != nil {
+		req.caller.counters.RequestsSent++
+		req.caller.counters.TxPackets++
 	}
-	if fromSvc, ok := c.services[from]; ok {
-		fromSvc.counters.RequestsSent++
-		fromSvc.counters.TxPackets++
-	}
-	tgt, ok := c.services[target]
-	if !ok {
-		err := &UnknownServiceError{Name: target}
-		c.eng.After(0, func() { item.respond(Result{Err: err}) })
-		return
-	}
-	if tgt.fault.unavailable {
+	tgt := req.target
+	switch {
+	case tgt == nil:
+		req.res = Result{Err: &UnknownServiceError{Name: target}}
+		c.eng.afterReq(0, evDeliver, req, 0)
+	case tgt.fault.unavailable:
 		// Connection refused: the target never sees the request; the
 		// caller receives the refusal after the fail-fast delay.
-		c.eng.After(c.netLatency()+c.failFast, func() {
-			if fromSvc, ok := c.services[from]; ok {
-				fromSvc.counters.RxPackets++
-			}
-			item.respond(Result{Err: fmt.Errorf("%s: %w", target, ErrServiceUnavailable)})
-		})
-		return
+		req.res = Result{Err: tgt.errUnavailable}
+		c.eng.afterReq(c.netLatency()+c.failFast, evDeliver, req, 0)
+	default:
+		c.eng.afterReq(c.netLatency(), evArrive, req, 0)
 	}
-	c.eng.After(c.netLatency(), func() { tgt.handleArrival(item) })
 }
 
-// deliverResponse carries a response packet back to the caller.
-func (c *Cluster) deliverResponse(from string, respond func(Result), res Result) {
-	c.eng.After(c.netLatency(), func() {
-		if fromSvc, ok := c.services[from]; ok {
-			fromSvc.counters.RxPackets++
+// deliver runs when req's response or refusal reaches the caller: it counts
+// the packet, completes the span, hands the outcome on and releases the
+// record.
+func (c *Cluster) deliver(req *request) {
+	if req.target != nil && req.caller != nil {
+		req.caller.counters.RxPackets++
+	}
+	res := req.res
+	c.finishSpan(req, res.Err != nil)
+	switch req.then {
+	case thenFunc:
+		if req.done != nil {
+			req.done(res)
 		}
-		respond(res)
-	})
+	case thenAsync:
+		if res.Err != nil {
+			req.caller.observeDownstreamError()
+		}
+	case thenStep:
+		if p := req.parent; p.wait == req.tok {
+			p.target.settle(p, res)
+		}
+		// Otherwise the attempt timed out first: the response is discarded.
+	}
+	c.release(req)
+}
+
+// timedOut fires when attempt tok of req's blocking call times out; it
+// settles the call unless a response settled it first.
+func (req *request) timedOut(tok uint64) {
+	if req.wait != tok {
+		return
+	}
+	s := req.target
+	step, _ := req.ep.steps[req.step].(CallStep)
+	s.settle(req, Result{Err: fmt.Errorf("%s/%s after %v: %w", step.Target, step.Endpoint, step.Timeout, ErrCallTimeout)})
 }

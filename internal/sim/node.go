@@ -154,20 +154,18 @@ func (c *Cluster) NodeActive(nodeName string) (int, error) {
 	return n.active, nil
 }
 
-// computeOn executes d of CPU work for svc, applying node contention, then
-// runs next. CPUSeconds accrues the work (demand); wall time stretches by
-// the node's pressure.
-func (s *Service) computeOn(d time.Duration, next func()) {
+// computeOn executes d of CPU work for the handler serving req, applying
+// node contention; the service's computed runs when it ends. CPUSeconds
+// accrues the work (demand); wall time stretches by the node's pressure.
+func (s *Service) computeOn(req *request, d time.Duration) {
 	s.addCPU(d)
 	n := s.node
 	if n == nil {
-		s.cluster.eng.After(d, next)
+		s.cluster.eng.afterReq(d, evComputed, req, 0)
 		return
 	}
 	n.active++
+	req.node = n
 	wall := time.Duration(float64(d) * n.slowdown())
-	s.cluster.eng.After(wall, func() {
-		n.active--
-		next()
-	})
+	s.cluster.eng.afterReq(wall, evComputed, req, 0)
 }

@@ -27,12 +27,12 @@ func (p *PollCtx) Compute(d time.Duration, next func()) {
 // Call issues a synchronous request to target/endpoint on behalf of the
 // poller's service.
 func (p *PollCtx) Call(target, endpoint string, done func(Result)) {
-	p.cluster.Call(p.svc.cfg.Name, target, endpoint, done)
+	p.cluster.clientCall(p.svc, p.svc.cfg.Name, target, endpoint, KVOp{}, false, done)
 }
 
 // CallKV issues a key-value operation on behalf of the poller's service.
 func (p *PollCtx) CallKV(store string, op KVOp, done func(Result)) {
-	p.cluster.CallKV(p.svc.cfg.Name, store, op, done)
+	p.cluster.clientCall(p.svc, p.svc.cfg.Name, store, "", op, true, done)
 }
 
 // Log writes one console log line for the poller's service.
@@ -69,6 +69,11 @@ type Poller struct {
 	cluster *Cluster
 	svc     *Service
 	cfg     PollerConfig
+	// ctx, next and done are built once, so an iteration allocates
+	// nothing of its own.
+	ctx  *PollCtx
+	next func() // runs the next iteration
+	done func() // schedules next an interval from now
 }
 
 // AddPoller registers the worker's service and starts its polling loop.
@@ -86,25 +91,23 @@ func (c *Cluster) AddPoller(cfg PollerConfig) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Poller{cluster: c, svc: svc, cfg: cfg}
+	p := &Poller{cluster: c, svc: svc, cfg: cfg, ctx: &PollCtx{cluster: c, svc: svc}}
+	p.next = p.tick
+	p.done = func() { c.eng.After(cfg.Interval, p.next) }
 	c.pollers = append(c.pollers, p)
 	start := cfg.InitialDelay
 	if start <= 0 {
 		start = cfg.Interval
 	}
-	c.eng.After(start, p.tick)
+	c.eng.After(start, p.next)
 	return svc, nil
 }
 
 // tick runs one iteration (or skips it while paused) and reschedules itself.
 func (p *Poller) tick() {
 	if p.svc.fault.paused {
-		p.cluster.eng.After(p.cfg.Interval, p.tick)
+		p.done()
 		return
 	}
-	ctx := &PollCtx{cluster: p.cluster, svc: p.svc}
-	done := func() {
-		p.cluster.eng.After(p.cfg.Interval, p.tick)
-	}
-	p.cfg.Body(ctx, done)
+	p.cfg.Body(p.ctx, p.done)
 }

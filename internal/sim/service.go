@@ -70,36 +70,77 @@ type Result struct {
 	Value int64
 }
 
-// workItem is one admitted request waiting for (or occupying) a worker slot.
-type workItem struct {
-	from      string
-	endpoint  string
-	kvOp      *KVOp
-	respond   func(Result)
-	trace     traceCtx
-	startedAt Time
-}
-
 // Service is one simulated microservice: a named queueing station with a
 // fixed worker capacity, declarative request handlers, cumulative telemetry
 // counters, and chaos-controllable fault state.
 type Service struct {
 	cluster   *Cluster
 	cfg       ServiceConfig
-	endpoints map[string]*Endpoint
+	endpoints map[string]*handler
 	counters  Counters
 	fault     faultState
 	busy      int
-	queue     []workItem
+	queue     fifo
 	kv        map[string]int64
 	node      *node
-	// logEvery tracks per-(endpoint,step) execution counts for LogEveryN.
-	logEvery map[logEveryKey]uint64
+	// The errors this service's faults answer with; they never change, so
+	// each is built once.
+	errUnavailable error
+	errQueueFull   error
+	errInjected    error
 }
 
-type logEveryKey struct {
-	endpoint string
-	step     int
+// handler is an endpoint prepared for execution: its steps and the run-time
+// state each step keeps.
+type handler struct {
+	name  string
+	steps []Step
+	state []stepState
+}
+
+// stepState is the run-time state of one handler step.
+type stepState struct {
+	// target and ep cache a call step's resolved target service and its
+	// handler, once the service is registered.
+	target *Service
+	ep     *handler
+	// runs counts the executions of a LogEveryN step.
+	runs uint64
+}
+
+// fifo is the queue of admitted requests waiting for a worker slot: a ring
+// that reuses its storage.
+type fifo struct {
+	buf  []*request
+	head int
+	n    int
+}
+
+func (q *fifo) push(req *request) {
+	if q.n == len(q.buf) {
+		grown := make([]*request, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	tail := q.head + q.n
+	if tail >= len(q.buf) {
+		tail -= len(q.buf)
+	}
+	q.buf[tail] = req
+	q.n++
+}
+
+func (q *fifo) pop() *request {
+	req := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return req
 }
 
 func newService(c *Cluster, cfg ServiceConfig) (*Service, error) {
@@ -116,20 +157,21 @@ func newService(c *Cluster, cfg ServiceConfig) (*Service, error) {
 		cfg.KVOpCost = DefaultKVOpCost
 	}
 	s := &Service{
-		cluster:   c,
-		cfg:       cfg,
-		endpoints: make(map[string]*Endpoint, len(cfg.Endpoints)),
-		logEvery:  make(map[logEveryKey]uint64),
+		cluster:        c,
+		cfg:            cfg,
+		endpoints:      make(map[string]*handler, len(cfg.Endpoints)),
+		errUnavailable: fmt.Errorf("%s: %w", cfg.Name, ErrServiceUnavailable),
+		errQueueFull:   fmt.Errorf("%s: %w", cfg.Name, ErrQueueFull),
+		errInjected:    fmt.Errorf("%s: %w", cfg.Name, ErrInjectedFault),
 	}
 	if cfg.KV {
 		s.kv = make(map[string]int64)
 	}
-	for i := range cfg.Endpoints {
-		ep := &cfg.Endpoints[i]
+	for _, ep := range cfg.Endpoints {
 		if _, dup := s.endpoints[ep.Name]; dup {
 			return nil, fmt.Errorf("sim: service %q: duplicate endpoint %q", cfg.Name, ep.Name)
 		}
-		s.endpoints[ep.Name] = ep
+		s.endpoints[ep.Name] = &handler{name: ep.Name, steps: ep.Steps, state: make([]stepState, len(ep.Steps))}
 	}
 	return s, nil
 }
@@ -276,204 +318,215 @@ func (s *Service) observeDownstreamError() {
 }
 
 // handleArrival admits a request (already past the network) into the queue.
-func (s *Service) handleArrival(item workItem) {
+func (s *Service) handleArrival(req *request) {
 	s.counters.RxPackets++
-	if s.cfg.QueueLimit > 0 && s.busy >= s.cfg.Capacity && len(s.queue) >= s.cfg.QueueLimit {
+	if s.cfg.QueueLimit > 0 && s.busy >= s.cfg.Capacity && s.queue.n >= s.cfg.QueueLimit {
 		s.counters.QueueDrops++
-		s.respond(item, Result{Err: fmt.Errorf("%s: %w", s.cfg.Name, ErrQueueFull)})
+		s.respond(req, Result{Err: s.errQueueFull})
 		return
 	}
 	s.counters.RequestsReceived++
-	s.queue = append(s.queue, item)
+	s.queue.push(req)
 	s.dispatch()
 }
 
 // dispatch starts handlers while worker slots and queued work are available.
 func (s *Service) dispatch() {
-	for s.busy < s.cfg.Capacity && len(s.queue) > 0 {
-		item := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.busy < s.cfg.Capacity && s.queue.n > 0 {
 		s.busy++
-		s.start(item)
+		s.start(s.queue.pop())
 	}
 }
 
 // start begins executing one admitted request on an occupied worker slot.
-func (s *Service) start(item workItem) {
-	item.startedAt = s.cluster.eng.Now()
-	begin := func() {
-		if p := s.fault.errorRate; p > 0 && s.cluster.eng.Rand().Float64() < p {
-			s.addCPU(errorRateFaultCost)
-			s.finish(item, Result{Err: fmt.Errorf("%s: %w", s.cfg.Name, ErrInjectedFault)})
-			return
-		}
-		if s.cfg.KV {
-			s.startKV(item)
-			return
-		}
-		if item.kvOp != nil {
-			s.finish(item, Result{Err: fmt.Errorf("%s: kv operation sent to non-kv service", s.cfg.Name)})
-			return
-		}
-		ep, ok := s.endpoints[item.endpoint]
-		if !ok {
-			s.finish(item, Result{Err: &UnknownEndpointError{Service: s.cfg.Name, Endpoint: item.endpoint}})
-			return
-		}
-		s.runSteps(item, ep, 0)
-	}
+func (s *Service) start(req *request) {
+	req.startedAt = s.cluster.eng.Now()
 	if d := s.fault.extraLatency; d > 0 {
-		s.cluster.eng.After(d, begin)
+		s.cluster.eng.afterReq(d, evBegin, req, 0)
 		return
 	}
-	begin()
+	s.begin(req)
+}
+
+// begin runs the handler once any injected start delay has elapsed.
+func (s *Service) begin(req *request) {
+	if p := s.fault.errorRate; p > 0 && s.cluster.eng.Rand().Float64() < p {
+		s.addCPU(errorRateFaultCost)
+		s.finish(req, Result{Err: s.errInjected})
+		return
+	}
+	if s.cfg.KV {
+		s.startKV(req)
+		return
+	}
+	if req.isKV {
+		s.finish(req, Result{Err: fmt.Errorf("%s: kv operation sent to non-kv service", s.cfg.Name)})
+		return
+	}
+	if req.ep == nil {
+		s.finish(req, Result{Err: &UnknownEndpointError{Service: s.cfg.Name, Endpoint: req.endpoint}})
+		return
+	}
+	s.runSteps(req)
 }
 
 // startKV executes a key-value operation after its CPU cost elapses. The
 // cost carries one third of jitter so that the store's CPU metrics have the
 // continuous variance of a real container rather than a deterministic
 // per-op constant.
-func (s *Service) startKV(item workItem) {
-	if item.kvOp == nil {
-		s.finish(item, Result{Err: fmt.Errorf("%s: non-kv request sent to kv service", s.cfg.Name)})
+func (s *Service) startKV(req *request) {
+	if !req.isKV {
+		s.finish(req, Result{Err: fmt.Errorf("%s: non-kv request sent to kv service", s.cfg.Name)})
 		return
 	}
-	op := *item.kvOp
-	cost := s.sampleCompute(Compute{Mean: s.cfg.KVOpCost, Jitter: s.cfg.KVOpCost / 3})
-	s.computeOn(cost, func() {
-		val := op.apply(s.kv)
-		s.finish(item, Result{Value: val})
-	})
+	s.computeOn(req, s.sampleCompute(Compute{Mean: s.cfg.KVOpCost, Jitter: s.cfg.KVOpCost / 3}))
 }
 
-// runSteps executes the endpoint program from step index i onward in
-// continuation-passing style over the event loop.
-func (s *Service) runSteps(item workItem, ep *Endpoint, i int) {
-	if i >= len(ep.Steps) {
-		s.finish(item, Result{})
+// computed runs when req's compute ends: a KV operation applies and
+// answers; a handler moves on to its next step.
+func (s *Service) computed(req *request) {
+	if n := req.node; n != nil {
+		n.active--
+		req.node = nil
+	}
+	if s.cfg.KV {
+		s.finish(req, Result{Value: req.kv.apply(s.kv)})
 		return
 	}
-	next := func() { s.runSteps(item, ep, i+1) }
-	switch step := ep.Steps[i].(type) {
-	case Compute:
-		s.computeOn(s.sampleCompute(step), next)
-	case CallStep:
-		observe := func(res Result) {
-			if res.Err != nil {
-				s.observeDownstreamError()
+	req.step++
+	s.runSteps(req)
+}
+
+// runSteps executes the handler program from step req.step onward, until a
+// step waits on the event loop (compute, a blocking call) or the program
+// ends.
+func (s *Service) runSteps(req *request) {
+	h := req.ep
+	for ; req.step < len(h.steps); req.step++ {
+		i := req.step
+		switch step := h.steps[i].(type) {
+		case Compute:
+			s.computeOn(req, s.sampleCompute(step))
+			return
+		case CallStep:
+			if step.Async {
+				call := s.newCall(h, i, step.Target, step.Endpoint)
+				call.then = thenAsync
+				s.issue(req, call, step.Target)
+				continue
 			}
-		}
-		if step.Async {
-			s.issueCall(item, workItem{from: s.cfg.Name, endpoint: step.Endpoint, respond: observe}, step.Target)
-			next()
+			req.attempt = 0
+			s.callOnce(req, step)
+			return
+		case KVIncr, KVCall:
+			kv := kvStep(step)
+			call := s.newCall(h, i, kv.Store, "")
+			call.kv, call.isKV = KVOp{Kind: kv.Op, Key: kv.Key, Delta: kv.Delta}, true
+			s.block(req, call)
+			s.issue(req, call, kv.Store)
+			return
+		case LogEveryN:
+			st := &h.state[i]
+			st.runs++
+			n := step.N
+			if n <= 1 {
+				n = 1
+			}
+			if st.runs%n == 0 {
+				s.log(step.Error)
+			}
+		case LogSampled:
+			if step.P > 0 && s.cluster.eng.Rand().Float64() < step.P {
+				s.log(step.Error)
+			}
+		default:
+			s.finish(req, Result{Err: fmt.Errorf("%s: endpoint %q: unsupported step %T", s.cfg.Name, h.name, step)})
 			return
 		}
-		s.callWithPolicy(item, step, func(res Result) {
-			if res.Err != nil {
-				if !step.IgnoreError {
-					s.finish(item, Result{Err: &DownstreamError{
-						Caller:   s.cfg.Name,
-						Target:   step.Target,
-						Endpoint: step.Endpoint,
-						Err:      res.Err,
-					}})
-					return
-				}
-			}
-			next()
-		})
-	case KVIncr:
-		s.runKVStep(item, KVCall{Store: step.Store, Op: KVIncrBy, Key: step.Key, Delta: step.Delta}, next)
-	case KVCall:
-		s.runKVStep(item, step, next)
-	case LogEveryN:
-		key := logEveryKey{endpoint: ep.Name, step: i}
-		s.logEvery[key]++
-		n := step.N
-		if n <= 1 {
-			n = 1
+	}
+	s.finish(req, Result{})
+}
+
+// kvStep reads a KV step as the general KVCall (KVIncr is its sugar).
+func kvStep(step Step) KVCall {
+	if incr, ok := step.(KVIncr); ok {
+		return KVCall{Store: incr.Store, Op: KVIncrBy, Key: incr.Key, Delta: incr.Delta}
+	}
+	kv, _ := step.(KVCall)
+	return kv
+}
+
+// newCall prepares a downstream request for step i of handler h, resolving
+// (and caching, once it exists) the target service and its handler.
+func (s *Service) newCall(h *handler, i int, target, endpoint string) *request {
+	st := &h.state[i]
+	if st.target == nil {
+		if tgt, ok := s.cluster.services[target]; ok {
+			st.target, st.ep = tgt, tgt.endpoints[endpoint]
 		}
-		if s.logEvery[key]%n == 0 {
-			s.log(step.Error)
-		}
-		next()
-	case LogSampled:
-		if step.P > 0 && s.cluster.eng.Rand().Float64() < step.P {
-			s.log(step.Error)
-		}
-		next()
-	default:
-		s.finish(item, Result{Err: fmt.Errorf("%s: endpoint %q: unsupported step %T", s.cfg.Name, ep.Name, step)})
+	}
+	call := s.cluster.newRequest(s, s.cfg.Name, endpoint)
+	call.target, call.ep = st.target, st.ep
+	return call
+}
+
+// block makes call the attempt the handler serving req waits on.
+func (s *Service) block(req, call *request) {
+	req.wait = s.cluster.newToken()
+	call.then, call.parent, call.tok = thenStep, req, req.wait
+}
+
+// callOnce issues one attempt of a blocking CallStep, with its timeout.
+func (s *Service) callOnce(req *request, step CallStep) {
+	call := s.newCall(req.ep, req.step, step.Target, step.Endpoint)
+	s.block(req, call)
+	s.issue(req, call, step.Target)
+	if step.Timeout > 0 {
+		s.cluster.eng.afterReq(step.Timeout, evTimeout, req, req.wait)
 	}
 }
 
-// runKVStep executes one key-value store step with CallStep-like error
-// semantics.
-func (s *Service) runKVStep(item workItem, step KVCall, next func()) {
-	op := KVOp{Kind: step.Op, Key: step.Key, Delta: step.Delta}
-	s.issueCall(item, workItem{from: s.cfg.Name, kvOp: &op, respond: func(res Result) {
-		if res.Err != nil {
-			s.observeDownstreamError()
+// settle hands the outcome of the blocking call the handler serving req
+// waits on to its current step. A failed attempt is observed (error log
+// included unless suppressed) and retried while the step's retries last;
+// a final failure aborts the handler unless the step ignores errors.
+func (s *Service) settle(req *request, res Result) {
+	req.wait = 0
+	if res.Err != nil {
+		s.observeDownstreamError()
+		var failed *DownstreamError
+		switch step := req.ep.steps[req.step].(type) {
+		case CallStep:
+			if req.attempt < step.Retries {
+				req.attempt++
+				s.callOnce(req, step)
+				return
+			}
 			if !step.IgnoreError {
-				s.finish(item, Result{Err: &DownstreamError{
-					Caller:   s.cfg.Name,
-					Target:   step.Store,
-					Endpoint: op.Kind.String() + " " + step.Key,
-					Err:      res.Err,
-				}})
-				return
+				failed = &DownstreamError{Caller: s.cfg.Name, Target: step.Target, Endpoint: step.Endpoint, Err: res.Err}
+			}
+		default:
+			if kv := kvStep(step); !kv.IgnoreError {
+				failed = &DownstreamError{Caller: s.cfg.Name, Target: kv.Store, Endpoint: kv.Op.String() + " " + kv.Key, Err: res.Err}
 			}
 		}
-		next()
-	}}, step.Store)
-}
-
-// callWithPolicy issues a synchronous downstream call applying the step's
-// retry and timeout policy. Every failed attempt is observed (error log
-// included unless suppressed); done receives the final outcome.
-func (s *Service) callWithPolicy(parent workItem, step CallStep, done func(Result)) {
-	attempt := 0
-	var tryOnce func()
-	tryOnce = func() {
-		settled := false
-		handle := func(res Result) {
-			if settled {
-				// A response racing a fired timeout (or vice versa)
-				// is discarded.
-				return
-			}
-			settled = true
-			if res.Err == nil {
-				done(res)
-				return
-			}
-			s.observeDownstreamError()
-			if attempt < step.Retries {
-				attempt++
-				tryOnce()
-				return
-			}
-			done(res)
-		}
-		s.issueCall(parent, workItem{from: s.cfg.Name, endpoint: step.Endpoint, respond: handle}, step.Target)
-		if step.Timeout > 0 {
-			s.cluster.eng.After(step.Timeout, func() {
-				handle(Result{Err: fmt.Errorf("%s/%s after %v: %w", step.Target, step.Endpoint, step.Timeout, ErrCallTimeout)})
-			})
+		if failed != nil {
+			s.finish(req, Result{Err: failed})
+			return
 		}
 	}
-	tryOnce()
+	req.step++
+	s.runSteps(req)
 }
 
-// issueCall sends a downstream request on behalf of the handler executing
-// parent, propagating (or, for un-instrumented services, dropping) its trace
-// context.
-func (s *Service) issueCall(parent workItem, call workItem, target string) {
+// issue sends call on behalf of the handler serving parent, propagating (or,
+// for un-instrumented services, dropping) its trace context.
+func (s *Service) issue(parent, call *request, target string) {
 	ctx := parent.trace
 	if s.cfg.DropTraceContext {
 		ctx = traceCtx{}
 	}
-	s.cluster.callTraced(s.cluster.childCtx(ctx), s.cfg.Name, target, call)
+	s.cluster.send(s.cluster.childCtx(ctx), call, target)
 }
 
 // sampleCompute draws a compute duration uniformly from Mean±Jitter,
@@ -499,20 +552,21 @@ func (s *Service) addCPU(d time.Duration) {
 
 // finish releases the worker slot, accounts the response, and sends it back
 // to the caller across the network.
-func (s *Service) finish(item workItem, res Result) {
+func (s *Service) finish(req *request, res Result) {
 	s.busy--
-	s.counters.BusySeconds += (s.cluster.eng.Now() - item.startedAt).Seconds()
+	s.counters.BusySeconds += (s.cluster.eng.Now() - req.startedAt).Seconds()
 	if res.Err != nil {
 		s.counters.ResponsesErr++
 	} else {
 		s.counters.ResponsesOK++
 	}
-	s.respond(item, res)
+	s.respond(req, res)
 	s.dispatch()
 }
 
 // respond transmits a response packet back to the caller.
-func (s *Service) respond(item workItem, res Result) {
+func (s *Service) respond(req *request, res Result) {
 	s.counters.TxPackets++
-	s.cluster.deliverResponse(item.from, item.respond, res)
+	req.res = res
+	s.cluster.eng.afterReq(s.cluster.netLatency(), evDeliver, req, 0)
 }

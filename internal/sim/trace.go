@@ -66,27 +66,25 @@ func (c *Cluster) childCtx(parent traceCtx) traceCtx {
 	return parent
 }
 
-// startSpan allocates the span for one outgoing call and returns it with
-// Start filled; the caller completes and emits it via finishSpan.
-func (c *Cluster) startSpan(ctx traceCtx, from, to, endpoint string) Span {
-	c.lastSpanID++
-	return Span{
-		TraceID:  ctx.traceID,
-		SpanID:   c.lastSpanID,
-		ParentID: ctx.spanID,
-		From:     from,
-		To:       to,
-		Endpoint: endpoint,
-		Start:    c.eng.Now(),
-	}
-}
-
-// finishSpan completes the span and hands it to the observer.
-func (c *Cluster) finishSpan(span Span, failed bool) {
+// finishSpan completes req's span and hands it to the observer. A KV
+// operation's endpoint is spelled out here, so untraced runs never build it.
+func (c *Cluster) finishSpan(req *request, failed bool) {
 	if c.spanObserver == nil {
 		return
 	}
-	span.End = c.eng.Now()
-	span.Err = failed
-	c.spanObserver(span)
+	endpoint := req.endpoint
+	if req.isKV {
+		endpoint = req.kv.Kind.String() + " " + req.kv.Key
+	}
+	c.spanObserver(Span{
+		TraceID:  req.trace.traceID,
+		SpanID:   req.trace.spanID,
+		ParentID: req.spanParent,
+		From:     req.from,
+		To:       req.to,
+		Endpoint: endpoint,
+		Start:    req.spanStart,
+		End:      c.eng.Now(),
+		Err:      failed,
+	})
 }
