@@ -102,8 +102,9 @@ bench:
 # test of a window of 8 against a 384-value baseline read in place (a
 # shifted and an overlapping window), the stream engine's fleet-scale ones
 # (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
-# synthetic fleet) and serve's ingest decode and handler (a 64-tick,
-# 12-service robotshop batch). A smoke check:
+# synthetic fleet), serve's ingest decode and handler (a 64-tick,
+# 12-service robotshop batch) and the simulator's throughput (one simulated
+# second of each paper app at default load, in events per second). A smoke check:
 # it fails only if a benchmark errors or panics; raise BENCHTIME locally for
 # numbers to compare.
 BENCHTIME ?= 200x
@@ -111,6 +112,7 @@ bench-micro:
 	$(GO) test -run xxx -bench '^BenchmarkKSBaselinesGuardedPValue$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
 	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
+	$(GO) test -run xxx -bench '^BenchmarkMicro_SimulatorThroughput$$' -benchmem -benchtime $(BENCHTIME) ./internal/sim
 
 # Serial vs parallel wall-clock comparison of the causal-learning stages.
 # The JSON artifact records learn/localize/campaign timings at workers=1 and
