@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build loc test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro bench-parallel bench-stream bench-scale demo-stream demo-serve demo-arena report tables figures clean
+.PHONY: all check build loc test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro demo-stream demo-serve demo-arena report tables figures clean
 
 all: check
 
@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadArenaReport -fuzztime $(FUZZTIME) ./internal/arena
 	$(GO) test -run xxx -fuzz FuzzIngestHandler -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzCreateTenantHandler -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzLocalizeHandler -fuzztime $(FUZZTIME) ./internal/webui
 
 # Every table, figure, ablation and extension, abbreviated windows.
 bench:
@@ -106,35 +107,15 @@ bench:
 # 12-service robotshop batch) and the simulator's throughput (one simulated
 # second of each paper app at default load, in events per second). A smoke check:
 # it fails only if a benchmark errors or panics; raise BENCHTIME locally for
-# numbers to compare.
+# numbers to compare. The 4096-service fleet is measured end to end by
+# _perfbench's stream-fleet workload; serial vs pooled campaign stages are
+# the BenchmarkParallel_* benchmarks of bench_test.go.
 BENCHTIME ?= 200x
 bench-micro:
 	$(GO) test -run xxx -bench '^BenchmarkKSBaselinesGuardedPValue$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
 	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 	$(GO) test -run xxx -bench '^BenchmarkMicro_SimulatorThroughput$$' -benchmem -benchtime $(BENCHTIME) ./internal/sim
-
-# Serial vs parallel wall-clock comparison of the causal-learning stages.
-# The JSON artifact records learn/localize/campaign timings at workers=1 and
-# workers=GOMAXPROCS; the outputs of both runs are identical by construction.
-bench-parallel:
-	$(GO) run ./cmd/causalfl bench -quick -out BENCH_parallel.json
-
-# Incremental streaming engine vs naive batch-per-tick recomputation on the
-# 64-service × 8-metric reference workload; both engines emit byte-identical
-# verdicts, so the artifact is purely a wall-clock comparison.
-bench-stream:
-	$(GO) run ./cmd/causalfl bench -stream -out BENCH_stream.json
-
-# Fleet-size sweep: the incremental streaming engine from 64 to 4096
-# services at a fixed reporting density. The
-# headline number is per-hop latency staying flat as the fleet grows; the
-# batch-per-tick comparison runs up to 512 services, where it is already
-# orders of magnitude off the pace. See docs/SCALING.md.
-bench-scale:
-	$(GO) run ./cmd/causalfl bench -stream \
-		-services 64,256,512,1024,2048,4096 -baseline 384 \
-		-out BENCH_stream.json
 
 # End-to-end streaming demo: train, watch a live session, break a service,
 # see the verdict timeline confirm it.
@@ -152,15 +133,16 @@ demo-serve:
 demo-arena:
 	$(GO) run ./examples/arena
 
-# Paper-length regeneration of the full evaluation.
+# Paper-length regeneration of the full evaluation; `causalfl report
+# -section` runs any subset of its sections by key.
 report:
 	$(GO) run ./cmd/causalfl report -out docs/EVALUATION.md
 
 tables:
-	$(GO) run ./cmd/causalfl tables
+	$(GO) run ./cmd/causalfl report -section table1,table2
 
 figures:
-	$(GO) run ./cmd/causalfl figures
+	$(GO) run ./cmd/causalfl report -section fig1,fig2,causal-sets,logging
 
 clean:
 	$(GO) clean ./...

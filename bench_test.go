@@ -4,8 +4,8 @@
 //
 // Experiment benches use the abbreviated (Quick) collection windows so a full
 // `go test -bench=. -benchmem` pass stays in the minutes range; the headline
-// paper-length runs are produced by `causalfl tables` / `causalfl figures`
-// and recorded in EXPERIMENTS.md. Accuracy and informativeness are attached
+// paper-length runs are produced by `causalfl report` (one section per table,
+// figure and extension) and recorded in EXPERIMENTS.md. Accuracy and informativeness are attached
 // to each bench result via b.ReportMetric.
 package causalfl
 
@@ -700,8 +700,8 @@ func BenchmarkParallel_Campaign_Pooled(b *testing.B) {
 // --- Streaming engine ------------------------------------------------------
 
 // streamBenchWorkload is the reference online-localization workload: 64
-// services, 8 metrics, a half-way fault, 60 production hops. The same shape
-// backs `causalfl bench -stream` and BENCH_stream.json.
+// services, 8 metrics, a half-way fault, 60 production hops, timed by the
+// incremental engine and by batch-per-tick recomputation.
 func streamBenchWorkload(b *testing.B) (*stream.SynthWorkload, *core.Model) {
 	b.Helper()
 	w, err := stream.NewSynth(stream.SynthConfig{

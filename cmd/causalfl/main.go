@@ -5,25 +5,23 @@
 //
 // Usage:
 //
-//	causalfl tables   [-table 1|2] [-quick] [-seed N]
-//	causalfl figures  [-fig 1|2|causal-sets] [-quick] [-seed N]
+//	causalfl report   [-section key,...] [-out report.md] [-quick] [-seed N] [-workers N]
 //	causalfl train    -app causalbench|robotshop [-metrics preset] [-out model.json] [-quick]
 //	causalfl localize -app causalbench|robotshop -model model.json -fault SVC [-mult M]
 //	causalfl evaluate -app causalbench|robotshop [-metrics preset] [-mult M] [-quick]
-//	causalfl compare  -app causalbench|robotshop [-quick]
+//	causalfl arena    [-app causalbench|robotshop|both] [-quick] [-json] [-out report.txt]
 //	causalfl topology -app causalbench|robotshop
-//	causalfl extensions [-quick] [-seed N]
-//	causalfl sweep    -app causalbench|robotshop [-seeds N] [-mult M] [-quick] [-degraded]
-//	causalfl scale    [-quick] [-seed N]
+//	causalfl sweep    -app causalbench|robotshop [-seeds N] [-mult M] [-quick]
 //	causalfl collect  -app causalbench|robotshop -out data.json [-quick]
 //	causalfl learn    -data data.json [-out model.json] [-alpha 0.05]
 //	causalfl worlds   -model model.json
-//	causalfl report   [-out report.md] [-quick] [-seed N] [-workers N]
-//	causalfl bench    [-quick] [-seed N] [-out BENCH_parallel.json] [-stream]
 //	causalfl explain  -app causalbench|robotshop -fault SVC[,SVC...] [-model model.json] [-quick] [-json] [-out report.json]
 //	causalfl watch    -app causalbench|robotshop [-model model.json] [-fault SVC] [-inject-at 3m] [-duration 10m] [-out verdicts.json]
 //	causalfl serve    [-addr :8080] [-snapshot-dir DIR] [-model model.json] [-queue N] [-snapshot-every N]
 //	causalfl diff     -old old.json -new new.json
+//
+// Every table, figure and extension experiment of the evaluation is a
+// section of `causalfl report`; -section picks some of them by key.
 package main
 
 import (
@@ -42,11 +40,9 @@ import (
 	"causalfl/internal/apps/causalbench"
 	"causalfl/internal/apps/robotshop"
 	"causalfl/internal/chaos"
-	"causalfl/internal/clock"
 	"causalfl/internal/core"
 	"causalfl/internal/eval"
 	"causalfl/internal/metrics"
-	"causalfl/internal/parallel"
 	"causalfl/internal/report"
 	"causalfl/internal/sim"
 )
@@ -63,54 +59,44 @@ func main() {
 	}
 }
 
+// commands maps each subcommand to its entry point. run dispatches from it
+// and its errors list its names, so the two cannot drift apart.
+var commands = map[string]func(context.Context, []string) error{
+	"train":    cmdTrain,
+	"localize": cmdLocalize,
+	"explain":  cmdExplain,
+	"evaluate": cmdEvaluate,
+	"arena":    cmdArena,
+	"topology": cmdTopology,
+	"sweep":    cmdSweep,
+	"collect":  cmdCollect,
+	"learn":    cmdLearn,
+	"worlds":   cmdWorlds,
+	"report":   cmdReport,
+	"watch":    cmdWatch,
+	"serve":    cmdServe,
+	"diff":     cmdDiff,
+}
+
+// commandNames returns the subcommand names, sorted.
+func commandNames() []string {
+	names := make([]string, 0, len(commands))
+	for name := range commands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (tables, figures, train, collect, learn, worlds, localize, explain, evaluate, compare, arena, topology, extensions, sweep, scale, bench, watch, report, serve, diff)")
+		return fmt.Errorf("missing subcommand (%s)", strings.Join(commandNames(), ", "))
 	}
-	switch args[0] {
-	case "tables":
-		return cmdTables(ctx, args[1:])
-	case "figures":
-		return cmdFigures(ctx, args[1:])
-	case "train":
-		return cmdTrain(ctx, args[1:])
-	case "localize":
-		return cmdLocalize(ctx, args[1:])
-	case "explain":
-		return cmdExplain(ctx, args[1:])
-	case "evaluate":
-		return cmdEvaluate(ctx, args[1:])
-	case "compare":
-		return cmdCompare(ctx, args[1:])
-	case "arena":
-		return cmdArena(ctx, args[1:])
-	case "topology":
-		return cmdTopology(args[1:])
-	case "extensions":
-		return cmdExtensions(ctx, args[1:])
-	case "sweep":
-		return cmdSweep(ctx, args[1:])
-	case "scale":
-		return cmdScale(ctx, args[1:])
-	case "bench":
-		return cmdBench(ctx, args[1:])
-	case "collect":
-		return cmdCollect(ctx, args[1:])
-	case "learn":
-		return cmdLearn(ctx, args[1:])
-	case "worlds":
-		return cmdWorlds(args[1:])
-	case "report":
-		return cmdReport(ctx, args[1:])
-	case "watch":
-		return cmdWatch(ctx, args[1:])
-	case "serve":
-		return cmdServe(ctx, args[1:])
-	case "diff":
-		return cmdDiff(args[1:])
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+	cmd, ok := commands[args[0]]
+	if !ok {
+		return fmt.Errorf("unknown subcommand %q (want one of %s)", args[0], strings.Join(commandNames(), ", "))
 	}
+	return cmd(ctx, args[1:])
 }
 
 // builderFor resolves an application name.
@@ -144,11 +130,6 @@ func (c *commonFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.workers, "workers", 0, "worker pool size for parallel stages (0 = GOMAXPROCS, 1 = serial); results are identical at every setting")
 }
 
-// options builds the experiment options shared by the Run* wrappers.
-func (c *commonFlags) options() eval.Options {
-	return eval.Options{Seed: c.seed, Quick: c.quick, Workers: c.workers}
-}
-
 func (c *commonFlags) config() (eval.Config, error) {
 	build, err := builderFor(c.app)
 	if err != nil {
@@ -158,88 +139,12 @@ func (c *commonFlags) config() (eval.Config, error) {
 	if err != nil {
 		return eval.Config{}, err
 	}
-	cfg := c.options().Apply(eval.Config{
+	cfg := eval.Options{Seed: c.seed, Quick: c.quick, Workers: c.workers}.Apply(eval.Config{
 		Build:          build,
 		Metrics:        set,
 		TestMultiplier: c.mult,
 	})
 	return cfg, nil
-}
-
-func cmdTables(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	table := fs.Int("table", 0, "table number (0 = both)")
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}
-	if *table == 0 || *table == 1 {
-		result, err := eval.RunTableI(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *table == 0 || *table == 2 {
-		result, err := eval.RunTableII(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *table < 0 || *table > 2 {
-		return fmt.Errorf("unknown table %d", *table)
-	}
-	return nil
-}
-
-func cmdFigures(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fig := fs.String("fig", "", "figure: 1, 2, causal-sets or logging (empty = all)")
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}
-	if *fig == "" || *fig == "1" {
-		result, err := eval.RunFig1(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *fig == "" || *fig == "2" {
-		result, err := eval.RunFig2(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *fig == "" || *fig == "causal-sets" {
-		result, err := eval.RunCausalSetsExample(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	if *fig == "" || *fig == "logging" {
-		result, err := eval.RunLoggingDiscipline(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(result)
-	}
-	switch *fig {
-	case "", "1", "2", "causal-sets", "logging":
-		return nil
-	default:
-		return fmt.Errorf("unknown figure %q", *fig)
-	}
 }
 
 // writeOutput runs write against a freshly created file at path, or stdout
@@ -386,26 +291,7 @@ func cmdEvaluate(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdCompare(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	var cf commonFlags
-	cf.register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	build, err := builderFor(cf.app)
-	if err != nil {
-		return err
-	}
-	result, err := eval.RunBaselineComparison(ctx, cf.options(), build, cf.app)
-	if err != nil {
-		return err
-	}
-	fmt.Print(result)
-	return nil
-}
-
-func cmdTopology(args []string) error {
+func cmdTopology(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("topology", flag.ContinueOnError)
 	app := fs.String("app", causalbench.Name, "application")
 	if err := fs.Parse(args); err != nil {
@@ -432,73 +318,13 @@ func cmdTopology(args []string) error {
 	return nil
 }
 
-func cmdExtensions(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("extensions", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}
-	faultTypes, err := eval.RunFaultTypeExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(faultTypes)
-	multi, err := eval.RunMultiFaultExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(multi)
-	tracesVs, err := eval.RunTraceComparison(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tracesVs)
-	nonstationary, err := eval.RunNonstationaryExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(nonstationary)
-	contamination, err := eval.RunContaminationExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(contamination)
-	interference, err := eval.RunInterferenceExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(interference)
-	budget, err := eval.RunBudgetExtension(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(budget)
-	return nil
-}
-
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var cf commonFlags
 	cf.register(fs)
 	count := fs.Int("seeds", 5, "number of seeds to sweep")
-	degraded := fs.Bool("degraded", false, "sweep scrape-loss fractions (0-50%) instead of seeds")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *degraded {
-		build, err := builderFor(cf.app)
-		if err != nil {
-			return err
-		}
-		result, err := eval.RunDegradationSweep(ctx, cf.options(), build, cf.app, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(result)
-		return nil
 	}
 	if *count < 1 {
 		return fmt.Errorf("sweep needs at least one seed")
@@ -512,22 +338,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 		seeds[i] = cf.seed + int64(i)*101
 	}
 	result, err := eval.SweepSeeds(ctx, cfg, seeds)
-	if err != nil {
-		return err
-	}
-	fmt.Print(result)
-	return nil
-}
-
-func cmdScale(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shortened collection windows")
-	seed := fs.Int64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	result, err := eval.RunScalabilityExtension(ctx, eval.Options{Seed: *seed, Quick: *quick, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -600,7 +410,7 @@ func cmdLearn(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdWorlds(args []string) error {
+func cmdWorlds(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("worlds", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "trained model JSON")
 	if err := fs.Parse(args); err != nil {
@@ -622,146 +432,26 @@ func cmdWorlds(args []string) error {
 	return nil
 }
 
-// benchEntry is one timed stage of `causalfl bench`.
-type benchEntry struct {
-	Stage   string  `json:"stage"`
-	Workers int     `json:"workers"`
-	WallMS  float64 `json:"wall_ms"`
-}
-
-// benchReport is the JSON document `causalfl bench` emits.
-type benchReport struct {
-	App        string       `json:"app"`
-	Quick      bool         `json:"quick"`
-	Seed       int64        `json:"seed"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Entries    []benchEntry `json:"entries"`
-}
-
-// cmdBench times the campaign stages serially (workers=1) and with the full
-// pool, and writes the comparison as JSON. The outputs of both runs are
-// identical by construction — only the wall clock differs.
-func cmdBench(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	var cf commonFlags
-	cf.register(fs)
-	out := fs.String("out", "", "write the benchmark JSON to this file (default stdout)")
-	streamMode := fs.Bool("stream", false, "benchmark the streaming engine against batch-per-tick recomputation instead of the causal-learning stages")
-	var sf streamBenchFlags
-	fs.StringVar(&sf.services, "services", "64", "with -stream: comma list of fleet sizes to sweep")
-	fs.IntVar(&sf.baseline, "baseline", 24, "with -stream: baseline series length per (metric, service) pair")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *streamMode {
-		return benchStream(ctx, cf, sf, *out)
-	}
-	cfg, err := cf.config()
-	if err != nil {
-		return err
-	}
-	pool := parallel.Workers(cf.workers)
-	result := benchReport{App: cf.app, Quick: cf.quick, Seed: cf.seed, GOMAXPROCS: pool}
-
-	// Shared inputs, collected once and untimed: the benchmark isolates
-	// the causal-learning stages, not simulator data collection.
-	data, err := eval.CollectTraining(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	targets := make([]string, 0, len(data.Interventions))
-	for target := range data.Interventions {
-		targets = append(targets, target)
-	}
-	sort.Strings(targets)
-	production, err := eval.CollectProduction(ctx, cfg, cfg.TestMultiplier, targets[0], chaos.Unavailable(), cf.seed+99)
-	if err != nil {
-		return err
-	}
-
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = core.DefaultAlpha
-	}
-	counts := []int{1}
-	if pool > 1 {
-		counts = append(counts, pool)
-	}
-	var serial, parallelWall map[string]float64
-	for _, w := range counts {
-		walls := make(map[string]float64, 3)
-
-		learner, err := core.NewLearner(core.WithAlpha(alpha), core.WithWorkers(w))
-		if err != nil {
-			return err
-		}
-		start := clock.Wall.Now()
-		model, err := learner.Learn(ctx, data.Baseline, data.Interventions)
-		if err != nil {
-			return err
-		}
-		walls["learn"] = float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3
-
-		localizer, err := core.NewLocalizer(core.WithWorkers(w))
-		if err != nil {
-			return err
-		}
-		start = clock.Wall.Now()
-		if _, err := localizer.Localize(ctx, model, production); err != nil {
-			return err
-		}
-		walls["localize"] = float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3
-
-		c := cfg
-		c.Workers = w
-		start = clock.Wall.Now()
-		if _, _, err := eval.Run(ctx, c); err != nil {
-			return err
-		}
-		walls["campaign"] = float64(clock.Wall.Now().Sub(start).Microseconds()) / 1e3
-
-		for _, stage := range []string{"learn", "localize", "campaign"} {
-			result.Entries = append(result.Entries, benchEntry{Stage: stage, Workers: w, WallMS: walls[stage]})
-		}
-		if w == 1 {
-			serial = walls
-		} else {
-			parallelWall = walls
-		}
-	}
-
-	if err := writeOutput(*out, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(result)
-	}); err != nil {
-		return err
-	}
-	for _, stage := range []string{"learn", "localize", "campaign"} {
-		line := fmt.Sprintf("%-8s serial %.1fms", stage, serial[stage])
-		if parallelWall != nil && parallelWall[stage] > 0 {
-			line += fmt.Sprintf("  workers=%d %.1fms  (%.2fx)", pool, parallelWall[stage], serial[stage]/parallelWall[stage])
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
-	return nil
-}
-
 func cmdReport(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "shortened collection windows")
 	seed := fs.Int64("seed", 42, "random seed")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	out := fs.String("out", "", "write the Markdown report to this file (default stdout)")
+	section := fs.String("section", "", "comma-separated section keys to run (default every section)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var keys []string
+	if *section != "" {
+		keys = strings.Split(*section, ",")
+	}
 	return writeOutput(*out, func(w io.Writer) error {
-		return report.Generate(ctx, eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}, w)
+		return report.Generate(ctx, eval.Options{Seed: *seed, Quick: *quick, Workers: *workers}, keys, w)
 	})
 }
 
-func cmdDiff(args []string) error {
+func cmdDiff(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	oldPath := fs.String("old", "", "previous model JSON")
 	newPath := fs.String("new", "", "current model JSON")

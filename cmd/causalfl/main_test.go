@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,12 +11,11 @@ import (
 
 func TestRunRejectsBadInvocations(t *testing.T) {
 	cases := [][]string{
-		nil,                         // no subcommand
-		{"frobnicate"},              // unknown subcommand
-		{"tables", "-table", "7"},   // unknown table
-		{"figures", "-fig", "9"},    // unknown figure
-		{"topology", "-app", "zzz"}, // unknown app
-		{"localize"},                // missing -model/-fault
+		nil,                            // no subcommand
+		{"frobnicate"},                 // unknown subcommand
+		{"report", "-section", "nope"}, // unknown report section
+		{"topology", "-app", "zzz"},    // unknown app
+		{"localize"},                   // missing -model/-fault
 		{"evaluate", "-app", "zzz"},
 		{"train", "-metrics", "nonsense"},
 		{"sweep", "-seeds", "0"},
@@ -26,6 +24,25 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(context.Background(), %v) accepted", args)
 		}
+	}
+}
+
+// TestRunListsLiveSubcommands pins that the retired experiment subcommands
+// are gone and that both dispatch errors list exactly the live ones.
+func TestRunListsLiveSubcommands(t *testing.T) {
+	live := strings.Join(commandNames(), ", ")
+	if err := run(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "("+live+")") {
+		t.Errorf("missing subcommand: %v, want the list %q", err, live)
+	}
+	for _, name := range []string{"tables", "figures", "compare", "extensions", "scale", "bench"} {
+		err := run(context.Background(), []string{name})
+		if err == nil || !strings.HasSuffix(err.Error(), "(want one of "+live+")") {
+			t.Errorf("%s: %v, want an unknown-subcommand error listing %q", name, err, live)
+		}
+	}
+	err := run(context.Background(), []string{"sweep", "-degraded"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -degraded") {
+		t.Errorf("sweep -degraded: %v, want an unknown-flag error", err)
 	}
 }
 
@@ -125,12 +142,22 @@ func TestLocalizeMissingInputs(t *testing.T) {
 	}
 }
 
-func TestCmdFiguresCausalSets(t *testing.T) {
+func TestCmdReportSectionCausalSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test skipped in -short mode")
 	}
-	if err := run(context.Background(), []string{"figures", "-fig", "causal-sets", "-quick"}); err != nil {
+	out := filepath.Join(t.TempDir(), "report.md")
+	if err := run(context.Background(), []string{"report", "-section", "causal-sets", "-quick", "-out", out}); err != nil {
 		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(blob)
+	if !strings.HasPrefix(doc, "# causalfl evaluation report") || strings.Count(doc, "\n## ") != 1 ||
+		!strings.Contains(doc, "\n## §VI-B — causal sets for an intervention on B\n") {
+		t.Fatalf("report -section causal-sets wrote:\n%s", doc)
 	}
 }
 
@@ -178,82 +205,5 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if serial != pooled {
 		t.Fatalf("sweep output differs between -workers=1 and -workers=8:\n--- serial ---\n%s\n--- pooled ---\n%s", serial, pooled)
-	}
-}
-
-// TestCmdBenchStreamDetectsFault runs the streaming sweep at two small
-// fleet sizes. The command fails unless the last hop's verdict voted and
-// named the injected fault, so this pins both that check and a fault
-// placement the guarded test can detect.
-func TestCmdBenchStreamDetectsFault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark sweep skipped in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "stream.json")
-	if err := run(context.Background(), []string{"bench", "-stream", "-services", "64,200", "-baseline", "24", "-workers", "1", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Entries []struct {
-			Engine   string `json:"engine"`
-			Services int    `json:"services"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatalf("bench JSON: %v", err)
-	}
-	streams := 0
-	for _, e := range doc.Entries {
-		if e.Engine == "stream" {
-			streams++
-		}
-	}
-	if streams != 2 {
-		t.Fatalf("bench JSON has %d stream entries, want one per fleet size", streams)
-	}
-}
-
-// TestCmdBenchWritesJSON smoke-tests the bench subcommand's JSON artifact.
-func TestCmdBenchWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test skipped in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(context.Background(), []string{"bench", "-quick", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		GOMAXPROCS int `json:"gomaxprocs"`
-		Entries    []struct {
-			Stage   string  `json:"stage"`
-			Workers int     `json:"workers"`
-			WallMS  float64 `json:"wall_ms"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatalf("bench JSON: %v", err)
-	}
-	if len(doc.Entries) < 3 {
-		t.Fatalf("bench JSON has %d entries, want at least learn/localize/campaign", len(doc.Entries))
-	}
-	stages := map[string]bool{}
-	for _, e := range doc.Entries {
-		stages[e.Stage] = true
-		if e.WallMS < 0 {
-			t.Fatalf("stage %s workers=%d has negative wall time", e.Stage, e.Workers)
-		}
-	}
-	for _, want := range []string{"learn", "localize", "campaign"} {
-		if !stages[want] {
-			t.Fatalf("bench JSON missing stage %q", want)
-		}
 	}
 }

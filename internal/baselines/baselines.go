@@ -88,17 +88,7 @@ func (p *Paper) Train(ctx context.Context, baseline *metrics.Snapshot, intervent
 	if err != nil {
 		return fmt.Errorf("baselines: %s: %w", p.Name(), err)
 	}
-	var opts []core.Option
-	if p.Alpha != 0 {
-		opts = append(opts, core.WithAlpha(p.Alpha))
-	}
-	if p.Test != nil {
-		opts = append(opts, core.WithTest(p.Test))
-	}
-	if p.FDR != 0 {
-		opts = append(opts, core.WithFDR(p.FDR))
-	}
-	learner, err := core.NewLearner(opts...)
+	learner, err := core.NewLearner(p.options()...)
 	if err != nil {
 		return err
 	}
@@ -106,19 +96,14 @@ func (p *Paper) Train(ctx context.Context, baseline *metrics.Snapshot, intervent
 	return err
 }
 
-// Localize implements Technique.
-func (p *Paper) Localize(ctx context.Context, production *metrics.Snapshot) ([]string, error) {
-	if p.model == nil {
-		return nil, fmt.Errorf("baselines: %s: Localize before Train", p.Name())
-	}
-	if p.MetricNames != nil {
-		var err error
-		production, err = production.Project(p.MetricNames)
-		if err != nil {
-			return nil, err
-		}
-	}
+// options assembles the core options the fields set. One list serves both
+// constructors: the learner ignores the vote rule, and the localizer's
+// alpha defaults to the model's, which is this alpha.
+func (p *Paper) options() []core.Option {
 	var opts []core.Option
+	if p.Alpha != 0 {
+		opts = append(opts, core.WithAlpha(p.Alpha))
+	}
 	if p.Rule != 0 {
 		opts = append(opts, core.WithVoteRule(p.Rule))
 	}
@@ -128,11 +113,31 @@ func (p *Paper) Localize(ctx context.Context, production *metrics.Snapshot) ([]s
 	if p.FDR != 0 {
 		opts = append(opts, core.WithFDR(p.FDR))
 	}
-	localizer, err := core.NewLocalizer(opts...)
+	return opts
+}
+
+// localize runs the trained model on production, projected to MetricNames.
+func (p *Paper) localize(ctx context.Context, production *metrics.Snapshot) (*core.Localization, error) {
+	if p.model == nil {
+		return nil, fmt.Errorf("baselines: %s: localize before Train", p.Name())
+	}
+	if p.MetricNames != nil {
+		var err error
+		production, err = production.Project(p.MetricNames)
+		if err != nil {
+			return nil, err
+		}
+	}
+	localizer, err := core.NewLocalizer(p.options()...)
 	if err != nil {
 		return nil, err
 	}
-	loc, err := localizer.Localize(ctx, p.model, production)
+	return localizer.Localize(ctx, p.model, production)
+}
+
+// Localize implements Technique.
+func (p *Paper) Localize(ctx context.Context, production *metrics.Snapshot) ([]string, error) {
+	loc, err := p.localize(ctx, production)
 	if err != nil {
 		return nil, err
 	}
@@ -142,31 +147,7 @@ func (p *Paper) Localize(ctx context.Context, production *metrics.Snapshot) ([]s
 // LocalizeRanked implements RankedTechnique: targets ordered by the
 // localizer's vote mass.
 func (p *Paper) LocalizeRanked(ctx context.Context, production *metrics.Snapshot) ([]Scored, error) {
-	if p.model == nil {
-		return nil, fmt.Errorf("baselines: %s: LocalizeRanked before Train", p.Name())
-	}
-	if p.MetricNames != nil {
-		var err error
-		production, err = production.Project(p.MetricNames)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var opts []core.Option
-	if p.Rule != 0 {
-		opts = append(opts, core.WithVoteRule(p.Rule))
-	}
-	if p.Test != nil {
-		opts = append(opts, core.WithTest(p.Test))
-	}
-	if p.FDR != 0 {
-		opts = append(opts, core.WithFDR(p.FDR))
-	}
-	localizer, err := core.NewLocalizer(opts...)
-	if err != nil {
-		return nil, err
-	}
-	loc, err := localizer.Localize(ctx, p.model, production)
+	loc, err := p.localize(ctx, production)
 	if err != nil {
 		return nil, err
 	}

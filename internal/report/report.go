@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"causalfl/internal/apps/causalbench"
@@ -19,6 +20,8 @@ import (
 
 // Section is one named experiment in the report.
 type Section struct {
+	// Key selects the section on the command line (`report -section`).
+	Key string
 	// Title is the Markdown heading.
 	Title string
 	// Run produces the section body (the experiment's String output).
@@ -28,64 +31,64 @@ type Section struct {
 // Sections returns the full evaluation in presentation order.
 func Sections() []Section {
 	return []Section{
-		{"Table I — accuracy and informativeness", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"table1", "Table I — accuracy and informativeness", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunTableI(ctx, o)
 		}},
-		{"Table II — metric sets under load drift", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"table2", "Table II — metric sets under load drift", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunTableII(ctx, o)
 		}},
-		{"Fig. 1 — metric-dependent causal worlds", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"fig1", "Fig. 1 — metric-dependent causal worlds", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFig1(ctx, o)
 		}},
-		{"Fig. 2 — the load confounder", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"fig2", "Fig. 2 — the load confounder", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFig2(ctx, o)
 		}},
-		{"§VI-B — causal sets for an intervention on B", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"causal-sets", "§VI-B — causal sets for an intervention on B", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunCausalSetsExample(ctx, o)
 		}},
-		{"§III-B — logging discipline changes the causal world", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"logging", "§III-B — logging discipline changes the causal world", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunLoggingDiscipline(ctx, o)
 		}},
-		{"Baseline comparison — CausalBench", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"compare-causalbench", "Baseline comparison — CausalBench", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunBaselineComparison(ctx, o, causalbench.Build, causalbench.Name)
 		}},
-		{"Baseline comparison — Robot-shop", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"compare-robotshop", "Baseline comparison — Robot-shop", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunBaselineComparison(ctx, o, robotshop.Build, robotshop.Name)
 		}},
-		{"Extension — fault-type generalization", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"fault-types", "Extension — fault-type generalization", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFaultTypeExtension(ctx, o)
 		}},
-		{"Extension — concurrent faults", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"multi-fault", "Extension — concurrent faults", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunMultiFaultExtension(ctx, o)
 		}},
-		{"Extension — tracing comparison", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"tracing", "Extension — tracing comparison", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunTraceComparison(ctx, o)
 		}},
-		{"Extension — nonstationary load", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"nonstationary", "Extension — nonstationary load", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunNonstationaryExtension(ctx, o)
 		}},
-		{"Extension — noisy-neighbor interference", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"interference", "Extension — noisy-neighbor interference", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunInterferenceExtension(ctx, o)
 		}},
-		{"Extension — contaminated baseline", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"contamination", "Extension — contaminated baseline", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunContaminationExtension(ctx, o)
 		}},
-		{"Extension — training budget", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"budget", "Extension — training budget", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunBudgetExtension(ctx, o)
 		}},
-		{"Extension — scalability", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"scalability", "Extension — scalability", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunScalabilityExtension(ctx, o)
 		}},
-		{"Extension — degraded telemetry (CausalBench)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"degraded-causalbench", "Extension — degraded telemetry (CausalBench)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunDegradationSweep(ctx, o, causalbench.Build, causalbench.Name, nil)
 		}},
-		{"Extension — degraded telemetry (Robot-shop)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"degraded-robotshop", "Extension — degraded telemetry (Robot-shop)", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunDegradationSweep(ctx, o, robotshop.Build, robotshop.Name, nil)
 		}},
-		{"Extension — counterfactual repair", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"repair", "Extension — counterfactual repair", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunRepairExtension(ctx, o)
 		}},
-		{"Extension — baseline arena", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
+		{"arena", "Extension — baseline arena", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			// The arena keeps its virtual per-cell clock (Clock nil) so the
 			// section body is byte-stable across regenerations; the section's
 			// own wall timing below still reports the host cost.
@@ -98,12 +101,17 @@ func Sections() []Section {
 	}
 }
 
-// Generate runs every section and writes the Markdown document. Sections are
-// independent deterministic simulations, so they shard across the worker
-// pool (bounded by o.Workers, or GOMAXPROCS when zero) and are written in
-// presentation order; the output is byte-identical to a sequential run.
-// Section failures abort: a partial evaluation is worse than a loud error.
-func Generate(ctx context.Context, o eval.Options, w io.Writer) error {
+// Generate runs the sections named by keys (every section when keys is
+// empty) and writes the Markdown document: the header, then the sections in
+// presentation order. Sections are independent deterministic simulations, so
+// they shard across the worker pool (bounded by o.Workers, or GOMAXPROCS
+// when zero); the output is byte-identical to a sequential run. Section
+// failures abort: a partial evaluation is worse than a loud error.
+func Generate(ctx context.Context, o eval.Options, keys []string, w io.Writer) error {
+	sections, err := selectSections(keys)
+	if err != nil {
+		return err
+	}
 	mode := "paper-length (10-minute collection periods)"
 	if o.Quick {
 		mode = "abbreviated (2.5-minute collection periods)"
@@ -112,16 +120,18 @@ func Generate(ctx context.Context, o eval.Options, w io.Writer) error {
 		return fmt.Errorf("report: %w", err)
 	}
 
-	sections := Sections()
 	type outcome struct {
 		result fmt.Stringer
 		wall   time.Duration
 	}
 	clk := o.WallClock()
-	// Each section keeps its internal pools serial (Workers: 1): the
-	// section fan-out already owns the pool, and nesting would oversubscribe.
+	// With several sections, each keeps its internal pools serial
+	// (Workers: 1): the section fan-out already owns the pool, and nesting
+	// would oversubscribe. A single section gets the whole pool.
 	inner := o
-	inner.Workers = 1
+	if len(sections) > 1 {
+		inner.Workers = 1
+	}
 	outcomes, err := parallel.Map(ctx, o.Workers, len(sections), func(ctx context.Context, idx int) (outcome, error) {
 		start := clk.Now()
 		result, err := sections[idx].Run(ctx, inner)
@@ -141,6 +151,34 @@ func Generate(ctx context.Context, o eval.Options, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// selectSections returns the sections named by keys in presentation order,
+// or every section when keys is empty.
+func selectSections(keys []string) ([]Section, error) {
+	all := Sections()
+	if len(keys) == 0 {
+		return all, nil
+	}
+	want := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		want[k] = true
+	}
+	var selected []Section
+	valid := make([]string, len(all))
+	for i, s := range all {
+		valid[i] = s.Key
+		if want[s.Key] {
+			selected = append(selected, s)
+			delete(want, s.Key)
+		}
+	}
+	for _, k := range keys {
+		if want[k] {
+			return nil, fmt.Errorf("report: unknown section %q (want one of %s)", k, strings.Join(valid, ", "))
+		}
+	}
+	return selected, nil
 }
 
 // effectiveSeed mirrors Options.Apply's default.

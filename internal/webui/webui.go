@@ -9,11 +9,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
 
 	"causalfl/internal/core"
 	"causalfl/internal/metrics"
 )
+
+// maxBodyBytes caps a /localize body, the same cap serve puts on its
+// request bodies.
+const maxBodyBytes = 8 << 20
 
 // Server serves one trained model.
 type Server struct {
@@ -140,8 +145,14 @@ type localizeResponse struct {
 
 // handleLocalize runs Algorithm 2 on a posted snapshot.
 func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
+	// The body is one JSON value of at most maxBodyBytes: json.Unmarshal
+	// refuses trailing data, which a streaming Decode would ignore.
 	var snap metrics.Snapshot
-	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &snap)
+	}
+	if err != nil {
 		jsonError(w, fmt.Sprintf("decode snapshot: %v", err), http.StatusBadRequest)
 		return
 	}

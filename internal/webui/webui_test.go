@@ -16,7 +16,7 @@ import (
 
 // trainedModel builds a small model over services {x, y} where a fault in x
 // shifts metric m on both.
-func trainedModel(t *testing.T) (*core.Model, *metrics.Snapshot) {
+func trainedModel(t testing.TB) (*core.Model, *metrics.Snapshot) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	mk := func(shift bool) *metrics.Snapshot {
@@ -132,7 +132,7 @@ func TestLocalizeEndpoint(t *testing.T) {
 }
 
 func TestLocalizeRejectsBadRequests(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, production := newTestServer(t)
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/localize", nil))
@@ -166,6 +166,34 @@ func TestLocalizeRejectsBadRequests(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("metric-mismatched snapshot = %d, want 422", rec.Code)
 	}
+
+	// The body is one JSON value: a valid snapshot followed by anything but
+	// whitespace is refused.
+	valid, err := json.Marshal(production)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/localize", bytes.NewReader(append(valid, "{}"...))))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("snapshot with trailing data = %d, want 400", rec.Code)
+	}
+
+	// A valid snapshot padded with whitespace past the cap is refused too.
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/localize", bytes.NewReader(overCap(valid))))
+	if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body over the cap = %d, want 400 or 413", rec.Code)
+	}
+}
+
+// overCap pads body with whitespace, harmless on its own, to one byte over
+// the request body cap.
+func overCap(body []byte) []byte {
+	if len(body) > maxBodyBytes {
+		return body
+	}
+	return append(body[:len(body):len(body)], bytes.Repeat([]byte{' '}, maxBodyBytes+1-len(body))...)
 }
 
 func TestHealthz(t *testing.T) {
@@ -274,4 +302,82 @@ func TestDashboardPage(t *testing.T) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
+}
+
+// FuzzLocalizeHandler posts arbitrary bodies to /localize. Whatever the body,
+// the status is 200, 400, 413 or 422; every refusal is a JSON error payload;
+// and a 200 answer is exactly what the localizer returns when run directly
+// on the decoded snapshot.
+func FuzzLocalizeHandler(f *testing.F) {
+	model, production := trainedModel(f)
+	s, err := NewServer(model)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(production)
+	if err != nil {
+		f.Fatal(err)
+	}
+	partial := production.Clone()
+	delete(partial.Data["m"], "y")
+	wrong := metrics.NewSnapshot([]string{"other"}, []string{"x", "y"})
+	wrong.Data["other"]["x"] = []float64{1, 2}
+	wrong.Data["other"]["y"] = []float64{1, 2}
+	for _, snap := range []*metrics.Snapshot{production, partial, wrong, metrics.NewSnapshot([]string{"m"}, []string{"x", "y"})} {
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob, false)
+	}
+	f.Add(valid, true)
+	f.Add(append(append([]byte(nil), valid...), "{}"...), false)
+	f.Add(append(append([]byte(nil), valid...), " \n"...), false)
+	f.Add([]byte("{"), false)
+	f.Add([]byte(`{"metrics":[],"services":[],"data":{}}`), false)
+	f.Add([]byte(`{"metrics":["m"],"services":["x","y"],"data":{"m":{"x":[1,2,3],"y":[NaN]}}}`), false)
+	f.Add([]byte(nil), false)
+
+	localizer, err := core.NewLocalizer()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, pad bool) {
+		if pad {
+			body = overCap(body)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/localize", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			var payload map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil || payload["error"] == nil {
+				t.Fatalf("body %q: %d answer %q is not a JSON error payload (%v)", body, rec.Code, rec.Body, err)
+			}
+			return
+		default:
+			t.Fatalf("body %q: status %d", body, rec.Code)
+		}
+		var snap metrics.Snapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("body %q answered 200 but does not decode: %v", body, err)
+		}
+		loc, err := localizer.Localize(context.Background(), model, &snap)
+		if err != nil {
+			t.Fatalf("body %q answered 200 but Localize fails: %v", body, err)
+		}
+		want, err := json.Marshal(localizeResponse{
+			Candidates: loc.Candidates,
+			Abstained:  loc.Abstained,
+			Votes:      loc.Votes,
+			Anomalies:  loc.Anomalies,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
+			t.Fatalf("body %q:\nhandler  %s\nlocalize %s", body, got, want)
+		}
+	})
 }
