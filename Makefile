@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTopology -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run xxx -fuzz FuzzCallGraph -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run xxx -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -run xxx -fuzz FuzzDetectorMatchesBatch -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run xxx -fuzz FuzzReadModel -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzReadReport -fuzztime $(FUZZTIME) ./internal/repair
 	$(GO) test -run xxx -fuzz FuzzReadArenaReport -fuzztime $(FUZZTIME) ./internal/arena

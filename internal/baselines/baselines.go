@@ -320,7 +320,7 @@ func jointAnomalies(ctx context.Context, alpha float64, baseline, production *me
 // anomalyCounts returns, per service, how many metrics flag it anomalous
 // against the baseline. Services no metric flags are absent.
 func anomalyCounts(ctx context.Context, alpha float64, baseline, production *metrics.Snapshot) (map[string]int, error) {
-	cfg := core.DetectConfig{Test: defaultTest(), Alpha: alpha}
+	cfg := core.DetectConfig{Alpha: alpha}
 	out := make(map[string]int)
 	for _, metric := range baseline.Metrics {
 		det, err := core.Detect(ctx, cfg, baseline, production, metric)

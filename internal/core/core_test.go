@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"causalfl/internal/metrics"
@@ -397,6 +400,58 @@ func TestModelValidateCatchesMissingSelf(t *testing.T) {
 	model.CausalSets["m1"]["a"] = []string{"b"} // drop the self-inclusion
 	if err := model.Validate(); err == nil {
 		t.Error("Validate accepted causal set missing the injected service")
+	}
+}
+
+// TestModelValidateCatchesDuplicateMember pins that a causal set listing a
+// service twice is refused at load: the vote's union arithmetic counts
+// members, so Localize could not serve such a model.
+func TestModelValidateCatchesDuplicateMember(t *testing.T) {
+	f := newFixture()
+	model := f.trainModel(t)
+	model.CausalSets["m1"]["a"] = []string{"a", "b", "b"}
+	if err := model.Validate(); err == nil || !strings.Contains(err.Error(), `lists service "b" twice`) {
+		t.Fatalf("Validate on a duplicated member: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := model.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadModel(&buf); err == nil {
+		t.Error("ReadModel accepted a duplicated causal-set member")
+	}
+}
+
+// TestDetectDropsNonFinite pins the one non-finite rule: a NaN or ±Inf
+// production value is dropped before the test in strict mode as in tolerant
+// mode, and a strict pair left with no finite value fails.
+func TestDetectDropsNonFinite(t *testing.T) {
+	f := newFixture()
+	baseline := f.snapshot(nil)
+	noisy := f.snapshot(map[string]map[string]bool{"m1": {"b": true}})
+	finite := metrics.NewSnapshot(f.metrics, f.services)
+	for i, svc := range f.services {
+		s := noisy.Data["m1"][svc]
+		finite.Data["m1"][svc] = append([]float64(nil), s[1:]...)
+		s[0] = []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[i%3]
+	}
+	for _, cfg := range []DetectConfig{{Alpha: 0.05}, {FDR: 0.10}, {Alpha: 0.05, Tolerant: true}} {
+		want, err := Detect(context.Background(), cfg, baseline, finite, "m1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Detect(context.Background(), cfg, baseline, noisy, "m1")
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: with non-finite values %+v, without %+v", cfg, got, want)
+		}
+	}
+	noisy.Data["m1"]["c"] = []float64{math.NaN(), math.Inf(1)}
+	_, err := Detect(context.Background(), DetectConfig{Alpha: 0.05}, baseline, noisy, "m1")
+	if want := "core: anomaly test m1 on c: no finite production value"; err == nil || err.Error() != want {
+		t.Fatalf("strict all-non-finite pair: %v, want %q", err, want)
 	}
 }
 

@@ -3,15 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"causalfl/internal/metrics"
-	"causalfl/internal/parallel"
 	"causalfl/internal/stats"
 )
 
 // DetectConfig configures one Detect call. The zero value is usable: guarded
 // KS test, DefaultAlpha, per-test thresholds (no FDR control), strict
-// completeness, serial execution.
+// completeness.
 type DetectConfig struct {
 	// Test is the two-sample test; nil selects the library default (a KS
 	// test wrapped in the practical-equivalence guard).
@@ -29,14 +29,9 @@ type DetectConfig struct {
 	// Tolerant selects degraded-telemetry semantics: (metric, service)
 	// pairs that are missing on either side, or too short after dropping
 	// non-finite production values, are skipped instead of failing the
-	// call. Strict mode errors on the first missing pair.
+	// call. Strict mode errors on the first missing pair and on the first
+	// pair left with no finite production value.
 	Tolerant bool
-	// Workers bounds the fan-out of the per-service tests. Zero or one runs
-	// serially — detection families are small, and callers that already fan
-	// out per metric (the localizer) must not nest pools. The family
-	// decision is always made once over the complete family, whatever the
-	// worker count, so FDR semantics do not depend on parallelism.
-	Workers int
 }
 
 // Detection is the outcome of one Detect call over a single metric.
@@ -52,9 +47,15 @@ type Detection struct {
 // Detect computes the anomalous set A(metric) by comparing each service's
 // production series against its baseline series (Algorithm 2 lines 8–13). It
 // is the single detection entry point shared by the localizer, the baseline
-// techniques, and the figure experiments; the per-test-versus-FDR choice,
-// strict-versus-tolerant completeness, and parallelism are all DetectConfig
-// fields rather than separate functions.
+// techniques, and the figure experiments; the per-test-versus-FDR choice and
+// strict-versus-tolerant completeness are DetectConfig fields rather than
+// separate functions. The tests run serially: callers fan out per metric.
+//
+// A NaN or ±Inf production value is dropped before any test, in both
+// completeness modes — the streaming detector (internal/stream) never
+// indexes one either, so the two agree on every window. Strict mode still
+// fails on a pair missing from either snapshot and on a pair whose
+// production series holds no finite value.
 func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics.Snapshot, metric string) (*Detection, error) {
 	if baseline == nil {
 		return nil, fmt.Errorf("core: detect: nil baseline snapshot")
@@ -78,8 +79,8 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 		minSamples = DefaultMinSamples
 	}
 
-	// Assemble the testable family serially — cheap map lookups whose skip
-	// decisions must not depend on scheduling — then fan the p-values out.
+	// Assemble the family first, so a strict completeness error is reported
+	// ahead of any test error, then test it in baseline service order.
 	type pair struct{ prod, base []float64 }
 	var family []string
 	var pairs []pair
@@ -104,28 +105,29 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 			if prod, err = production.Series(metric, svc); err != nil {
 				return nil, err
 			}
+			prod = finiteValues(prod)
 		}
 		family = append(family, svc)
 		pairs = append(pairs, pair{prod: prod, base: base})
 	}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	pvals, err := parallel.Map(ctx, workers, len(family), func(_ context.Context, i int) (float64, error) {
-		p, err := test.PValue(pairs[i].prod, pairs[i].base)
-		if err != nil {
-			return 0, fmt.Errorf("core: anomaly test %s on %s: %w", metric, family[i], err)
+	pvals := make([]float64, len(family))
+	for i, pr := range pairs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
+		if len(pr.prod) == 0 {
+			return nil, fmt.Errorf("core: anomaly test %s on %s: no finite production value", metric, family[i])
+		}
+		p, err := test.PValue(pr.prod, pr.base)
+		if err != nil {
+			return nil, fmt.Errorf("core: anomaly test %s on %s: %w", metric, family[i], err)
+		}
+		pvals[i] = p
 	}
 
-	// The family decision runs once over every p-value — never per shard —
-	// so Benjamini-Hochberg sees the same family a serial loop would.
+	// The family decision runs once over every p-value, so
+	// Benjamini-Hochberg sees the whole metric's family.
 	shifted, err := DecideFamily(pvals, alpha, cfg.FDR)
 	if err != nil {
 		return nil, fmt.Errorf("core: anomalies: %w", err)
@@ -137,6 +139,28 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 		}
 	}
 	return &Detection{Anomalous: sortedSet(set), Tested: len(family)}, nil
+}
+
+// finiteValues returns the finite entries of s. When every entry is finite —
+// the steady-state case — it returns s itself without allocating.
+func finiteValues(s []float64) []float64 {
+	clean := true
+	for _, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return s
+	}
+	out := make([]float64, 0, len(s))
+	for _, v := range s {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // DecideFamily turns a family of p-values into rejection decisions, either

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzReadModel hardens the model parser against corrupt or hostile input:
-// it must either return an error or a model that passes Validate — never
-// panic, never return an inconsistent model.
+// it must either return an error or a model that passes Validate and that
+// the vote can index — never panic, never return a model Localize cannot
+// serve.
 func FuzzReadModel(f *testing.F) {
 	// Seed with a real model.
 	valid := `{
@@ -26,6 +27,7 @@ func FuzzReadModel(f *testing.F) {
 	f.Add(`[1,2,3]`)
 	f.Add(strings.Replace(valid, `"a", "b"`, `"a"`, 1))
 	f.Add(strings.Replace(valid, `0.05`, `7`, 1))
+	f.Add(strings.Replace(valid, `["a", "b"]}}`, `["a", "b", "b"]}}`, 1))
 	f.Fuzz(func(t *testing.T, raw string) {
 		model, err := ReadModel(bytes.NewBufferString(raw))
 		if err != nil {
@@ -36,6 +38,9 @@ func FuzzReadModel(f *testing.F) {
 		}
 		if err := model.Validate(); err != nil {
 			t.Fatalf("ReadModel returned invalid model: %v", err)
+		}
+		if _, err := NewCausalIndex(model); err != nil {
+			t.Fatalf("ReadModel returned a model the vote cannot index: %v", err)
 		}
 	})
 }

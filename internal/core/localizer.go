@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"causalfl/internal/metrics"
@@ -63,20 +62,6 @@ func NewLocalizer(opts ...Option) (*Localizer, error) {
 	return &Localizer{settings: s}, nil
 }
 
-// detectConfig builds the per-metric Detect configuration. Workers stays 1:
-// the localizer fans out across metrics, and nesting a second pool inside
-// each metric would oversubscribe the scheduler without adding parallelism.
-func (lo *Localizer) detectConfig(alpha float64) DetectConfig {
-	return DetectConfig{
-		Test:       lo.test,
-		Alpha:      alpha,
-		FDR:        lo.fdrQ,
-		MinSamples: lo.minSamples,
-		Tolerant:   true,
-		Workers:    1,
-	}
-}
-
 // Localization is the output of Algorithm 2.
 type Localization struct {
 	// Candidates is the estimated fault-location set: every service tied
@@ -115,33 +100,15 @@ type Localization struct {
 // the coverage evidence attached — never an error or panic. On a clean
 // full-grid snapshot the result is identical to strict localization.
 //
-// Anomaly detection fans out per metric across the localizer's worker pool;
-// each metric is one complete p-value family decided inside its worker, and
-// the vote aggregation runs serially over the metrics in model order, so the
-// result is byte-identical at every worker count.
+// Anomaly detection fans out per metric across the localizer's worker pool
+// (detectAll); the vote then runs serially over the metrics in model order,
+// so the result is byte-identical at every worker count.
 func (lo *Localizer) Localize(ctx context.Context, model *Model, production *metrics.Snapshot) (*Localization, error) {
-	if model == nil {
-		return nil, fmt.Errorf("core: localize: nil model")
-	}
-	if err := model.Validate(); err != nil {
-		return nil, fmt.Errorf("core: localize: %w", err)
-	}
-	if production == nil {
-		return nil, fmt.Errorf("core: localize: nil production snapshot")
-	}
-	alpha := lo.alpha
-	if alpha == 0 {
-		alpha = model.Alpha
-	}
-
-	cfg := lo.detectConfig(alpha)
-	detections, err := parallel.Map(ctx, lo.workers, len(model.Metrics), func(ctx context.Context, i int) (*Detection, error) {
-		return Detect(ctx, cfg, model.Baseline, production, model.Metrics[i])
-	})
+	detections, err := lo.detectAll(ctx, "localize", model, production)
 	if err != nil {
 		return nil, err
 	}
-	out, err := lo.Aggregate(model, detections)
+	out, err := lo.AggregateIndexed(buildCausalIndex(model), detections)
 	if err != nil {
 		return nil, err
 	}
@@ -149,27 +116,50 @@ func (lo *Localizer) Localize(ctx context.Context, model *Model, production *met
 	return out, nil
 }
 
-// Aggregate is the vote phase of Algorithm 2, split from anomaly detection:
-// it turns one Detection per model metric (aligned with model.Metrics by
-// index) into a Localization. Localize feeds it the batch detections; the
-// streaming engine (internal/stream) feeds it per-hop incremental detections,
-// so a streaming verdict and a batch localization over the same anomaly
-// evidence are the same computation. The Degradation field is left nil —
-// it describes a production snapshot, which Aggregate never sees.
-func (lo *Localizer) Aggregate(model *Model, detections []*Detection) (*Localization, error) {
-	return lo.aggregate(model, nil, detections)
+// detectAll is the detection half shared by Localize and LocalizeMulti: it
+// validates the model, falls back to the model's alpha, and runs one
+// tolerant Detect per model metric across the worker pool. Each metric is a
+// complete p-value family decided inside its worker, and the results come
+// back in model order, so they are byte-identical at every worker count.
+func (lo *Localizer) detectAll(ctx context.Context, op string, model *Model, production *metrics.Snapshot) ([]*Detection, error) {
+	if model == nil {
+		return nil, fmt.Errorf("core: %s: nil model", op)
+	}
+	if err := model.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", op, err)
+	}
+	if production == nil {
+		return nil, fmt.Errorf("core: %s: nil production snapshot", op)
+	}
+	cfg := DetectConfig{
+		Test:       lo.test,
+		Alpha:      lo.alpha,
+		FDR:        lo.fdrQ,
+		MinSamples: lo.minSamples,
+		Tolerant:   true,
+	}
+	if cfg.Alpha == 0 {
+		cfg.Alpha = model.Alpha
+	}
+	return parallel.Map(ctx, lo.workers, len(model.Metrics), func(ctx context.Context, i int) (*Detection, error) {
+		return Detect(ctx, cfg, model.Baseline, production, model.Metrics[i])
+	})
 }
 
-// aggregate is the shared vote loop behind Aggregate (dense, idx nil) and
-// AggregateIndexed (sparse, idx non-nil). The two paths differ only in how a
-// metric's argmax is computed: the dense loop scores every trained target,
-// the sparse one scores only targets whose causal set intersects the anomaly
-// set — every skipped target scores zero and zero never wins, so the results
-// are identical (TestAggregateIndexedMatchesDense pins this).
-func (lo *Localizer) aggregate(model *Model, idx *CausalIndex, detections []*Detection) (*Localization, error) {
-	if model == nil {
-		return nil, fmt.Errorf("core: aggregate: nil model")
+// AggregateIndexed is the vote phase of Algorithm 2, split from anomaly
+// detection: it turns one Detection per model metric (aligned with the
+// indexed model's Metrics by index) into a Localization, scoring each metric
+// over the causal index at a cost proportional to the anomaly evidence
+// rather than the deployment width. Localize feeds it the batch detections;
+// the streaming engine (internal/stream) feeds it per-hop incremental
+// detections, so a streaming verdict and a batch localization over the same
+// anomaly evidence are the same computation. The Degradation field is left
+// nil — it describes a production snapshot, which the vote never sees.
+func (lo *Localizer) AggregateIndexed(idx *CausalIndex, detections []*Detection) (*Localization, error) {
+	if idx == nil {
+		return nil, fmt.Errorf("core: aggregate: nil causal index")
 	}
+	model := idx.model
 	if len(detections) != len(model.Metrics) {
 		return nil, fmt.Errorf("core: aggregate: %d detections for %d model metrics", len(detections), len(model.Metrics))
 	}
@@ -178,15 +168,11 @@ func (lo *Localizer) aggregate(model *Model, idx *CausalIndex, detections []*Det
 			return nil, fmt.Errorf("core: aggregate: nil detection for metric %q", model.Metrics[i])
 		}
 	}
-	// The sparse path sizes the vote map for the handful of winners a hop
-	// produces, not the full target universe — at 4096 targets the dense
-	// hint alone would dominate a steady-state hop's allocations.
-	voteHint := len(model.Targets)
-	if idx != nil {
-		voteHint = 8
-	}
 	out := &Localization{
-		Votes:          make(map[string]float64, voteHint),
+		// Sized for the handful of winners a hop produces, not the target
+		// universe: at 4096 targets a full-size hint would dominate a
+		// steady-state hop's allocations.
+		Votes:          make(map[string]float64, 8),
 		Anomalies:      make(map[string][]string, len(model.Metrics)),
 		MetricWinners:  make(map[string][]string, len(model.Metrics)),
 		MetricCoverage: make(map[string]float64, len(model.Metrics)),
@@ -213,40 +199,7 @@ func (lo *Localizer) aggregate(model *Model, idx *CausalIndex, detections []*Det
 			continue
 		}
 		// s* = argmax_s score(A(M), C(s, M)) over trained targets.
-		var (
-			best    float64
-			winners []string
-		)
-		if idx != nil {
-			best, winners = idx.score(lo.rule, metric, anom)
-		} else {
-			anomSet := make(map[string]bool, len(anom))
-			for _, s := range anom {
-				anomSet[s] = true
-			}
-			best = -1.0
-			for _, target := range model.Targets {
-				set := model.CausalSets[metric][target]
-				var score float64
-				switch lo.rule {
-				case JaccardVote:
-					u := unionSize(set, anomSet)
-					if u > 0 {
-						score = float64(intersectionSize(set, anomSet)) / float64(u)
-					}
-				default:
-					score = float64(intersectionSize(set, anomSet))
-				}
-				switch {
-				case score > best:
-					best = score
-					winners = []string{target}
-				//vet:allow floateq -- tied targets compute the same integer ratio; exact tie detection is the vote-splitting rule
-				case score == best:
-					winners = append(winners, target)
-				}
-			}
-		}
+		best, winners := idx.score(lo.rule, metric, anom)
 		if best <= 0 {
 			// The anomalies match no learned world at all.
 			continue
@@ -273,36 +226,9 @@ func (lo *Localizer) aggregate(model *Model, idx *CausalIndex, detections []*Det
 	out.Candidates = argmaxVotes(out.Votes)
 	if len(out.Candidates) == 0 {
 		// No metric voted: return the uninformative full candidate set.
-		if idx != nil {
-			out.Candidates = append([]string(nil), idx.sortedTargets...)
-		} else {
-			out.Candidates = append([]string(nil), model.Targets...)
-			sort.Strings(out.Candidates)
-		}
+		out.Candidates = append([]string(nil), idx.sortedTargets...)
 	}
 	return out, nil
-}
-
-// finiteValues returns the finite entries of s. When every entry is finite —
-// the steady-state case — it returns s itself without allocating.
-func finiteValues(s []float64) []float64 {
-	clean := true
-	for _, v := range s {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return s
-	}
-	out := make([]float64, 0, len(s))
-	for _, v := range s {
-		if !math.IsNaN(v) && !math.IsInf(v, 0) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // mostParsimonious shrinks a tied winner list to the targets with the
@@ -350,28 +276,10 @@ func (lo *Localizer) LocalizeMulti(ctx context.Context, model *Model, production
 	if k <= 0 {
 		return nil, fmt.Errorf("core: localize-multi needs k >= 1, got %d", k)
 	}
-	if model == nil {
-		return nil, fmt.Errorf("core: localize-multi: nil model")
-	}
-	if err := model.Validate(); err != nil {
-		return nil, fmt.Errorf("core: localize-multi: %w", err)
-	}
-	if production == nil {
-		return nil, fmt.Errorf("core: localize-multi: nil production snapshot")
-	}
-	alpha := lo.alpha
-	if alpha == 0 {
-		alpha = model.Alpha
-	}
-
-	// Anomalies per metric, computed once (fanned out across the worker
-	// pool) and consumed round by round. The tolerant path skips untestable
-	// pairs, so degraded production snapshots narrow the anomaly evidence
-	// instead of erroring.
-	cfg := lo.detectConfig(alpha)
-	detections, err := parallel.Map(ctx, lo.workers, len(model.Metrics), func(ctx context.Context, i int) (*Detection, error) {
-		return Detect(ctx, cfg, model.Baseline, production, model.Metrics[i])
-	})
+	// Anomalies per metric, computed once and consumed round by round. The
+	// tolerant path skips untestable pairs, so degraded production
+	// snapshots narrow the anomaly evidence instead of erroring.
+	detections, err := lo.detectAll(ctx, "localize-multi", model, production)
 	if err != nil {
 		return nil, err
 	}

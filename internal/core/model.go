@@ -59,7 +59,9 @@ func (m *Model) CausalSet(metric, target string) ([]string, error) {
 	return append([]string(nil), set...), nil
 }
 
-// Validate checks structural consistency of the model.
+// Validate checks structural consistency of the model: every metric holds a
+// duplicate-free causal set per trained target, over known services and
+// containing the target itself.
 func (m *Model) Validate() error {
 	if len(m.Services) == 0 {
 		return fmt.Errorf("core: model has no services")
@@ -80,6 +82,7 @@ func (m *Model) Validate() error {
 	for _, s := range m.Services {
 		known[s] = true
 	}
+	seen := make(map[string]bool)
 	for _, metric := range m.Metrics {
 		byTarget, ok := m.CausalSets[metric]
 		if !ok {
@@ -91,10 +94,17 @@ func (m *Model) Validate() error {
 				return fmt.Errorf("core: metric %q missing causal set for target %q", metric, target)
 			}
 			selfIncluded := false
+			clear(seen)
 			for _, svc := range set {
 				if !known[svc] {
 					return fmt.Errorf("core: causal set C(%s,%s) contains unknown service %q", target, metric, svc)
 				}
+				// The vote's Jaccard union arithmetic counts members, so
+				// a repeated one would inflate |C|.
+				if seen[svc] {
+					return fmt.Errorf("core: causal set C(%s,%s) lists service %q twice", target, metric, svc)
+				}
+				seen[svc] = true
 				if svc == target {
 					selfIncluded = true
 				}
@@ -168,18 +178,4 @@ func intersectionSize(a []string, b map[string]bool) int {
 		}
 	}
 	return n
-}
-
-// unionSize counts |a ∪ b|.
-func unionSize(a []string, b map[string]bool) int {
-	seen := make(map[string]bool, len(a)+len(b))
-	for _, s := range a {
-		seen[s] = true
-	}
-	for s, in := range b {
-		if in {
-			seen[s] = true
-		}
-	}
-	return len(seen)
 }

@@ -8,7 +8,7 @@ import (
 // CausalIndex is the sparse vote-time representation of a model's causal
 // sets: an inverted index mapping, per metric, each service to the (sorted)
 // positions of the targets whose causal world contains it, plus the exact
-// size of every causal set. Built once per model, it lets the vote phase
+// size of every causal set. Built from one model, it lets the vote phase
 // score a metric in O(Σ_{s∈A} |postings(s)|) — the services with observed
 // shifts — instead of walking the dense target × service matrix, which is
 // what keeps a steady-state streaming hop flat as deployments grow to
@@ -29,10 +29,9 @@ type CausalIndex struct {
 	sortedTargets []string
 }
 
-// NewCausalIndex builds the inverted index for model. The model is validated
-// and must have duplicate-free causal sets (Learn emits sorted sets, which
-// are): a duplicated member would make the index's size-based union
-// arithmetic diverge from the dense reference, so it is rejected loudly.
+// NewCausalIndex validates model and builds its inverted index. Validate
+// guarantees duplicate-free causal sets, which the index's size-based union
+// arithmetic relies on.
 func NewCausalIndex(model *Model) (*CausalIndex, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: causal index: nil model")
@@ -40,6 +39,12 @@ func NewCausalIndex(model *Model) (*CausalIndex, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: causal index: %w", err)
 	}
+	return buildCausalIndex(model), nil
+}
+
+// buildCausalIndex builds the inverted index of a model that already passed
+// Validate.
+func buildCausalIndex(model *Model) *CausalIndex {
 	idx := &CausalIndex{
 		model:    model,
 		postings: make(map[string]map[string][]int32, len(model.Metrics)),
@@ -50,12 +55,7 @@ func NewCausalIndex(model *Model) (*CausalIndex, error) {
 		sizes := make([]int32, len(model.Targets))
 		for ti, target := range model.Targets {
 			set := model.CausalSets[metric][target]
-			seen := make(map[string]bool, len(set))
 			for _, svc := range set {
-				if seen[svc] {
-					return nil, fmt.Errorf("core: causal index: duplicate service %q in C(%s, %s)", svc, target, metric)
-				}
-				seen[svc] = true
 				post[svc] = append(post[svc], int32(ti))
 			}
 			sizes[ti] = int32(len(set))
@@ -65,7 +65,7 @@ func NewCausalIndex(model *Model) (*CausalIndex, error) {
 	}
 	idx.sortedTargets = append([]string(nil), model.Targets...)
 	sort.Strings(idx.sortedTargets)
-	return idx, nil
+	return idx
 }
 
 // Model returns the model the index was built over.
@@ -86,9 +86,9 @@ func (idx *CausalIndex) Postings() int {
 // score computes the metric's argmax over targets touched by the anomaly set
 // anom (sorted, duplicate-free — a Detection's Anomalous slice). Targets with
 // an empty intersection score zero under both rules and can never win (the
-// caller discards best <= 0), so skipping them reproduces the dense loop's
-// result exactly; winners come out in ascending model.Targets order, the
-// dense iteration order.
+// caller discards best <= 0), so skipping them reproduces a dense scan of
+// every target exactly (TestAggregateIndexedMatchesDense); winners come out
+// in ascending model.Targets order.
 func (idx *CausalIndex) score(rule VoteRule, metric string, anom []string) (float64, []string) {
 	post := idx.postings[metric]
 	counts := make(map[int32]int32, 8)
@@ -128,16 +128,4 @@ func (idx *CausalIndex) score(rule VoteRule, metric string, anom []string) (floa
 		}
 	}
 	return best, winners
-}
-
-// AggregateIndexed is Aggregate running over the sparse index instead of the
-// dense causal matrix: same inputs (one Detection per model metric, aligned
-// by index), bit-identical output, cost proportional to the anomaly evidence
-// rather than the deployment width. The streaming localizer uses it on every
-// hop; the dense Aggregate remains the conformance reference.
-func (lo *Localizer) AggregateIndexed(idx *CausalIndex, detections []*Detection) (*Localization, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("core: aggregate: nil causal index")
-	}
-	return lo.aggregate(idx.model, idx, detections)
 }

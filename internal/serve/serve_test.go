@@ -359,6 +359,22 @@ func TestServeAPI(t *testing.T) {
 	}
 }
 
+// TestHealthz pins the one /healthz of causalfl serve: ok with the tenant
+// count while serving, 503 once draining.
+func TestHealthz(t *testing.T) {
+	srv, c, _ := newTestServer(t, t.TempDir())
+	var health map[string]any
+	if code := c.do(http.MethodGet, "/healthz", nil, &health); code != http.StatusOK || health["status"] != "ok" || health["tenants"] != 0.0 {
+		t.Fatalf("healthz = %d %v", code, health)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if code := c.do(http.MethodGet, "/healthz", nil, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz while draining = %d, want 503", code)
+	}
+}
+
 // TestServeMethodHygiene pins the 405 contract: wrong-method requests get an
 // Allow header, not a 404.
 func TestServeMethodHygiene(t *testing.T) {

@@ -38,7 +38,7 @@ import (
 // KSTest{}.PValue(window, baseline) and GuardedPValue equals
 // GuardedTest{Inner: KSTest{}}.PValue(window, baseline) — bit for bit, where
 // window is the retained arrival-order suffix with non-finite values dropped
-// (the same finiteValues filtering the tolerant detection path applies).
+// (the same finiteValues filtering core.Detect applies in either mode).
 // FuzzIncrementalKS cross-checks this invariant.
 type IncrementalKS struct {
 	win  WindowSlab

@@ -63,11 +63,9 @@ func (a *metricAgg) removeAnom(svc string) {
 // the streaming counterpart of core.Detect. Feed it production window-values
 // with Observe/ObserveHop and ask for the current anomalous set with Detect;
 // the answer is byte-identical to core.Detect, with its default guarded-KS
-// test, on a snapshot holding each pair's last Window values — always in
-// tolerant mode, and in strict mode only while those windows are finite. A
-// NaN or ±Inf production value ages through its window but is never tested,
-// in either mode; strict core.Detect instead fails on a NaN and tests a ±Inf
-// as a value.
+// test, on a snapshot holding each pair's last Window values, in either
+// completeness mode. A NaN or ±Inf production value ages through its window
+// but is never tested, exactly as core.Detect drops it.
 //
 // Pair state is dense: (metric, service) pair p = metric index ×
 // len(Services) + service index, in baseline order. The hot state a push

@@ -21,9 +21,10 @@ import (
 
 // detectOpts translates a batch core.DetectConfig into the stream option
 // list that reproduces it, so each equivalence case states its semantics
-// once in batch terms.
-func detectOpts(window int, cfg core.DetectConfig) []stream.Option {
-	opts := []stream.Option{stream.WithWindow(window), stream.WithTolerant(cfg.Tolerant)}
+// once in batch terms; workers sets the stream's flush split, which batch
+// detection has no counterpart for.
+func detectOpts(window, workers int, cfg core.DetectConfig) []stream.Option {
+	opts := []stream.Option{stream.WithWindow(window), stream.WithTolerant(cfg.Tolerant), stream.WithWorkers(workers)}
 	if cfg.Alpha != 0 {
 		opts = append(opts, stream.WithAlpha(cfg.Alpha))
 	}
@@ -33,16 +34,13 @@ func detectOpts(window int, cfg core.DetectConfig) []stream.Option {
 	if cfg.MinSamples != 0 {
 		opts = append(opts, stream.WithMinSamples(cfg.MinSamples))
 	}
-	if cfg.Workers != 0 {
-		opts = append(opts, stream.WithWorkers(cfg.Workers))
-	}
 	return opts
 }
 
 // noisyDet returns a copy of the workload's hops with deterministic NaN/Inf
 // injections (positions pinned by the workload's canonical name order),
-// exercising the tolerant path's finite-value filtering and the min-sample
-// guard (a freshly poisoned pair can drop below MinSamples).
+// exercising the finite-value filtering both modes apply and the tolerant
+// min-sample guard (a freshly poisoned pair can drop below MinSamples).
 func noisyDet(w *stream.SynthWorkload) []map[string]map[string]float64 {
 	out := make([]map[string]map[string]float64, len(w.Hops))
 	for h, hop := range w.Hops {
@@ -84,6 +82,8 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 		{"fdr-tolerant", noisyDet(w), core.DetectConfig{FDR: 0.10, Tolerant: true}},
 		{"alpha-strict", w.Hops, core.DetectConfig{Alpha: 0.05}},
 		{"fdr-strict", w.Hops, core.DetectConfig{FDR: 0.05}},
+		{"alpha-strict-noisy", noisyDet(w), core.DetectConfig{Alpha: 0.05}},
+		{"fdr-strict-noisy", noisyDet(w), core.DetectConfig{FDR: 0.05}},
 		// Batch strict mode ignores MinSamples: every pair is tested.
 		{"minsamples-strict", w.Hops, core.DetectConfig{Alpha: 0.05, MinSamples: 6}},
 		{"minsamples-tolerant", noisyDet(w), core.DetectConfig{Alpha: 0.05, Tolerant: true, MinSamples: 6}},
@@ -92,12 +92,12 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 	const window = 8
 	ctx := context.Background()
 	for _, tc := range cases {
+		matched := 0
 		for workers := 1; workers <= 8; workers++ {
 			cfg := tc.detect
-			cfg.Workers = workers
 			// The worker count sets the flush split: detection output must
 			// not depend on it.
-			det, err := stream.NewDetector(w.Baseline, detectOpts(window, cfg)...)
+			det, err := stream.NewDetector(w.Baseline, detectOpts(window, workers, cfg)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,19 +108,24 @@ func TestDetectorMatchesBatchEveryHop(t *testing.T) {
 				mat := det.Materialize()
 				for _, m := range w.MetricNames {
 					got, err := det.Detect(ctx, m)
-					if err != nil {
-						t.Fatalf("%s w=%d hop %d %s: stream: %v", tc.name, workers, h, m, err)
+					want, errB := core.Detect(ctx, cfg, w.Baseline, mat, m)
+					// A strict window of only non-finite values fails on
+					// both paths; anything else must match exactly.
+					if (err != nil) != (errB != nil) {
+						t.Fatalf("%s w=%d hop %d %s: stream err %v, batch err %v", tc.name, workers, h, m, err, errB)
 					}
-					want, err := core.Detect(ctx, cfg, w.Baseline, mat, m)
-					if err != nil {
-						t.Fatalf("%s w=%d hop %d %s: batch: %v", tc.name, workers, h, m, err)
-					}
-					if !reflect.DeepEqual(got, want) {
+					if err == nil && !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s w=%d hop %d %s: stream %+v, batch %+v",
 							tc.name, workers, h, m, got, want)
 					}
+					if err == nil {
+						matched++
+					}
 				}
 			}
+		}
+		if matched == 0 {
+			t.Fatalf("%s: no hop detected on either path", tc.name)
 		}
 	}
 }
@@ -330,8 +335,7 @@ func TestDetectorStrictErrorContract(t *testing.T) {
 					}
 				}
 				cfg := mode.cfg
-				cfg.Workers = workers
-				det, err := stream.NewDetector(base, detectOpts(window, cfg)...)
+				det, err := stream.NewDetector(base, detectOpts(window, workers, cfg)...)
 				if err != nil {
 					t.Fatal(err)
 				}

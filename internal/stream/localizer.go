@@ -39,7 +39,7 @@ type Verdict struct {
 }
 
 // Localizer is the streaming counterpart of core.Localizer: a Detector per
-// trained model plus the batch vote phase (core.Localizer.Aggregate) plus
+// trained model plus the batch vote phase (core.Localizer.AggregateIndexed) plus
 // K-of-N hysteresis over the emitted candidate sets. Each Step ingests one
 // hop and re-localizes incrementally; the vote phase runs over the model's
 // sparse causal index (core.CausalIndex), so a hop's vote cost scales with
@@ -126,8 +126,8 @@ func (l *Localizer) Detector() *Detector { return l.det }
 // Step ingests one hop (metric -> service -> window value) stamped at the
 // window end `at`, then re-localizes: the detector flushes the touched
 // pairs across the worker pool, the model's per-metric detections are read
-// from the flushed aggregates, the vote phase is core.Localizer.Aggregate over the sparse
-// causal index, and the hysteresis filter updates last. The returned
+// from the flushed aggregates, the vote phase is core.Localizer.AggregateIndexed
+// over the sparse causal index, and the hysteresis filter updates last. The returned
 // Verdict's vote fields are byte-identical to core.Localizer.Localize on the
 // materialized windows.
 func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[string]float64) (*Verdict, error) {

@@ -29,13 +29,11 @@
 // sliding window (same alpha-vs-FDR family decision, strict-vs-tolerant
 // completeness, min-sample guard, and in strict mode the same errors), and
 // the Localizer's per-hop votes are produced by the same vote phase
-// (core.Localizer.Aggregate) the batch localizer runs. In strict mode the
-// contract covers finite windows only: the Detector never tests a NaN or
-// ±Inf production value, while strict core.Detect fails on a NaN and tests
-// a ±Inf. The conformance suite
-// in this package (equivalence tests, golden corpus, FuzzIncrementalKS in
-// internal/stats) enforces the contract at every hop for workers 1..8 in
-// both alpha and FDR modes.
+// (core.Localizer.AggregateIndexed) the batch localizer runs. Both paths
+// drop a NaN or ±Inf production value before any test, in either mode. The
+// conformance suite in this package (equivalence tests, golden corpus,
+// FuzzDetectorMatchesBatch; FuzzIncrementalKS in internal/stats) enforces
+// the contract at every hop for workers 1..8 in both alpha and FDR modes.
 //
 // Configuration is one functional-option set (Option): NewDetector,
 // NewLocalizer and NewPipeline all take the same options, each reading the

@@ -47,7 +47,6 @@ func NewServer(model *core.Model) (*Server, error) {
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux.HandleFunc("GET /worlds", s.handleWorlds)
 	s.mux.HandleFunc("POST /localize", s.handleLocalize)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.Handle("GET /dashboard", Dashboard())
 	return s, nil
 }
@@ -76,7 +75,7 @@ targets, &alpha;={{printf "%.2f" .Alpha}}.</p>
 (the <code>metrics.Snapshot</code> format) returns the candidate fault set.</li>
 <li><a href="/dashboard">Live verdict dashboard</a> (needs the streaming
 API of <code>causalfl serve</code> on this host)</li>
-<li><a href="/healthz">Health</a></li>
+<li><a href="/healthz">Health</a> (served by <code>causalfl serve</code>)</li>
 </ul>
 </body></html>
 `))
@@ -209,12 +208,6 @@ func universeMatches(model *core.Model, snap *metrics.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// handleHealthz reports liveness.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"status":"ok","targets":%d}`, len(s.model.Targets))
 }
 
 // join renders a set compactly.

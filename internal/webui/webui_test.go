@@ -196,15 +196,6 @@ func overCap(body []byte) []byte {
 	return append(body[:len(body):len(body)], bytes.Repeat([]byte{' '}, maxBodyBytes+1-len(body))...)
 }
 
-func TestHealthz(t *testing.T) {
-	s, _ := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
-		t.Fatalf("healthz = %d %s", rec.Code, rec.Body.String())
-	}
-}
-
 func TestLocalizeAcceptsDegradedSnapshots(t *testing.T) {
 	s, production := newTestServer(t)
 
@@ -256,7 +247,6 @@ func TestMethodHygiene(t *testing.T) {
 	}{
 		{http.MethodGet, "/localize", http.MethodPost},
 		{http.MethodPost, "/worlds", http.MethodGet},
-		{http.MethodDelete, "/healthz", http.MethodGet},
 	} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
