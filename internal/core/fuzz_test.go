@@ -28,6 +28,13 @@ func FuzzReadModel(f *testing.F) {
 	f.Add(strings.Replace(valid, `"a", "b"`, `"a"`, 1))
 	f.Add(strings.Replace(valid, `0.05`, `7`, 1))
 	f.Add(strings.Replace(valid, `["a", "b"]}}`, `["a", "b", "b"]}}`, 1))
+	// One seed per naming rule: a repeated service, metric or target, and
+	// a baseline whose universe is not the model's.
+	f.Add(strings.Replace(valid, `"services": ["a", "b"],`, `"services": ["a", "b", "a"],`, 1))
+	f.Add(strings.Replace(valid, `"metrics": ["m"],`, `"metrics": ["m", "m"],`, 1))
+	f.Add(strings.Replace(valid, `"targets": ["a"]`, `"targets": ["a", "a"]`, 1))
+	f.Add(strings.Replace(valid, `"metrics": ["m"], "services": ["a", "b"]`, `"metrics": ["m"], "services": ["a", "b", "c"]`, 1))
+	f.Add(strings.Replace(valid, `"baseline": {"metrics": ["m"]`, `"baseline": {"metrics": []`, 1))
 	f.Fuzz(func(t *testing.T, raw string) {
 		model, err := ReadModel(bytes.NewBufferString(raw))
 		if err != nil {

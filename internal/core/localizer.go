@@ -204,9 +204,6 @@ func (lo *Localizer) AggregateIndexed(idx *CausalIndex, detections []*Detection)
 			// The anomalies match no learned world at all.
 			continue
 		}
-		if lo.rule == IntersectionVote {
-			winners = mostParsimonious(model, metric, winners)
-		}
 		out.MetricWinners[metric] = winners
 		// Ties split the metric's vote evenly; a partially covered metric
 		// casts proportionally less mass (coverage 1 on clean data, so
@@ -229,33 +226,6 @@ func (lo *Localizer) AggregateIndexed(idx *CausalIndex, detections []*Detection)
 		out.Candidates = append([]string(nil), idx.sortedTargets...)
 	}
 	return out, nil
-}
-
-// mostParsimonious shrinks a tied winner list to the targets with the
-// smallest causal set under the metric — the Occam refinement of the paper's
-// "closest set" criterion. Raw intersection counting cannot separate a
-// target whose causal world is a superset of another's (the entry service of
-// a call graph causally covers everything, so it ties every comparison);
-// among explanations covering the same anomalies, the one that predicts the
-// fewest unobserved effects explains the data better.
-func mostParsimonious(model *Model, metric string, winners []string) []string {
-	if len(winners) <= 1 {
-		return winners
-	}
-	minSize := -1
-	for _, w := range winners {
-		size := len(model.CausalSets[metric][w])
-		if minSize == -1 || size < minSize {
-			minSize = size
-		}
-	}
-	out := winners[:0]
-	for _, w := range winners {
-		if len(model.CausalSets[metric][w]) == minSize {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // LocalizeMulti is the concurrent-fault extension of Algorithm 2: a greedy

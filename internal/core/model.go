@@ -59,9 +59,18 @@ func (m *Model) CausalSet(metric, target string) ([]string, error) {
 	return append([]string(nil), set...), nil
 }
 
-// Validate checks structural consistency of the model: every metric holds a
-// duplicate-free causal set per trained target, over known services and
-// containing the target itself.
+// Validate is the one statement of what a well-formed model is; every
+// constructor that accepts a model (ReadModel, Localizer.Localize,
+// NewCausalIndex and, through it, the stream and serve layers) checks it here
+// and nowhere else. A valid model
+//
+//   - declares at least one service, metric and trained target, and no name
+//     twice in Services, Metrics or Targets;
+//   - has an alpha in (0,1);
+//   - holds, for every metric and every target, a causal set over known
+//     services that lists no service twice and contains the target itself;
+//   - carries a baseline that declares exactly the model's services and
+//     metrics, each once, and passes Snapshot.ValidateTolerant.
 func (m *Model) Validate() error {
 	if len(m.Services) == 0 {
 		return fmt.Errorf("core: model has no services")
@@ -78,9 +87,16 @@ func (m *Model) Validate() error {
 	if m.Baseline == nil {
 		return fmt.Errorf("core: model lacks baseline dataset")
 	}
-	known := make(map[string]bool, len(m.Services))
-	for _, s := range m.Services {
-		known[s] = true
+	known, err := nameSet("model", "service", m.Services)
+	if err != nil {
+		return err
+	}
+	metricSet, err := nameSet("model", "metric", m.Metrics)
+	if err != nil {
+		return err
+	}
+	if _, err := nameSet("model", "target", m.Targets); err != nil {
+		return err
 	}
 	seen := make(map[string]bool)
 	for _, metric := range m.Metrics {
@@ -114,9 +130,49 @@ func (m *Model) Validate() error {
 			}
 		}
 	}
+	// Coverage divides by the model's services and the stream detector
+	// indexes the baseline's pairs, so both universes must be the same.
+	if err := sameNames("service", m.Services, known, m.Baseline.Services); err != nil {
+		return err
+	}
+	if err := sameNames("metric", m.Metrics, metricSet, m.Baseline.Metrics); err != nil {
+		return err
+	}
 	// Tolerant on purpose: a baseline learned from degraded telemetry may
 	// legitimately lack (metric, service) pairs that repair dropped.
 	return m.Baseline.ValidateTolerant()
+}
+
+// nameSet returns names as a membership set, refusing a name listed twice.
+func nameSet(owner, kind string, names []string) (map[string]bool, error) {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		if set[n] {
+			return nil, fmt.Errorf("core: %s lists %s %q twice", owner, kind, n)
+		}
+		set[n] = true
+	}
+	return set, nil
+}
+
+// sameNames checks that the baseline declares exactly the model's names of
+// one kind (model, duplicate-free, with membership set inModel), each once.
+func sameNames(kind string, model []string, inModel map[string]bool, baseline []string) error {
+	declared, err := nameSet("baseline", kind, baseline)
+	if err != nil {
+		return err
+	}
+	for _, n := range baseline {
+		if !inModel[n] {
+			return fmt.Errorf("core: baseline declares %s %q the model lacks", kind, n)
+		}
+	}
+	for _, n := range model {
+		if !declared[n] {
+			return fmt.Errorf("core: baseline lacks model %s %q", kind, n)
+		}
+	}
+	return nil
 }
 
 // Describe renders the model's causal worlds as text: one block per metric,

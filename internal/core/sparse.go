@@ -29,7 +29,9 @@ type CausalIndex struct {
 	sortedTargets []string
 }
 
-// NewCausalIndex validates model and builds its inverted index. Validate
+// NewCausalIndex validates model and builds its inverted index. It is the
+// one place a model's consumers (the stream localizer, and through it serve's
+// tenants) check it, so they refuse exactly what Validate refuses. Validate
 // guarantees duplicate-free causal sets, which the index's size-based union
 // arithmetic relies on.
 func NewCausalIndex(model *Model) (*CausalIndex, error) {
@@ -85,10 +87,18 @@ func (idx *CausalIndex) Postings() int {
 
 // score computes the metric's argmax over targets touched by the anomaly set
 // anom (sorted, duplicate-free — a Detection's Anomalous slice). Targets with
-// an empty intersection score zero under both rules and can never win (the
+// an empty intersection score zero under every rule and can never win (the
 // caller discards best <= 0), so skipping them reproduces a dense scan of
 // every target exactly (TestAggregateIndexedMatchesDense); winners come out
 // in ascending model.Targets order.
+//
+// Under IntersectionVote a tie keeps only the targets with the smallest
+// causal set — the Occam refinement of the paper's "closest set" criterion.
+// Raw intersection counting cannot separate a target whose causal world is a
+// superset of another's (the entry service of a call graph causally covers
+// everything, so it ties every comparison); among explanations covering the
+// same anomalies, the one that predicts the fewest unobserved effects
+// explains the data better.
 func (idx *CausalIndex) score(rule VoteRule, metric string, anom []string) (float64, []string) {
 	post := idx.postings[metric]
 	counts := make(map[int32]int32, 8)
@@ -106,24 +116,26 @@ func (idx *CausalIndex) score(rule VoteRule, metric string, anom []string) (floa
 	}
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 	sizes := idx.setSizes[metric]
-	best := -1.0
+	parsimony := rule == IntersectionVote
+	best, bestSize := -1.0, int32(0)
 	var winners []string
 	for _, ti := range touched {
-		c := counts[ti]
+		c, size := counts[ti], sizes[ti]
 		var score float64
 		if rule == JaccardVote {
 			// |C ∪ A| = |C| + |A| − |C ∩ A|; both sets are duplicate-free.
-			u := int(sizes[ti]) + len(anom) - int(c)
+			u := int(size) + len(anom) - int(c)
 			score = float64(c) / float64(u)
 		} else {
 			score = float64(c)
 		}
 		switch {
-		case score > best:
-			best = score
+		//vet:allow floateq -- tied targets compute the same integer ratio; exact tie detection is the vote-splitting rule
+		case score > best, score == best && parsimony && size < bestSize:
+			best, bestSize = score, size
 			winners = []string{idx.model.Targets[ti]}
 		//vet:allow floateq -- tied targets compute the same integer ratio; exact tie detection is the vote-splitting rule
-		case score == best:
+		case score == best && (!parsimony || size == bestSize):
 			winners = append(winners, idx.model.Targets[ti])
 		}
 	}

@@ -140,6 +140,29 @@ func denseAggregate(lo *Localizer, model *Model, detections []*Detection) *Local
 	return out
 }
 
+// mostParsimonious is the oracle's parsimony tie-break, written over causal
+// set members rather than the index's sizes: it shrinks a tied winner list
+// to the targets with the smallest causal set under the metric.
+func mostParsimonious(model *Model, metric string, winners []string) []string {
+	if len(winners) <= 1 {
+		return winners
+	}
+	minSize := -1
+	for _, w := range winners {
+		size := len(model.CausalSets[metric][w])
+		if minSize == -1 || size < minSize {
+			minSize = size
+		}
+	}
+	out := winners[:0]
+	for _, w := range winners {
+		if len(model.CausalSets[metric][w]) == minSize {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 // unionSize counts |a ∪ b|.
 func unionSize(a []string, b map[string]bool) int {
 	seen := make(map[string]bool, len(a)+len(b))

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -276,5 +277,53 @@ func TestNamesAndSortedMetricNames(t *testing.T) {
 	}
 	if snap.Metrics[0] != "z" {
 		t.Fatal("SortedMetricNames mutated the snapshot ordering")
+	}
+}
+
+// TestValidateTolerantIsDeterministic: a snapshot with several faults is
+// always refused for the same one — a non-finite value on the first declared
+// pair in order, else the first undeclared key in sorted order — and a
+// repeated declared name neither hides an undeclared key nor invents one.
+func TestValidateTolerantIsDeterministic(t *testing.T) {
+	undeclared := func() *Snapshot {
+		s := NewSnapshot([]string{"m", "n"}, []string{"a", "b", "b"})
+		for _, m := range []string{"m", "n"} {
+			s.Data[m]["a"] = []float64{1}
+			s.Data[m]["b"] = []float64{2}
+		}
+		for _, svc := range []string{"z", "y", "x", "w"} {
+			s.Data["n"][svc] = []float64{3}
+		}
+		s.Data["zz"] = map[string][]float64{}
+		return s
+	}
+	nonFinite := undeclared()
+	nonFinite.Data["n"]["b"][0] = math.Inf(1)
+	nonFinite.Data["m"]["b"] = []float64{math.NaN()}
+	clean := undeclared()
+	delete(clean.Data, "zz")
+	for svc := range clean.Data["n"] {
+		if svc != "a" && svc != "b" {
+			delete(clean.Data["n"], svc)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		snap *Snapshot
+		want string
+	}{
+		{"undeclared", undeclared(), `metrics: metric "n" stores undeclared service "w"`},
+		{"non-finite", nonFinite, `metrics: metric "m" service "b" has non-finite value NaN at window 0`},
+		{"repeated declaration", clean, ""},
+	} {
+		for i := 0; i < 20; i++ {
+			got := ""
+			if err := tc.snap.ValidateTolerant(); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Fatalf("%s, run %d: error %q, want %q", tc.name, i, got, tc.want)
+			}
+		}
 	}
 }

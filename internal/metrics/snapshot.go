@@ -92,6 +92,10 @@ func (s *Snapshot) Validate() error {
 // pair, and every stored value must be finite. Unlike Validate it permits
 // missing pairs and unequal series lengths — those are legitimate outcomes of
 // lossy collection that the tolerant learner/localizer path handles.
+//
+// The check is deterministic: it walks the declared metrics and services in
+// order, and when some stored key is undeclared it reports the first one in
+// sorted (metric, service) order.
 func (s *Snapshot) ValidateTolerant() error {
 	if len(s.Metrics) == 0 {
 		return fmt.Errorf("metrics: snapshot has no metrics")
@@ -99,30 +103,74 @@ func (s *Snapshot) ValidateTolerant() error {
 	if len(s.Services) == 0 {
 		return fmt.Errorf("metrics: snapshot has no services")
 	}
-	declaredM := make(map[string]bool, len(s.Metrics))
-	for _, m := range s.Metrics {
-		declaredM[m] = true
-	}
-	declaredS := make(map[string]bool, len(s.Services))
-	for _, svc := range s.Services {
-		declaredS[svc] = true
-	}
-	for m, bySvc := range s.Data {
-		if !declaredM[m] {
-			return fmt.Errorf("metrics: snapshot stores undeclared metric %q", m)
+	metricNames, declaredM := declared(s.Metrics)
+	services, declaredS := declared(s.Services)
+	storedMetrics, undeclared := 0, false
+	for _, m := range metricNames {
+		bySvc, ok := s.Data[m]
+		if !ok {
+			continue
 		}
-		for svc, series := range bySvc {
-			if !declaredS[svc] {
-				return fmt.Errorf("metrics: metric %q stores undeclared service %q", m, svc)
+		storedMetrics++
+		stored := 0
+		for _, svc := range services {
+			series, ok := bySvc[svc]
+			if !ok {
+				continue
 			}
+			stored++
 			for i, v := range series {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					return fmt.Errorf("metrics: metric %q service %q has non-finite value %v at window %d", m, svc, v, i)
 				}
 			}
 		}
+		undeclared = undeclared || stored != len(bySvc)
+	}
+	if !undeclared && storedMetrics == len(s.Data) {
+		return nil
+	}
+	for _, m := range sortedKeys(s.Data) {
+		if !declaredM[m] {
+			return fmt.Errorf("metrics: snapshot stores undeclared metric %q", m)
+		}
+		for _, svc := range sortedKeys(s.Data[m]) {
+			if !declaredS[svc] {
+				return fmt.Errorf("metrics: metric %q stores undeclared service %q", m, svc)
+			}
+		}
 	}
 	return nil
+}
+
+// declared returns names without repeats, first occurrences in order (names
+// itself when it repeats nothing, so the walk counts each stored key once),
+// and their membership set.
+func declared(names []string) ([]string, map[string]bool) {
+	set := make(map[string]bool, len(names))
+	var out []string
+	for i, n := range names {
+		switch {
+		case set[n] && out == nil:
+			out = append([]string(nil), names[:i]...)
+		case !set[n] && out != nil:
+			out = append(out, n)
+		}
+		set[n] = true
+	}
+	if out == nil {
+		out = names
+	}
+	return out, set
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // WindowCount returns the number of windows per series (0 for an empty

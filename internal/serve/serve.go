@@ -227,9 +227,6 @@ func (s *Server) CreateTenant(ctx context.Context, name string, cfg TenantConfig
 	if model == nil {
 		return fmt.Errorf("serve: tenant %q: nil model", name)
 	}
-	if err := model.Validate(); err != nil {
-		return fmt.Errorf("serve: tenant %q: %w", name, err)
-	}
 	cfg = overlay(cfg, s.opts.Defaults)
 	if err := checkBounds(name, cfg, model); err != nil {
 		return err

@@ -17,104 +17,26 @@ import (
 //     read in place and never copied, with its size and the guard's trimmed
 //     mean. Only a statistic reads it.
 //
-// IncrementalKS is the single-comparison view over one window of each — the
-// stream detector uses the two halves directly, at one window per (metric,
-// service) pair, so both run the same push, evict and statistic code.
-
-// IncrementalKS maintains a two-sample Kolmogorov–Smirnov comparison between
-// a fixed baseline sample and a bounded sliding window of production values.
+// Window i of a slab pairs with baseline i of a set; the stream detector
+// keeps one of each per (metric, service) pair.
 //
 // The batch pipeline re-sorts both samples on every PValue call — O(n log n)
-// per tick once a streaming consumer re-tests after every hop. This state
-// maintains the production window through ordered insert/evict: a ring
-// buffer remembers arrival order (so the oldest value can be evicted when
-// the window is full) and an order-statistics index keeps the finite values
-// sorted between pushes. A push costs O(window): a count of the values
-// below the new one and a bounded shift inside the window. The D statistic
-// never pays a sort either: one pass drops each baseline value, in its
-// original order, into the sorted window's buckets (ksDistanceUnsorted).
+// per tick once a streaming consumer re-tests after every hop. The slab
+// maintains each production window through ordered insert/evict: a ring
+// remembers arrival order (so the oldest value can be evicted when the
+// window is full) and a sorted index keeps the finite values ordered between
+// pushes. A push costs O(window): a count of the values below the new one
+// and a bounded shift inside the window. The D statistic never pays a sort
+// either: one pass drops each baseline value, in its original order, into
+// the sorted window's buckets (ksDistanceUnsorted).
 //
-// Equivalence contract: after any sequence of pushes, PValue equals
-// KSTest{}.PValue(window, baseline) and GuardedPValue equals
-// GuardedTest{Inner: KSTest{}}.PValue(window, baseline) — bit for bit, where
-// window is the retained arrival-order suffix with non-finite values dropped
-// (the same finiteValues filtering core.Detect applies in either mode).
+// Equivalence contract: after any sequence of pushes into window i,
+// KSBaselines.PValue(i, slab.Sorted(i)) equals KSTest{}.PValue(window,
+// baseline) and GuardedPValue equals GuardedTest{Inner:
+// KSTest{}}.PValue(window, baseline) — bit for bit, where window is the
+// retained arrival-order suffix with non-finite values dropped (the same
+// finiteValues filtering core.Detect applies in either mode).
 // FuzzIncrementalKS cross-checks this invariant.
-type IncrementalKS struct {
-	win  WindowSlab
-	base KSBaselines
-}
-
-// NewIncrementalKS builds the state for one (baseline, sliding window) pair.
-// The baseline is copied once, so the caller may reuse it; window is the
-// maximum number of production values retained.
-func NewIncrementalKS(baseline []float64, window int) (*IncrementalKS, error) {
-	if len(baseline) == 0 {
-		return nil, fmt.Errorf("stats: incremental ks: empty baseline")
-	}
-	win, err := NewWindowSlab(1, window)
-	if err != nil {
-		return nil, err
-	}
-	k := &IncrementalKS{win: *win, base: *NewKSBaselines(1)}
-	// The set reads its baselines in place; this state owns its copy.
-	if err := k.base.Add(append([]float64(nil), baseline...)); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// Push appends one production value, evicting the oldest when the window is
-// full. Non-finite values age through the ring like any other but never
-// enter the sorted index, mirroring the tolerant detection path's
-// finite-values filter.
-func (k *IncrementalKS) Push(v float64) { k.win.Push(0, v) }
-
-// Len reports the number of finite values currently in the window — the
-// sample size the min-sample guard checks.
-func (k *IncrementalKS) Len() int { return k.win.Len(0) }
-
-// Pushed reports how many values were ever pushed (including ones that have
-// aged out).
-func (k *IncrementalKS) Pushed() int { return k.win.Pushed(0) }
-
-// Window materializes the retained values in arrival order (a copy),
-// non-finite entries included. It is the exact series a batch consumer would
-// see for this pair, used by the generic-test fallback and the conformance
-// suite.
-func (k *IncrementalKS) Window() []float64 { return k.win.Window(0) }
-
-// D returns the current KS statistic between the finite window and the
-// baseline.
-func (k *IncrementalKS) D() (float64, error) { return k.base.distance(0, k.win.Sorted(0)) }
-
-// PValue returns KSTest{}.PValue(window, baseline) without re-sorting either
-// sample.
-func (k *IncrementalKS) PValue() (float64, error) { return k.base.PValue(0, k.win.Sorted(0)) }
-
-// GuardedPValue returns GuardedTest{Inner: KSTest{}, RelTol:
-// relTol}.PValue(window, baseline): the practical-equivalence guard first
-// (with the baseline trimmed mean cached), then the KS p-value. relTol zero
-// selects DefaultRelTol, matching the guard's defaulting.
-func (k *IncrementalKS) GuardedPValue(relTol float64) (float64, error) {
-	return k.base.GuardedPValue(0, k.win.Sorted(0), relTol)
-}
-
-// RestoreWindow refills a freshly constructed state from a persisted
-// snapshot: values is the retained arrival-order window (exactly what Window
-// returned at snapshot time, non-finite entries included) and pushed the
-// lifetime push count. After a successful restore the state is
-// indistinguishable from one that ingested the original stream — the ring
-// contents, the sorted index multiset and the push counter all match, so
-// every subsequent Push/PValue sequence produces bit-identical results.
-//
-// The state must be fresh (nothing pushed yet), and the snapshot must be
-// self-consistent: a ring that has seen `pushed` values retains exactly
-// min(pushed, window) of them. Inconsistent input is rejected with an error
-// so a corrupted snapshot cannot silently seed a diverging detector.
-func (k *IncrementalKS) RestoreWindow(values []float64, pushed int) error {
-	return k.win.Restore(0, values, pushed)
-}
 
 // WindowSlab holds the sliding production windows of many incremental KS
 // comparisons in one contiguous []float64. Window i owns the 2×window values
@@ -334,15 +256,6 @@ func (b *KSBaselines) Add(sample []float64) error {
 	b.size = append(b.size, len(sample))
 	b.trimmed = append(b.trimmed, trimmed)
 	return nil
-}
-
-// distance returns the KS statistic between the sorted finite window and
-// baseline i.
-func (b *KSBaselines) distance(i int, window []float64) (float64, error) {
-	if len(window) == 0 {
-		return 0, fmt.Errorf("stats: incremental ks: empty window")
-	}
-	return ksDistanceUnsorted(window, b.series[i]), nil
 }
 
 // PValue returns KSTest{}.PValue(window, baseline i) for the sorted finite

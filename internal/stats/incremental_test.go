@@ -33,29 +33,88 @@ func materialFinite(s []float64) []float64 {
 	return out
 }
 
-func TestIncrementalKSValidation(t *testing.T) {
-	if _, err := NewIncrementalKS(nil, 8); err == nil {
-		t.Fatal("empty baseline accepted")
-	}
-	if _, err := NewIncrementalKS([]float64{1, 2}, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	k, err := NewIncrementalKS([]float64{3, 1, 2}, 4)
+// newOneWindow builds the one-comparison case of the incremental engine: a
+// slab holding one window of the given capacity and a set holding baseline.
+func newOneWindow(t testing.TB, baseline []float64, window int) (*WindowSlab, *KSBaselines) {
+	t.Helper()
+	win, err := NewWindowSlab(1, window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.D(); err == nil {
-		t.Fatal("D on empty window should error")
+	base := NewKSBaselines(1)
+	if err := base.Add(baseline); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := k.PValue(); err == nil {
+	return win, base
+}
+
+func TestIncrementalKSValidation(t *testing.T) {
+	if _, err := NewWindowSlab(1, 0); err == nil {
+		t.Fatal("zero window accepted")
+	}
+	if _, base := newOneWindow(t, nil, 8); base.size[0] != 0 {
+		t.Fatal("empty baseline is testable")
+	}
+	win, base := newOneWindow(t, []float64{3, 1, 2}, 4)
+	if _, err := base.PValue(0, win.Sorted(0)); err == nil {
 		t.Fatal("PValue on empty window should error")
 	}
-	if _, err := k.GuardedPValue(0); err == nil {
+	if _, err := base.GuardedPValue(0, win.Sorted(0), 0); err == nil {
 		t.Fatal("GuardedPValue on empty window should error")
 	}
-	k.Push(1)
-	if _, err := k.GuardedPValue(-0.5); err == nil {
+	win.Push(0, 1)
+	if _, err := base.GuardedPValue(0, win.Sorted(0), -0.5); err == nil {
 		t.Fatal("negative tolerance accepted")
+	}
+}
+
+// checkOneWindow checks, after a push, that the one-window engine's state
+// equals the batch tests run on the materialized window: pushed is every
+// value pushed so far and w the window capacity.
+func checkOneWindow(t *testing.T, step int, win *WindowSlab, base *KSBaselines, baseline, pushed []float64, w int) {
+	t.Helper()
+	raw := pushed
+	if len(raw) > w {
+		raw = raw[len(raw)-w:]
+	}
+	if got := win.Window(0); !sameValues(got, raw) {
+		t.Fatalf("step %d: window %v, want %v", step, got, raw)
+	}
+	finite := materialFinite(raw)
+	if win.Len(0) != len(finite) {
+		t.Fatalf("step %d: Len %d, want %d", step, win.Len(0), len(finite))
+	}
+	if len(finite) == 0 {
+		return
+	}
+	wantD, err := (KSTest{}).Statistic(finite, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotD := ksDistanceUnsorted(win.Sorted(0), baseline); gotD != wantD { //vet:allow floateq -- the equivalence contract is bitwise
+		t.Fatalf("step %d: D=%v, batch %v", step, gotD, wantD)
+	}
+	wantP, err := (KSTest{}).PValue(finite, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotP, err := base.PValue(0, win.Sorted(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotP != wantP { //vet:allow floateq -- the equivalence contract is bitwise
+		t.Fatalf("step %d: p=%v, batch %v", step, gotP, wantP)
+	}
+	wantG, err := (GuardedTest{Inner: KSTest{}}).PValue(finite, baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotG, err := base.GuardedPValue(0, win.Sorted(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotG != wantG { //vet:allow floateq -- the equivalence contract is bitwise
+		t.Fatalf("step %d: guarded p=%v, batch %v", step, gotG, wantG)
 	}
 }
 
@@ -69,10 +128,7 @@ func TestIncrementalKSMatchesBatch(t *testing.T) {
 		baseline[i] = rng.NormFloat64()
 	}
 	const window = 9
-	k, err := NewIncrementalKS(baseline, window)
-	if err != nil {
-		t.Fatal(err)
-	}
+	win, base := newOneWindow(t, baseline, window)
 	var pushed []float64
 	for step := 0; step < 200; step++ {
 		v := rng.NormFloat64() * 2
@@ -82,55 +138,9 @@ func TestIncrementalKSMatchesBatch(t *testing.T) {
 		case 11:
 			v = math.Inf(1)
 		}
-		k.Push(v)
+		win.Push(0, v)
 		pushed = append(pushed, v)
-		raw := pushed
-		if len(raw) > window {
-			raw = raw[len(raw)-window:]
-		}
-		if got := k.Window(); !sameValues(got, raw) {
-			t.Fatalf("step %d: window %v, want %v", step, got, raw)
-		}
-		finite := materialFinite(raw)
-		if k.Len() != len(finite) {
-			t.Fatalf("step %d: Len %d, want %d", step, k.Len(), len(finite))
-		}
-		if len(finite) == 0 {
-			continue
-		}
-		wantD, err := (KSTest{}).Statistic(finite, baseline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotD, err := k.D()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotD != wantD { //vet:allow floateq -- the equivalence contract is bitwise
-			t.Fatalf("step %d: D=%v, batch %v", step, gotD, wantD)
-		}
-		wantP, err := (KSTest{}).PValue(finite, baseline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotP, err := k.PValue()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotP != wantP { //vet:allow floateq -- the equivalence contract is bitwise
-			t.Fatalf("step %d: p=%v, batch %v", step, gotP, wantP)
-		}
-		wantG, err := (GuardedTest{Inner: KSTest{}}).PValue(finite, baseline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotG, err := k.GuardedPValue(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotG != wantG { //vet:allow floateq -- the equivalence contract is bitwise
-			t.Fatalf("step %d: guarded p=%v, batch %v", step, gotG, wantG)
-		}
+		checkOneWindow(t, step, win, base, baseline, pushed, window)
 	}
 }
 
@@ -138,20 +148,17 @@ func TestIncrementalKSMatchesBatch(t *testing.T) {
 // against the batch guard.
 func TestIncrementalKSGuardTolerance(t *testing.T) {
 	baseline := []float64{10, 10.5, 11, 10.2, 10.8, 10.1, 10.9, 10.4}
-	k, err := NewIncrementalKS(baseline, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	win, base := newOneWindow(t, baseline, 6)
 	stream := []float64{12, 12.5, 11.8, 12.2, 12.1, 12.4}
 	for _, v := range stream {
-		k.Push(v)
+		win.Push(0, v)
 	}
 	for _, tol := range []float64{0.05, 0.20, 0.50} {
 		want, err := (GuardedTest{Inner: KSTest{}, RelTol: tol}).PValue(stream, baseline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := k.GuardedPValue(tol)
+		got, err := base.GuardedPValue(0, win.Sorted(0), tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +169,8 @@ func TestIncrementalKSGuardTolerance(t *testing.T) {
 }
 
 // FuzzIncrementalKS cross-checks the incremental D-statistic and p-values
-// against stats.KS on the same data for fuzzer-chosen baselines, window
-// capacities and push sequences.
+// of a one-window slab against stats.KS on the same data for fuzzer-chosen
+// baselines, window capacities and push sequences.
 func FuzzIncrementalKS(f *testing.F) {
 	f.Add(int64(1), uint8(19), uint8(8), uint16(40))
 	f.Add(int64(42), uint8(3), uint8(1), uint16(7))
@@ -177,10 +184,7 @@ func FuzzIncrementalKS(f *testing.F) {
 		for i := range baseline {
 			baseline[i] = rng.NormFloat64() * 10
 		}
-		k, err := NewIncrementalKS(baseline, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		win, base := newOneWindow(t, baseline, w)
 		var pushed []float64
 		for step := 0; step < n; step++ {
 			var v float64
@@ -198,52 +202,9 @@ func FuzzIncrementalKS(f *testing.F) {
 			default:
 				v = rng.NormFloat64() * 5
 			}
-			k.Push(v)
+			win.Push(0, v)
 			pushed = append(pushed, v)
-			raw := pushed
-			if len(raw) > w {
-				raw = raw[len(raw)-w:]
-			}
-			finite := materialFinite(raw)
-			if k.Len() != len(finite) {
-				t.Fatalf("step %d: Len %d, want %d", step, k.Len(), len(finite))
-			}
-			if len(finite) == 0 {
-				continue
-			}
-			wantD, err := (KSTest{}).Statistic(finite, baseline)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotD, err := k.D()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotD != wantD { //vet:allow floateq -- the equivalence contract is bitwise
-				t.Fatalf("step %d: D=%v, batch %v", step, gotD, wantD)
-			}
-			wantP, err := (KSTest{}).PValue(finite, baseline)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotP, err := k.PValue()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotP != wantP { //vet:allow floateq -- the equivalence contract is bitwise
-				t.Fatalf("step %d: p=%v, batch %v", step, gotP, wantP)
-			}
-			wantG, err := (GuardedTest{Inner: KSTest{}}).PValue(finite, baseline)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotG, err := k.GuardedPValue(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotG != wantG { //vet:allow floateq -- the equivalence contract is bitwise
-				t.Fatalf("step %d: guarded p=%v, batch %v", step, gotG, wantG)
-			}
+			checkOneWindow(t, step, win, base, baseline, pushed, w)
 		}
 	})
 }
@@ -320,24 +281,23 @@ func FuzzKSDistanceUnsorted(f *testing.F) {
 
 // TestKSBaselinesReadInPlace: an exact set keeps a reference to each
 // baseline, not a copy, and neither building it nor testing against it
-// reorders or modifies the caller's series. NewIncrementalKS, by contrast,
-// owns a copy.
+// reorders or modifies the caller's series.
 func TestKSBaselinesReadInPlace(t *testing.T) {
 	series := []float64{5, 3, 9, 1, 7, 3}
 	orig := append([]float64(nil), series...)
-	b := NewKSBaselines(1)
-	if err := b.Add(series); err != nil {
-		t.Fatal(err)
-	}
+	win, b := newOneWindow(t, series, 4)
 	if &b.series[0][0] != &series[0] {
 		t.Fatal("exact baseline was copied")
 	}
 	window := []float64{10, 11, 12}
+	for _, v := range window {
+		win.Push(0, v)
+	}
 	want, err := (GuardedTest{Inner: KSTest{}}).PValue(window, series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.GuardedPValue(0, window, 0)
+	got, err := b.GuardedPValue(0, win.Sorted(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,29 +306,6 @@ func TestKSBaselinesReadInPlace(t *testing.T) {
 	}
 	if !sameValues(series, orig) {
 		t.Fatalf("baseline changed to %v, was %v", series, orig)
-	}
-
-	// NewIncrementalKS keeps its own copy, so the caller may reuse its slice.
-	k, err := NewIncrementalKS(series, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range window {
-		k.Push(v)
-	}
-	before, err := k.D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range series {
-		series[i] = 100
-	}
-	after, err := k.D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != before { //vet:allow floateq -- the state must not see the caller's writes at all
-		t.Fatalf("D moved from %v to %v when the caller reused its baseline slice", before, after)
 	}
 }
 
@@ -381,9 +318,6 @@ func TestKSBaselinesRejectNaN(t *testing.T) {
 	}
 	if err := set.Add([]float64{math.Inf(-1), 1, math.Inf(1)}); err != nil {
 		t.Fatalf("baseline refused ±Inf: %v", err)
-	}
-	if _, err := NewIncrementalKS([]float64{1, math.NaN()}, 4); err == nil {
-		t.Fatal("NewIncrementalKS accepted a NaN baseline")
 	}
 }
 

@@ -86,8 +86,8 @@ func nanError(a, b []float64) error {
 // ksPValue turns the statistic d between samples of sizes sizeA and sizeB
 // into the KS p-value: the asymptotic Kolmogorov tail at the
 // Stephens-corrected effective size. It is the single arithmetic path of
-// KSTest.PValue, IncrementalKS and the stream detector, so equal statistics
-// give bit-identical p-values.
+// KSTest.PValue and KSBaselines (the stream detector's statistic), so equal
+// statistics give bit-identical p-values.
 func ksPValue(d float64, sizeA, sizeB int) float64 {
 	n := float64(sizeA)
 	m := float64(sizeB)

@@ -400,27 +400,6 @@ func TestSummarizeSingleValue(t *testing.T) {
 	}
 }
 
-func TestPearsonCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	yPos := []float64{2, 4, 6, 8, 10}
-	yNeg := []float64{10, 8, 6, 4, 2}
-	if r, err := PearsonCorrelation(x, yPos); err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect positive correlation = %v (err %v), want 1", r, err)
-	}
-	if r, err := PearsonCorrelation(x, yNeg); err != nil || math.Abs(r+1) > 1e-12 {
-		t.Fatalf("perfect negative correlation = %v (err %v), want -1", r, err)
-	}
-	if r, err := PearsonCorrelation(x, []float64{3, 3, 3, 3, 3}); err != nil || r != 0 {
-		t.Fatalf("constant series correlation = %v (err %v), want 0", r, err)
-	}
-	if _, err := PearsonCorrelation(x, []float64{1}); err == nil {
-		t.Fatal("correlation accepted mismatched lengths")
-	}
-	if _, err := PearsonCorrelation([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("correlation accepted single pair")
-	}
-}
-
 func TestQuantileSortedInterpolation(t *testing.T) {
 	s := []float64{0, 10}
 	if got := quantileSorted(s, 0.5); got != 5 {

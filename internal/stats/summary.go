@@ -81,29 +81,3 @@ func Mean(sample []float64) float64 {
 	}
 	return sum / float64(len(sample))
 }
-
-// PearsonCorrelation returns the sample correlation coefficient of the paired
-// samples x and y. It is used by the observational and error-log baselines,
-// which infer edges from correlation rather than intervention.
-func PearsonCorrelation(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: correlation needs paired samples, got %d and %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return 0, fmt.Errorf("stats: correlation needs at least 2 pairs, got %d", len(x))
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		// A constant series carries no correlation information.
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"causalfl/internal/core"
 	"causalfl/internal/sim"
 	"causalfl/internal/stream"
 	"causalfl/internal/telemetry"
@@ -167,28 +169,23 @@ func TestLocalizerOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.NewLocalizer(nil, stream.WithWindow(4)); err == nil {
-		t.Fatal("nil model accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(0)); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithHysteresis(3, 2)); err == nil {
-		t.Fatal("K > N accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithFDR(1.5)); err == nil {
-		t.Fatal("out-of-range FDR accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithAlpha(1.5)); err == nil {
-		t.Fatal("out-of-range alpha accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithWorkers(-1)); err == nil {
-		t.Fatal("negative worker count accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), stream.WithMinSamples(0)); err == nil {
-		t.Fatal("zero min samples accepted")
-	}
-	if _, err := stream.NewLocalizer(w.Model(), stream.WithWindow(4), nil); err == nil {
-		t.Fatal("nil option accepted")
+	for _, tc := range []struct {
+		name  string
+		model *core.Model
+		opts  []stream.Option
+	}{
+		{"nil model", nil, []stream.Option{stream.WithWindow(4)}},
+		{"zero window", w.Model(), []stream.Option{stream.WithWindow(0)}},
+		{"K > N", w.Model(), []stream.Option{stream.WithWindow(4), stream.WithHysteresis(3, 2)}},
+		{"out-of-range FDR", w.Model(), []stream.Option{stream.WithWindow(4), stream.WithFDR(1.5)}},
+		{"out-of-range alpha", w.Model(), []stream.Option{stream.WithWindow(4), stream.WithAlpha(1.5)}},
+		{"negative worker count", w.Model(), []stream.Option{stream.WithWindow(4), stream.WithWorkers(-1)}},
+		{"zero min samples", w.Model(), []stream.Option{stream.WithWindow(4), stream.WithMinSamples(0)}},
+		{"nil option", w.Model(), []stream.Option{stream.WithWindow(4), nil}},
+	} {
+		// Every refusal names the package that refused it.
+		if _, err := stream.NewLocalizer(tc.model, tc.opts...); err == nil || !strings.HasPrefix(err.Error(), "stream: ") {
+			t.Errorf("%s: error %v, want one starting \"stream: \"", tc.name, err)
+		}
 	}
 }

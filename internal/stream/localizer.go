@@ -48,7 +48,6 @@ type Verdict struct {
 // A Localizer is not safe for concurrent use; Step parallelizes internally,
 // in the detector's flush of the pairs a hop touched (WithWorkers).
 type Localizer struct {
-	model *core.Model
 	idx   *core.CausalIndex
 	det   *Detector
 	voter *core.Localizer
@@ -79,7 +78,10 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 	if model == nil {
 		return nil, fmt.Errorf("stream: nil model")
 	}
-	if err := model.Validate(); err != nil {
+	// The index validates the model: the detector below may assume its
+	// baseline declares exactly the model's services and metrics.
+	idx, err := core.NewCausalIndex(model)
+	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	hystK, hystN := s.hystK, s.hystN
@@ -97,10 +99,6 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := core.NewCausalIndex(model)
-	if err != nil {
-		return nil, err
-	}
 	var copts []core.Option
 	if s.rule != 0 {
 		copts = append(copts, core.WithVoteRule(s.rule))
@@ -110,7 +108,6 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 		return nil, err
 	}
 	return &Localizer{
-		model: model,
 		idx:   idx,
 		det:   det,
 		voter: voter,
@@ -134,7 +131,7 @@ func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[st
 	if err := l.det.ObserveHop(hop); err != nil {
 		return nil, err
 	}
-	detections, err := l.det.detectEach(ctx, l.model.Metrics)
+	detections, err := l.det.detectEach(ctx, l.idx.Model().Metrics)
 	if err != nil {
 		return nil, err
 	}

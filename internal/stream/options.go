@@ -95,7 +95,7 @@ func WithAlpha(alpha float64) Option {
 func WithFDR(q float64) Option {
 	return func(s *settings) error {
 		if q <= 0 || q >= 1 {
-			return fmt.Errorf("core: FDR level must be in (0,1), got %v", q)
+			return fmt.Errorf("stream: FDR level must be in (0,1), got %v", q)
 		}
 		s.fdr = q
 		return nil

@@ -22,10 +22,9 @@ import (
 // hop interval. A service whose window grid drifts from the others' is a
 // misalignment error, not a silent stall.
 type Pipeline struct {
-	model *core.Model
-	set   []metrics.Metric
-	agg   *Aggregator
-	loc   *Localizer
+	set []metrics.Metric
+	agg *Aggregator
+	loc *Localizer
 	// pending collects completed windows by start time until every service
 	// has reported that window.
 	pending map[sim.Time]map[string]telemetry.Window
@@ -58,11 +57,14 @@ func NewPipeline(model *core.Model, opts ...Option) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if model == nil {
-		return nil, fmt.Errorf("stream: nil model")
-	}
 	if len(s.set) == 0 {
 		return nil, fmt.Errorf("stream: empty metric set (a pipeline needs WithMetricSet)")
+	}
+	// The localizer validates the model, so a malformed one reports that
+	// before any mismatch with the metric set.
+	loc, err := newLocalizer(model, s)
+	if err != nil {
+		return nil, err
 	}
 	names := metrics.Names(s.set)
 	if len(names) != len(model.Metrics) {
@@ -77,12 +79,7 @@ func NewPipeline(model *core.Model, opts ...Option) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	loc, err := newLocalizer(model, s)
-	if err != nil {
-		return nil, err
-	}
 	return &Pipeline{
-		model:   model,
 		set:     s.set,
 		agg:     agg,
 		loc:     loc,
@@ -106,11 +103,12 @@ func (p *Pipeline) Tick(ctx context.Context, samples map[string][]telemetry.Samp
 	if err != nil {
 		return nil, err
 	}
+	services := len(p.loc.idx.Model().Services)
 	for svc, ws := range completed {
 		for _, w := range ws {
 			bySvc := p.pending[w.Start]
 			if bySvc == nil {
-				bySvc = make(map[string]telemetry.Window, len(p.model.Services))
+				bySvc = make(map[string]telemetry.Window, services)
 				p.pending[w.Start] = bySvc
 			}
 			bySvc[svc] = w
@@ -120,7 +118,7 @@ func (p *Pipeline) Tick(ctx context.Context, samples map[string][]telemetry.Samp
 	// Collect fully reported window starts in timeline order.
 	var ready []sim.Time
 	for start, bySvc := range p.pending {
-		if len(bySvc) == len(p.model.Services) {
+		if len(bySvc) == services {
 			ready = append(ready, start)
 		}
 	}

@@ -468,15 +468,12 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 		return fmt.Errorf("stream: snapshot window geometry %v/%v does not match pipeline %v/%v",
 			st.Length, st.Hop, p.agg.length, p.agg.hop)
 	}
+	// d.svcIndex doubles as the model's service set: Model.Validate holds
+	// the baseline the detector indexes to exactly the model's services.
 	d := p.loc.det
 	if d.window != st.Window {
 		return fmt.Errorf("stream: snapshot sliding window %d does not match pipeline %d", st.Window, d.window)
 	}
-	known := make(map[string]bool, len(p.model.Services))
-	for _, svc := range p.model.Services {
-		known[svc] = true
-	}
-
 	for svc, as := range st.Aggregator {
 		if as.Interval > 0 {
 			if want := int(sim.Time(p.agg.length) / as.Interval); as.Expected != want {
@@ -526,7 +523,7 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 	for i, names := range st.History {
 		set := make(map[string]bool, len(names))
 		for _, s := range names {
-			if !known[s] {
+			if _, ok := d.svcIndex[s]; !ok {
 				return fmt.Errorf("stream: snapshot history[%d] names unknown service %q", i, s)
 			}
 			set[s] = true
@@ -535,12 +532,12 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 	}
 
 	for _, pe := range st.Pending {
-		if len(pe.Windows) >= len(p.model.Services) {
+		if len(pe.Windows) >= len(d.svcIndex) {
 			return fmt.Errorf("stream: snapshot pending %v is fully reported; it should have been emitted", pe.Start)
 		}
 		bySvc := make(map[string]telemetry.Window, len(pe.Windows))
 		for svc, ws := range pe.Windows {
-			if !known[svc] {
+			if _, ok := d.svcIndex[svc]; !ok {
 				return fmt.Errorf("stream: snapshot pending %v names unknown service %q", pe.Start, svc)
 			}
 			bySvc[svc] = ws.Window()

@@ -32,7 +32,8 @@
 // (core.Localizer.AggregateIndexed) the batch localizer runs. Both paths
 // drop a NaN or ±Inf production value before any test, in either mode. The
 // conformance suite in this package (equivalence tests, golden corpus,
-// FuzzDetectorMatchesBatch; FuzzIncrementalKS in internal/stats) enforces
+// FuzzDetectorMatchesBatch; FuzzIncrementalKS in internal/stats, on a
+// one-window slab and baseline set) enforces
 // the contract at every hop for workers 1..8 in both alpha and FDR modes.
 //
 // Configuration is one functional-option set (Option): NewDetector,
