@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzIncrementalKS -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzKSDistanceUnsorted -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSketchRankError -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run xxx -fuzz FuzzSortFloat64s -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSanitize -fuzztime $(FUZZTIME) ./internal/metrics
 	$(GO) test -run xxx -fuzz FuzzReadTrainingData -fuzztime $(FUZZTIME) ./internal/eval
 	$(GO) test -run xxx -fuzz FuzzTopology -fuzztime $(FUZZTIME) ./internal/analysis
@@ -102,7 +103,9 @@ bench:
 
 # Short-budget run of the micro-benchmarks, with allocations: one guarded KS
 # test of a window of 8 against a 384-value baseline read in place (a
-# shifted and an overlapping window), the stream engine's fleet-scale ones
+# shifted and an overlapping window), the baseline sort (pdqsort against the
+# radix kernel from 8 to 384 values, whose numbers set its crossover, and
+# one 384-value KSBaselines.Add), the stream engine's fleet-scale ones
 # (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
 # synthetic fleet), serve's ingest decode and handler (a 64-tick,
 # 12-service robotshop batch) and the simulator's throughput (one simulated
@@ -113,7 +116,7 @@ bench:
 # the BenchmarkParallel_* benchmarks of bench_test.go.
 BENCHTIME ?= 200x
 bench-micro:
-	$(GO) test -run xxx -bench '^BenchmarkKSBaselinesGuardedPValue$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
+	$(GO) test -run xxx -bench '^Benchmark(KSBaselinesGuardedPValue|SortFloat64s|KSBaselinesAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
 	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 	$(GO) test -run xxx -bench '^BenchmarkMicro_SimulatorThroughput$$' -benchmem -benchtime $(BENCHTIME) ./internal/sim

@@ -154,6 +154,38 @@ func TestLearnerValidation(t *testing.T) {
 	}
 }
 
+// TestLearnRefusesRepeatedName: a baseline that declares a name twice would
+// learn into a model that ReadModel, Localize and NewCausalIndex refuse, so
+// Learn refuses it up front, in Model.Validate's words.
+func TestLearnRefusesRepeatedName(t *testing.T) {
+	l, err := NewLearner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := []float64{1, 2, 3, 4, 5, 6}
+	for _, tc := range []struct {
+		metrics, services []string
+		want              string
+	}{
+		{[]string{"m", "m"}, []string{"a", "b"}, `core: model lists metric "m" twice`},
+		{[]string{"m"}, []string{"a", "b", "a"}, `core: model lists service "a" twice`},
+	} {
+		snap := func() *metrics.Snapshot {
+			s := metrics.NewSnapshot(tc.metrics, tc.services)
+			for _, m := range tc.metrics {
+				for _, svc := range tc.services {
+					s.Data[m][svc] = series
+				}
+			}
+			return s
+		}
+		_, err := l.Learn(context.Background(), snap(), map[string]*metrics.Snapshot{"a": snap()})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Learn over metrics %v, services %v = %v, want %q", tc.metrics, tc.services, err, tc.want)
+		}
+	}
+}
+
 func TestNewLearnerOptions(t *testing.T) {
 	if _, err := NewLearner(WithAlpha(0)); err == nil {
 		t.Error("accepted alpha 0")

@@ -70,6 +70,15 @@ func (l *Learner) Learn(ctx context.Context, baseline *metrics.Snapshot, interve
 	if len(interventions) == 0 {
 		return nil, fmt.Errorf("core: learn: no intervention datasets")
 	}
+	// The learned model takes the baseline's names, and Model.Validate
+	// refuses one declared twice, so refuse it here, in the same words.
+	known, err := nameSet("model", "service", baseline.Services)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := nameSet("model", "metric", baseline.Metrics); err != nil {
+		return nil, err
+	}
 
 	model := &Model{
 		Services:   append([]string(nil), baseline.Services...),
@@ -80,11 +89,6 @@ func (l *Learner) Learn(ctx context.Context, baseline *metrics.Snapshot, interve
 	}
 	for _, m := range model.Metrics {
 		model.CausalSets[m] = make(map[string][]string, len(interventions))
-	}
-
-	known := make(map[string]bool, len(model.Services))
-	for _, s := range model.Services {
-		known[s] = true
 	}
 
 	// Deterministic target order: follow the service universe, then any

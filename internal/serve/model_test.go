@@ -15,9 +15,12 @@ import (
 
 // TestMalformedModelRefusedEverywhere is the model-check conformance table:
 // every entry point that accepts a trained model — core.ReadModel, the batch
-// Localizer.Localize, stream.NewLocalizer and serve's tenant create — refuses
-// each malformed model with the text of Model.Validate, the one statement of
-// the model rules.
+// Localizer.Localize, stream.NewLocalizer, serve's tenant create and the
+// snapshot Store.Load a restore starts from — refuses each malformed model
+// with the text of Model.Validate, the one statement of the model rules.
+// Store.Save leaves the model unchecked (its tenant's model passed at create
+// or restore), so a malformed one still reaches the disk here and must be
+// refused on the way back.
 func TestMalformedModelRefusedEverywhere(t *testing.T) {
 	base := fixtureModel(t, []string{"svc-a", "svc-b", "svc-c"})
 	metric := base.Metrics[0]
@@ -93,6 +96,13 @@ func TestMalformedModelRefusedEverywhere(t *testing.T) {
 			if rec.Code != http.StatusBadRequest || !strings.Contains(resp.Error, tc.want) {
 				t.Errorf("PUT /v1/tenants/t = %d %q, want 400 containing %q", rec.Code, resp.Error, tc.want)
 			}
+
+			snap := &TenantSnapshot{Version: SnapshotVersion, Tenant: "t", Config: tenantCfg(1, 0).withDefaults(), Model: &model}
+			if err := store.Save(snap); err != nil {
+				t.Fatalf("Store.Save checks only the envelope and state, got %v", err)
+			}
+			_, err = store.Load("t")
+			refuses("Store.Load", err)
 		})
 	}
 }

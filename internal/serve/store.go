@@ -52,7 +52,12 @@ type TenantSnapshot struct {
 	Shed      uint64 `json:"shed"`
 }
 
-// validate checks the envelope before a restore.
+// validate checks the envelope and the pipeline state. It leaves the model
+// to Load: every model Save sees belongs to a live tenant, and so passed
+// core.NewCausalIndex when the tenant was created or restored, and a
+// tenant's model never changes after that. Checking it again would re-run
+// the full Model.Validate at every periodic snapshot, on the tenant's
+// consumer goroutine.
 func (ts *TenantSnapshot) validate() error {
 	if ts.Version != SnapshotVersion {
 		return fmt.Errorf("serve: snapshot version %d, this build reads %d", ts.Version, SnapshotVersion)
@@ -62,9 +67,6 @@ func (ts *TenantSnapshot) validate() error {
 	}
 	if ts.Model == nil {
 		return fmt.Errorf("serve: snapshot for %q has no model", ts.Tenant)
-	}
-	if err := ts.Model.Validate(); err != nil {
-		return fmt.Errorf("serve: snapshot for %q: %w", ts.Tenant, err)
 	}
 	if ts.State != nil {
 		if err := ts.State.Validate(); err != nil {
@@ -123,7 +125,9 @@ func (s *Store) path(tenant string) string {
 
 // Save atomically replaces the tenant's snapshot: marshal, write to a
 // temporary file in the same directory, fsync it, rename over the target,
-// fsync the directory so the rename itself is durable.
+// fsync the directory so the rename itself is durable. It checks the
+// envelope and the state, not the model (see validate); Load checks all
+// three.
 func (s *Store) Save(ts *TenantSnapshot) error {
 	if err := ts.validate(); err != nil {
 		return err
@@ -157,10 +161,10 @@ func (s *Store) Save(ts *TenantSnapshot) error {
 	return syncDir(s.dir)
 }
 
-// Load reads and validates one tenant's snapshot. A missing snapshot is an
-// os.ErrNotExist-wrapped error; a corrupt one is an explicit failure — boot
-// must not silently start that tenant from scratch and quietly lose its
-// baselines.
+// Load reads and validates one tenant's snapshot, the model included. A
+// missing snapshot is an os.ErrNotExist-wrapped error; a corrupt one is an
+// explicit failure — boot must not silently start that tenant from scratch
+// and quietly lose its baselines.
 func (s *Store) Load(tenant string) (*TenantSnapshot, error) {
 	if err := ValidTenantName(tenant); err != nil {
 		return nil, err
@@ -175,6 +179,9 @@ func (s *Store) Load(tenant string) (*TenantSnapshot, error) {
 	}
 	if err := ts.validate(); err != nil {
 		return nil, err
+	}
+	if err := ts.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot for %q: %w", ts.Tenant, err)
 	}
 	if ts.Tenant != tenant {
 		return nil, fmt.Errorf("serve: snapshot file for %q names tenant %q", tenant, ts.Tenant)

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DefaultRelTol is the default practical-equivalence tolerance of
 // GuardedTest: samples whose trimmed means differ by less than 20% are
@@ -98,16 +95,8 @@ func sameLocation(tx, ty, tol float64) bool {
 	return scale == 0 || abs(tx-ty) <= tol*scale
 }
 
-// trimmedMean averages the sample after dropping the trim fraction from each
-// tail (at least keeping one central value).
-func trimmedMean(sample []float64, trim float64) float64 {
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	return trimmedMeanSorted(s, trim)
-}
-
-// trimmedMeanSorted is trimmedMean over an already-sorted sample.
+// trimmedMeanSorted averages the sorted sample after dropping the trim
+// fraction from each tail (at least keeping one central value).
 func trimmedMeanSorted(s []float64, trim float64) float64 {
 	drop := int(float64(len(s)) * trim)
 	if 2*drop >= len(s) {

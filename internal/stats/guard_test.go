@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,15 @@ func TestGuardedTestName(t *testing.T) {
 	if got := (GuardedTest{}).Name(); got != "guarded-nil" {
 		t.Errorf("Name = %q", got)
 	}
+}
+
+// trimmedMean is the oracle for the trimmed means the guard computes over
+// pooled or cached sorted copies: a fresh sorted copy of the sample, summed
+// by trimmedMeanSorted.
+func trimmedMean(sample []float64, trim float64) float64 {
+	s := append([]float64(nil), sample...)
+	slices.Sort(s)
+	return trimmedMeanSorted(s, trim)
 }
 
 func TestTrimmedMean(t *testing.T) {

@@ -221,6 +221,7 @@ type KSBaselines struct {
 	size    []int       // sample sizes; zero for an untestable entry
 	trimmed []float64   // trimmedMeanSorted(baseline, DefaultTrim)
 	scratch []float64   // the sort buffer Add reuses for the trimmed mean
+	keys    sortKeys    // the radix keys Add reuses with scratch
 }
 
 // NewKSBaselines returns an empty baseline set. count is a capacity hint:
@@ -240,16 +241,15 @@ func NewKSBaselines(count int) *KSBaselines {
 // the KS statistic walks. An empty sample adds an entry that can never be
 // tested: its Len is zero.
 func (b *KSBaselines) Add(sample []float64) error {
-	for _, v := range sample {
-		if math.IsNaN(v) {
-			return fmt.Errorf("stats: incremental ks: baseline holds NaN")
-		}
-	}
 	sorted := append(b.scratch[:0], sample...)
 	b.scratch = sorted
-	sortFloat64s(sorted)
+	sortFloat64s(sorted, &b.keys)
 	var trimmed float64
 	if len(sorted) > 0 {
+		// The sort puts NaNs first, so one look finds any.
+		if math.IsNaN(sorted[0]) {
+			return fmt.Errorf("stats: incremental ks: baseline holds NaN")
+		}
 		trimmed = trimmedMeanSorted(sorted, DefaultTrim)
 	}
 	b.series = append(b.series, sample)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -264,10 +265,10 @@ func FuzzKSDistanceUnsorted(f *testing.F) {
 		if len(a) == 0 {
 			return
 		}
-		sortFloat64s(a)
+		slices.Sort(a)
 		orig := append([]float64(nil), b...)
 		sorted := append([]float64(nil), b...)
-		sortFloat64s(sorted)
+		slices.Sort(sorted)
 		want := ksDistanceSorted(a, sorted)
 		got := ksDistanceUnsorted(a, b)
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -316,6 +317,16 @@ func TestKSBaselinesRejectNaN(t *testing.T) {
 	if err := set.Add([]float64{1, math.NaN(), 2}); err == nil {
 		t.Fatal("baseline accepted NaN")
 	}
+	// Long enough for the radix sort, NaN last: Add finds it only because
+	// the sort hands a sample holding NaN to slices.Sort, which puts it first.
+	long := make([]float64, 2*radixMinLen)
+	for i := range long {
+		long[i] = float64(len(long) - i)
+	}
+	long[len(long)-1] = math.NaN()
+	if err := set.Add(long); err == nil {
+		t.Fatal("long baseline accepted NaN")
+	}
 	if err := set.Add([]float64{math.Inf(-1), 1, math.Inf(1)}); err != nil {
 		t.Fatalf("baseline refused ±Inf: %v", err)
 	}
@@ -331,7 +342,7 @@ func TestKSBaselinesInfiniteLocationRunsKS(t *testing.T) {
 			t.Fatal(err)
 		}
 		window := append([]float64(nil), tc.window...)
-		sortFloat64s(window)
+		slices.Sort(window)
 		want, err := KSTest{}.PValue(window, tc.baseline)
 		if err != nil {
 			t.Fatal(err)
@@ -374,7 +385,7 @@ func BenchmarkKSBaselinesGuardedPValue(b *testing.B) {
 			for i := range window {
 				window[i] = 100 + bc.shift + rng.NormFloat64()*10
 			}
-			sortFloat64s(window)
+			slices.Sort(window)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
