@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build loc test test-short test-stream test-serve test-arena race vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro demo-stream demo-serve demo-arena report tables figures clean
+.PHONY: all check build loc test test-short test-stream test-serve test-arena race vet perfbench-vet lint lint-json graph fmt fmt-check fuzz-smoke bench bench-micro demo-stream demo-serve demo-arena report tables figures clean
 
 all: check
 
@@ -51,6 +51,13 @@ test-arena:
 
 vet:
 	$(GO) vet ./...
+
+# Type-checks and vets the benchmark harness, a separate module that calls
+# the serve and stream APIs, so an API change that breaks it fails here.
+# The harness resolves the main module through its replace directive and
+# needs no go.sum.
+perfbench-vet:
+	cd _perfbench && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./...
 
 # Project-invariant static analysis (determinism, statistical hygiene,
 # topology validity) over the whole module, examples included. See
@@ -107,8 +114,9 @@ bench:
 # radix kernel from 8 to 384 values, whose numbers set its crossover, and
 # one 384-value KSBaselines.Add), the stream engine's fleet-scale ones
 # (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
-# synthetic fleet), serve's ingest decode and handler (a 64-tick,
-# 12-service robotshop batch) and the simulator's throughput (one simulated
+# synthetic fleet) and its Pipeline.Tick on recorded robotshop ticks,
+# serve's ingest decode and handler (a 64-tick, 12-service robotshop
+# batch) and the simulator's throughput (one simulated
 # second of each paper app at default load, in events per second). A smoke check:
 # it fails only if a benchmark errors or panics; raise BENCHTIME locally for
 # numbers to compare. The 4096-service fleet is measured end to end by
@@ -117,7 +125,7 @@ bench:
 BENCHTIME ?= 200x
 bench-micro:
 	$(GO) test -run xxx -bench '^Benchmark(KSBaselinesGuardedPValue|SortFloat64s|KSBaselinesAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
-	$(GO) test -run xxx -bench '4096$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
+	$(GO) test -run xxx -bench '4096$$|^BenchmarkPipelineTick$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 	$(GO) test -run xxx -bench '^BenchmarkMicro_SimulatorThroughput$$' -benchmem -benchtime $(BENCHTIME) ./internal/sim
 

@@ -43,6 +43,11 @@ var (
 // decodeIngest decodes an ingest body into ticks. names interns service
 // names: a known name is returned as the table's own string, so decoding it
 // allocates nothing.
+//
+// The ticks never alias body: both paths copy every service name and value
+// out of it (the scanner interns or copies each key, and encoding/json
+// copies whatever it decodes). The handler relies on that to reuse the body
+// buffer once it has answered, while the ticks wait in the tenant's queue.
 func decodeIngest(body []byte, names map[string]string) ([]map[string][]telemetry.Sample, error) {
 	sc := ingestScanner{buf: body, names: names}
 	if ticks, ok := sc.request(); ok {
@@ -68,7 +73,8 @@ func decodeIngest(body []byte, names map[string]string) ([]map[string][]telemetr
 }
 
 // ingestScanner decodes the canonical ingest form. Every method returns
-// false as soon as the input leaves that form.
+// false as soon as the input leaves that form. Strings it returns are views
+// of buf; anything it stores in a tick is a copy or an interned name.
 type ingestScanner struct {
 	buf   []byte
 	pos   int

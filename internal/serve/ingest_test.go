@@ -343,6 +343,90 @@ func TestEmptyTicksAllocateLittle(t *testing.T) {
 	}
 }
 
+// TestIngestDoesNotRetainBody: the handler reads bodies into pooled
+// buffers, so nothing it enqueues may alias one. Batch A waits in the queue
+// of a parked tenant while batch B, of the same length, is read into the
+// buffer A came in; A's ticks must still be what A says.
+func TestIngestDoesNotRetainBody(t *testing.T) {
+	fx := buildFixture(t)
+	srv, _, _ := newTestServer(t, t.TempDir())
+	if err := srv.CreateTenant(context.Background(), "t", tenantCfg(1, 0), fx.model); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.RLock()
+	tn := srv.tenants["t"]
+	srv.mu.RUnlock()
+
+	a := mustJSON(t, ingestRequest{Ticks: wireTicks(fx.ticks[:8])})
+	b := mustJSON(t, ingestRequest{Ticks: wireTicks(fx.ticks[8:16])})
+	// Trailing whitespace keeps a body canonical; it evens the lengths so
+	// B overwrites every byte A was read into.
+	for len(a) < len(b) {
+		a = append(a, ' ')
+	}
+	for len(b) < len(a) {
+		b = append(b, ' ')
+	}
+	wantA, err := referenceDecode(bytes.Clone(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := pauseTenant(t, tn)
+	for _, body := range [][]byte{a, b} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants/t/ingest", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("ingest: status %d, %s", rec.Code, rec.Body)
+		}
+	}
+	// Take A's job to inspect and put both back in order for the consumer.
+	jobA, jobB := <-tn.queue, <-tn.queue
+	tn.queue <- jobA
+	tn.queue <- jobB
+	release()
+	err = srv.Quiesce(context.Background(), "t")
+	if got, want := canon(jobA.ticks), canon(wantA); got != want {
+		t.Fatalf("batch A changed after batch B was read:\ngot  %s\nwant %s", got, want)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tn.snapshotStats(); st.Processed != 2 {
+		t.Fatalf("tenant processed %d batches, want 2", st.Processed)
+	}
+}
+
+// TestHandleIngestAllocBound bounds what one warm ingest POST of the
+// 64-tick, 12-service robotshop batch (about 156 kB) allocates: the decoded
+// ticks, not the body read. Reading every body into a fresh buffer cost
+// about 844 kB per POST.
+func TestHandleIngestAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	services, body := robotshopBatch(t)
+	h := newIngestHarness(t, services)
+	post := func() {
+		if code, resp, _ := h.post(body); code != http.StatusAccepted {
+			t.Fatalf("status %d: %s", code, resp)
+		}
+	}
+	post()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, post)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	perPost := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("%d bytes, %.0f objects per POST", perPost, allocs)
+	if perPost > 300<<10 {
+		t.Fatalf("a warm ingest POST of %d bytes allocated %d bytes in %.0f objects, want at most %d bytes",
+			len(body), perPost, allocs, 300<<10)
+	}
+}
+
 func FuzzIngestHandler(f *testing.F) {
 	seeds := ingestSeeds(f)
 	for _, body := range seeds {

@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -21,6 +21,11 @@ var ErrExists = errors.New("serve: tenant already exists")
 // hundred services fits comfortably, a hostile multi-gigabyte body does not.
 const maxBodyBytes = 8 << 20
 
+// maxPooledBody caps the body buffers kept for reuse. A buffer that grew
+// past it (a rare huge batch, a model upload) is left to the collector, so
+// one large request does not pin its size in the pool.
+const maxPooledBody = 1 << 20
+
 // Options configures a Server.
 type Options struct {
 	// Store persists tenant snapshots; required.
@@ -33,7 +38,8 @@ type Options struct {
 // Server hosts independent per-tenant pipelines behind the HTTP API
 // documented in docs/SERVING.md. One consumer goroutine per tenant owns that
 // tenant's pipeline; handlers only touch queues and locked bookkeeping, so a
-// slow or flooding tenant cannot delay another tenant's verdicts.
+// stalled tenant cannot delay another tenant's verdicts. A flooding one
+// still shares the CPU with it.
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
@@ -111,10 +117,26 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// readBody reads a request body of at most maxBodyBytes. The buffer grows
-// with the bytes that arrive, not with a length the client claims.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// bodies holds the request-body buffers of finished requests.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a request body of at most maxBodyBytes into a buffer from
+// the pool. The buffer grows with the bytes that arrive, not with a length
+// the client claims. The handler passes it to releaseBody once its response
+// is written, and nothing the request leaves behind may alias its bytes.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf, err
+}
+
+// releaseBody returns a body buffer to the pool, unless it grew past
+// maxPooledBody.
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodies.Put(buf)
+	}
 }
 
 // tenantFor resolves the path's tenant or writes a 404.
@@ -263,10 +285,13 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// json.Unmarshal copies every string and value out of the body, so the
+	// model the tenant keeps does not alias the pooled buffer.
 	var req createTenantRequest
 	body, err := readBody(w, r)
+	defer releaseBody(body)
 	if err == nil {
-		err = json.Unmarshal(body, &req)
+		err = json.Unmarshal(body.Bytes(), &req)
 	}
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "decode request: %v", err)
@@ -327,9 +352,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := readBody(w, r)
+	defer releaseBody(body)
 	var ticks []map[string][]telemetry.Sample
 	if err == nil {
-		ticks, err = decodeIngest(body, t.services)
+		ticks, err = decodeIngest(body.Bytes(), t.services)
 	}
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "decode request: %v", err)

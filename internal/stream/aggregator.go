@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"causalfl/internal/sim"
@@ -136,7 +135,7 @@ func (a *Aggregator) Stats() AggStats {
 // Ingest feeds one service's next samples and returns the windows completed
 // by them, in start order. Samples must arrive in strictly ascending stamp
 // order; ones that do not are dropped and counted, never applied.
-func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) ([]telemetry.Window, error) {
+func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.Window {
 	sw := a.svcs[svc]
 	if sw == nil {
 		sw = &svcWindows{}
@@ -152,11 +151,11 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) ([]telemetry
 		sw.stats.Accepted++
 	}
 	if len(sw.buf) == 0 {
-		return nil, nil
+		return nil
 	}
 	if sw.interval == 0 {
 		if len(sw.buf) < 2 {
-			return nil, nil
+			return nil
 		}
 		// Same cadence recovery as the batch function: interval from the
 		// first two stamps, origin one interval before the first. The
@@ -211,26 +210,20 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) ([]telemetry
 	if keep > 0 {
 		sw.buf = append(sw.buf[:0], sw.buf[keep:]...)
 	}
-	return out, nil
+	return out
 }
 
 // IngestTick feeds one drained tick for every service (service -> samples)
-// and returns the completed windows per service. Services are processed in
-// sorted order for deterministic error reporting; per-service results are
-// independent.
+// and returns the completed windows per service, nil when the tick completes
+// none. Per-service results are independent, so services go in map order.
+// The error is reserved; IngestTick currently never fails.
 func (a *Aggregator) IngestTick(tick map[string][]telemetry.Sample) (map[string][]telemetry.Window, error) {
-	svcs := make([]string, 0, len(tick))
-	for svc := range tick {
-		svcs = append(svcs, svc)
-	}
-	sort.Strings(svcs)
-	out := make(map[string][]telemetry.Window, len(tick))
-	for _, svc := range svcs {
-		ws, err := a.Ingest(svc, tick[svc])
-		if err != nil {
-			return nil, err
-		}
-		if len(ws) > 0 {
+	var out map[string][]telemetry.Window
+	for svc, samples := range tick {
+		if ws := a.Ingest(svc, samples); len(ws) > 0 {
+			if out == nil {
+				out = make(map[string][]telemetry.Window, len(tick))
+			}
 			out[svc] = ws
 		}
 	}

@@ -58,11 +58,7 @@ func TestAggregatorMatchesHoppingWindows(t *testing.T) {
 	}
 	var got []telemetry.Window
 	for i, smp := range samples {
-		ws, err := agg.Ingest("svc", []telemetry.Sample{smp})
-		if err != nil {
-			t.Fatalf("tick %d: %v", i, err)
-		}
-		got = append(got, ws...)
+		got = append(got, agg.Ingest("svc", []telemetry.Sample{smp})...)
 		want, err := telemetry.HoppingWindows(samples[:i+1], length, hop)
 		if err != nil {
 			t.Fatalf("tick %d: batch: %v", i, err)
@@ -93,9 +89,7 @@ func TestAggregatorValidation(t *testing.T) {
 	}
 	// Out-of-order samples are dropped and counted, not applied and not an
 	// error: a replaying producer must not kill the stream.
-	if _, err := agg.Ingest("svc", []telemetry.Sample{{At: 10}, {At: 5}}); err != nil {
-		t.Fatalf("out-of-order ingest errored: %v", err)
-	}
+	agg.Ingest("svc", []telemetry.Sample{{At: 10}, {At: 5}})
 	st := agg.Stats()
 	if st.Accepted != 1 || st.OutOfOrder != 1 {
 		t.Fatalf("accounting after out-of-order ingest: %+v", st.SvcAggStats)
@@ -105,9 +99,7 @@ func TestAggregatorValidation(t *testing.T) {
 	}
 	// The guard keys on the newest accepted stamp, so an exact replay of the
 	// accepted sample is also dropped.
-	if _, err := agg.Ingest("svc", []telemetry.Sample{{At: 10}}); err != nil {
-		t.Fatal(err)
-	}
+	agg.Ingest("svc", []telemetry.Sample{{At: 10}})
 	if st := agg.Stats(); st.OutOfOrder != 2 {
 		t.Fatalf("replayed stamp not dropped: %+v", st.SvcAggStats)
 	}

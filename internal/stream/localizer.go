@@ -126,7 +126,8 @@ func (l *Localizer) Detector() *Detector { return l.det }
 // from the flushed aggregates, the vote phase is core.Localizer.AggregateIndexed
 // over the sparse causal index, and the hysteresis filter updates last. The returned
 // Verdict's vote fields are byte-identical to core.Localizer.Localize on the
-// materialized windows.
+// materialized windows. Step does not retain hop or its inner maps: the
+// caller may clear and refill them for the next hop (Pipeline.Tick does).
 func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[string]float64) (*Verdict, error) {
 	if err := l.det.ObserveHop(hop); err != nil {
 		return nil, err

@@ -104,12 +104,60 @@ func TestWorkerParityPaperApps(t *testing.T) {
 	}
 }
 
+// BenchmarkPipelineTick feeds recorded robotshop ticks through a warm
+// stream.Pipeline: aggregation, window assembly, and each completed hop's
+// Localizer.Step (one hop every three ticks). The recording is replayed in
+// cycles, its stamps moved forward by the recording's length each cycle.
+func BenchmarkPipelineTick(b *testing.B) {
+	model, cfg := parityModel(b, robotshop.Build, 31)
+	p, err := stream.NewPipeline(model,
+		stream.WithMetricSet(cfg.Metrics),
+		stream.WithGeometry(cfg.WindowLength, cfg.WindowHop),
+		stream.WithWindow(6),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ls, err := eval.NewLiveSession(cfg, 1, 31+99)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const recorded = 64
+	ticks := make([]map[string][]telemetry.Sample, recorded)
+	for i := range ticks {
+		ticks[i] = ls.Advance(cfg.SampleInterval)
+	}
+	span := recorded * sim.Time(cfg.SampleInterval)
+	ctx := context.Background()
+	feed := func(i int) {
+		tick := ticks[i%recorded]
+		if i >= recorded {
+			for _, samples := range tick {
+				for j := range samples {
+					samples[j].At += span
+				}
+			}
+		}
+		if _, err := p.Tick(ctx, tick); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < recorded; i++ {
+		feed(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feed(recorded + i)
+	}
+}
+
 // parityModel builds a streaming model for a paper app without a training
 // campaign: a healthy session supplies the baseline snapshot, and the causal
 // sets are the topology closure (services reachable along call edges in
 // either direction) — a superset of any trained set, sufficient for the vote
 // phase and cheap enough for a unit test.
-func parityModel(t *testing.T, build apps.Builder, seed int64) (*core.Model, eval.Config) {
+func parityModel(t testing.TB, build apps.Builder, seed int64) (*core.Model, eval.Config) {
 	t.Helper()
 	ls, err := eval.NewLiveSession(eval.Options{Seed: seed, Quick: true}.Apply(eval.Config{Build: build}), 1, seed)
 	if err != nil {
@@ -148,7 +196,7 @@ func parityModel(t *testing.T, build apps.Builder, seed int64) (*core.Model, eva
 
 // parityTopology instantiates the app on a throwaway engine for its static
 // shape (edges, fault targets), the same trick `causalfl topology` uses.
-func parityTopology(t *testing.T, build apps.Builder) *apps.App {
+func parityTopology(t testing.TB, build apps.Builder) *apps.App {
 	t.Helper()
 	a, err := build(sim.NewEngine(0))
 	if err != nil {

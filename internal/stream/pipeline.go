@@ -3,7 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"causalfl/internal/core"
 	"causalfl/internal/metrics"
@@ -28,6 +28,11 @@ type Pipeline struct {
 	// pending collects completed windows by start time until every service
 	// has reported that window.
 	pending map[sim.Time]map[string]telemetry.Window
+	// spare holds emptied pending maps for the next window starts; ready
+	// and hop are Tick's scratch, cleared and refilled on every hop.
+	spare []map[string]telemetry.Window
+	ready []sim.Time
+	hop   map[string]map[string]float64
 	// hops counts emitted verdicts; lastAt stamps the newest one.
 	hops   uint64
 	lastAt sim.Time
@@ -84,6 +89,7 @@ func NewPipeline(model *core.Model, opts ...Option) (*Pipeline, error) {
 		agg:     agg,
 		loc:     loc,
 		pending: make(map[sim.Time]map[string]telemetry.Window),
+		hop:     make(map[string]map[string]float64, len(s.set)),
 	}, nil
 }
 
@@ -108,7 +114,11 @@ func (p *Pipeline) Tick(ctx context.Context, samples map[string][]telemetry.Samp
 		for _, w := range ws {
 			bySvc := p.pending[w.Start]
 			if bySvc == nil {
-				bySvc = make(map[string]telemetry.Window, services)
+				if n := len(p.spare); n > 0 {
+					bySvc, p.spare = p.spare[n-1], p.spare[:n-1]
+				} else {
+					bySvc = make(map[string]telemetry.Window, services)
+				}
 				p.pending[w.Start] = bySvc
 			}
 			bySvc[svc] = w
@@ -116,13 +126,14 @@ func (p *Pipeline) Tick(ctx context.Context, samples map[string][]telemetry.Samp
 	}
 
 	// Collect fully reported window starts in timeline order.
-	var ready []sim.Time
+	ready := p.ready[:0]
 	for start, bySvc := range p.pending {
 		if len(bySvc) == services {
 			ready = append(ready, start)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	slices.Sort(ready)
+	p.ready = ready
 
 	var out []*Verdict
 	for _, start := range ready {
@@ -136,17 +147,23 @@ func (p *Pipeline) Tick(ctx context.Context, samples map[string][]telemetry.Samp
 				return nil, fmt.Errorf("stream: service windows misaligned: window at %v still incomplete while %v is ready", s, start)
 			}
 		}
-		hop := make(map[string]map[string]float64, len(p.set))
+		// Step does not retain the hop, so its maps are refilled in place.
 		var at sim.Time
 		for _, m := range p.set {
-			vals := make(map[string]float64, len(bySvc))
+			vals := p.hop[m.Name]
+			if vals == nil {
+				vals = make(map[string]float64, len(bySvc))
+				p.hop[m.Name] = vals
+			}
+			clear(vals)
 			for svc, w := range bySvc {
 				vals[svc] = m.Extract(w.Sum)
 				at = w.End
 			}
-			hop[m.Name] = vals
 		}
-		v, err := p.loc.Step(ctx, at, hop)
+		clear(bySvc)
+		p.spare = append(p.spare, bySvc)
+		v, err := p.loc.Step(ctx, at, p.hop)
 		if err != nil {
 			return nil, err
 		}
