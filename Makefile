@@ -88,7 +88,7 @@ fmt-check:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzIncrementalKS -fuzztime $(FUZZTIME) ./internal/stats
-	$(GO) test -run xxx -fuzz FuzzKSDistanceUnsorted -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run xxx -fuzz FuzzKSDistanceSearch -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSketchRankError -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSortFloat64s -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz FuzzSanitize -fuzztime $(FUZZTIME) ./internal/metrics
@@ -109,10 +109,10 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 
 # Short-budget run of the micro-benchmarks, with allocations: one guarded KS
-# test of a window of 8 against a 384-value baseline read in place (a
-# shifted and an overlapping window), the baseline sort (pdqsort against the
-# radix kernel from 8 to 384 values, whose numbers set its crossover, and
-# one 384-value KSBaselines.Add), the stream engine's fleet-scale ones
+# test of a window of 8 against a sorted 384-value baseline (a shifted and
+# an overlapping window), the baseline sort (pdqsort against the radix
+# kernel from 8 to 384 values, whose numbers set its crossover, and one
+# 384-value KSBaselines.Add of a sorted and of an unsorted series), the stream engine's fleet-scale ones
 # (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
 # synthetic fleet) and its Pipeline.Tick on recorded robotshop ticks,
 # serve's ingest decode and handler (a 64-tick, 12-service robotshop

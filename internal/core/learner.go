@@ -52,7 +52,9 @@ func NewLearner(opts ...Option) (*Learner, error) {
 //
 //	C(s, M) = {s} ∪ { s' : KS(D_s(M, s'), D_0(M, s')) rejects at alpha }
 //
-// and returns the per-metric causal worlds as a Model.
+// and returns the per-metric causal worlds as a Model. The model's baseline
+// is a private copy of baseline with every series sorted (see Model); the
+// caller's snapshot is left as it was.
 //
 // The (target × metric) cells are independent p-value families, so they fan
 // out across the learner's worker pool; each family's rejection decision is
@@ -87,6 +89,7 @@ func (l *Learner) Learn(ctx context.Context, baseline *metrics.Snapshot, interve
 		Baseline:   baseline.Clone(),
 		Alpha:      l.alpha,
 	}
+	SortBaseline(model.Baseline)
 	for _, m := range model.Metrics {
 		model.CausalSets[m] = make(map[string][]string, len(interventions))
 	}

@@ -23,10 +23,17 @@ import (
 	"strings"
 
 	"causalfl/internal/metrics"
+	"causalfl/internal/stats"
 )
 
 // Model is the trained artifact of Algorithm 1: the causal sets plus the
 // fault-free baseline dataset needed at localization time.
+//
+// Learn, JSON decoding and stream.NewSynth sort every baseline series
+// ascending (SortBaseline): Algorithm 2 reads the baseline only through
+// order-free tests, so the model keeps the order the stream detector
+// searches. A hand-built model may carry unsorted series; the stream
+// detector then sorts a private copy of each.
 type Model struct {
 	// Services is the service universe S.
 	Services []string `json:"services"`
@@ -199,6 +206,32 @@ func (m *Model) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("core: encode model: %w", err)
 	}
 	return nil
+}
+
+// UnmarshalJSON decodes a model and sorts its baseline series, for
+// ReadModel and for every json.Unmarshal of a model (serve's create-tenant
+// bodies and snapshots): a file written with series in collection order
+// decodes to the same model as one written sorted.
+func (m *Model) UnmarshalJSON(data []byte) error {
+	type plain Model // the fields without this method, so the decode below does not recurse
+	if err := json.Unmarshal(data, (*plain)(m)); err != nil {
+		return err
+	}
+	if m.Baseline != nil {
+		SortBaseline(m.Baseline)
+	}
+	return nil
+}
+
+// SortBaseline sorts every series of a baseline snapshot ascending in place
+// (stats.Sorter), the order a Model keeps.
+func SortBaseline(b *metrics.Snapshot) {
+	var sorter stats.Sorter
+	for _, bySvc := range b.Data {
+		for _, series := range bySvc {
+			sorter.Sort(series)
+		}
+	}
 }
 
 // ReadModel deserializes a model written by WriteJSON and validates it.

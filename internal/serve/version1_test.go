@@ -7,14 +7,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // TestVersion1SnapshotResumes boots a server on testdata/prod.snapshot.json,
 // a tenant snapshot the first release's Store.Save wrote after the fixture's
 // first 31 ticks (verdicts 1-9, its model's baseline in collection order).
-// Ingesting the remaining ticks must yield the verdicts that release
-// served after the same reboot, byte for byte as JSON.
+// The model must load with its baseline sorted, and ingesting the remaining
+// ticks must yield the verdicts that release served after the same reboot,
+// byte for byte as JSON.
 func TestVersion1SnapshotResumes(t *testing.T) {
 	const splitAt, lastSeq = 31, 9
 	dir := t.TempDir()
@@ -24,6 +26,17 @@ func TestVersion1SnapshotResumes(t *testing.T) {
 	}
 	if err := os.WriteFile(filepath.Join(dir, "prod"+snapshotSuffix), blob, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	ts, err := (&Store{dir: dir}).Load("prod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, bySvc := range ts.Model.Baseline.Data {
+		for svc, series := range bySvc {
+			if !slices.IsSorted(series) {
+				t.Fatalf("restored baseline %s/%s unsorted: %v", m, svc, series)
+			}
+		}
 	}
 	srv, c, _ := newTestServer(t, dir)
 	wire := wireTicks(buildFixture(t).ticks)

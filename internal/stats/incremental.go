@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 )
 
 // This file is the incremental two-sample KS engine. Its storage comes in
@@ -13,9 +13,10 @@ import (
 //     back to back in one []float64, plus a 16-byte bookkeeping record per
 //     window. A push touches one window's stretch of the slab and its
 //     record, nothing else.
-//   - KSBaselines is the cold half: a reference to every caller's baseline,
-//     read in place and never copied, with its size and the guard's trimmed
-//     mean. Only a statistic reads it.
+//   - KSBaselines is the cold half: every baseline in ascending order — the
+//     caller's own series when it is sorted already, as a core.Model's
+//     always is, else a private sorted copy — with its size and the guard's
+//     trimmed mean. Only a statistic reads it.
 //
 // Window i of a slab pairs with baseline i of a set; the stream detector
 // keeps one of each per (metric, service) pair.
@@ -27,8 +28,8 @@ import (
 // window is full) and a sorted index keeps the finite values ordered between
 // pushes. A push costs O(window): a count of the values below the new one
 // and a bounded shift inside the window. The D statistic never pays a sort
-// either: one pass drops each baseline value, in its original order, into
-// the sorted window's buckets (ksDistanceUnsorted).
+// either: two binary searches of the sorted baseline per distinct window
+// value find every candidate for the maximum (ksDistanceSearch).
 //
 // Equivalence contract: after any sequence of pushes into window i,
 // KSBaselines.PValue(i, slab.Sorted(i)) equals KSTest{}.PValue(window,
@@ -208,20 +209,15 @@ func removeSorted(s []float64, v float64) []float64 {
 }
 
 // KSBaselines holds the baseline side of many incremental KS comparisons in
-// cold arrays. It keeps a reference to each caller's baseline series as it
-// was added — no copy and no sort — and computes the exact statistic against
-// it in place (ksDistanceUnsorted), next to each baseline's size and the
+// cold arrays: each baseline in ascending order, its size and the
 // practical-equivalence guard's trimmed mean. Baseline i pairs with window i
-// of a WindowSlab; the statistics take that window's sorted values.
-//
-// Because the set reads the callers' series on every statistic, a baseline
-// must not be modified after it is added.
+// of a WindowSlab; the statistics search the sorted baseline for that
+// window's sorted values (ksDistanceSearch).
 type KSBaselines struct {
-	series  [][]float64 // the callers' baselines, read in place
+	series  [][]float64 // ascending: the callers' sorted series, or private sorted copies
 	size    []int       // sample sizes; zero for an untestable entry
 	trimmed []float64   // trimmedMeanSorted(baseline, DefaultTrim)
-	scratch []float64   // the sort buffer Add reuses for the trimmed mean
-	keys    sortKeys    // the radix keys Add reuses with scratch
+	keys    Sorter      // the radix keys Add reuses to sort private copies
 }
 
 // NewKSBaselines returns an empty baseline set. count is a capacity hint:
@@ -235,25 +231,27 @@ func NewKSBaselines(count int) *KSBaselines {
 }
 
 // Add appends the next baseline, which pairs with the window of the same
-// index. The set keeps a reference to sample, which must not be modified
-// afterwards. The guard's trimmed mean is computed here, over a sorted copy
-// in a reused buffer. A NaN value is rejected: it has no place in the order
-// the KS statistic walks. An empty sample adds an entry that can never be
-// tested: its Len is zero.
+// index. A sample in ascending order — every core.Model baseline series is —
+// is kept by reference and must not be modified afterwards; any other is
+// sorted into a private copy. A NaN value is rejected: it has no place in
+// the order the KS statistic searches. An empty sample adds an entry that
+// can never be tested: its Len is zero.
 func (b *KSBaselines) Add(sample []float64) error {
-	sorted := append(b.scratch[:0], sample...)
-	b.scratch = sorted
-	sortFloat64s(sorted, &b.keys)
+	sorted := sample
+	if !slices.IsSorted(sample) {
+		sorted = slices.Clone(sample)
+		b.keys.Sort(sorted)
+	}
 	var trimmed float64
 	if len(sorted) > 0 {
-		// The sort puts NaNs first, so one look finds any.
+		// Ascending order puts NaNs first, so one look finds any.
 		if math.IsNaN(sorted[0]) {
 			return fmt.Errorf("stats: incremental ks: baseline holds NaN")
 		}
 		trimmed = trimmedMeanSorted(sorted, DefaultTrim)
 	}
-	b.series = append(b.series, sample)
-	b.size = append(b.size, len(sample))
+	b.series = append(b.series, sorted)
+	b.size = append(b.size, len(sorted))
 	b.trimmed = append(b.trimmed, trimmed)
 	return nil
 }
@@ -268,7 +266,7 @@ func (b *KSBaselines) PValue(i int, window []float64) (float64, error) {
 }
 
 func (b *KSBaselines) pvalue(i int, window []float64) float64 {
-	return ksPValue(ksDistanceUnsorted(window, b.series[i]), len(window), b.size[i])
+	return ksPValue(ksDistanceSearch(window, b.series[i]), len(window), b.size[i])
 }
 
 // GuardedPValue returns GuardedTest{Inner: KSTest{}, RelTol:
@@ -293,102 +291,54 @@ func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (fl
 	return b.pvalue(i, window), nil
 }
 
-// ksStackWindow is the largest window whose bucket counts
-// ksDistanceUnsorted keeps on the stack; larger windows borrow pooled
-// counts.
-const ksStackWindow = 32
-
-// bucketPool holds the bucket counts of windows above ksStackWindow.
-var bucketPool = sync.Pool{New: func() any { return new([]int) }}
-
-// ksDistanceUnsorted returns ksDistanceSorted(a, b') bit for bit, where a is
-// sorted ascending and non-empty and b' is b sorted: the exact KS statistic
-// against a baseline read in place, in any order, with one pass over it.
+// ksDistanceSearch returns ksDistanceSorted(a, b) bit for bit for the
+// ascending, non-empty window a and the ascending baseline b, in two binary
+// searches of b per distinct value of a.
 //
-// The pass drops each baseline value at or below a[n-1] into one of 2n
-// buckets of the window a (length n): c[2k] counts values strictly between
-// a[k-1] and a[k] (below a[0] for k = 0), c[2k+1] values equal to a[k],
-// where k is the first index of a run of tied window values. Values outside
-// [a[0], a[n-1]] — most of a shifted window's baseline, the only kind the
-// guard lets through — take a one-compare path; those above need no bucket.
-//
-// The sorted walk evaluates |i/n − j/m| at every distinct point of the
-// merged support, with i and j the counts of window and baseline values at
-// or below it. With J the running baseline count, D is the largest of
-//
-//   - |k/n − J/m| at the last point of each non-empty open bucket 2k, and
-//   - |t/n − J/m| at each distinct window value, t counting the window
-//     values at or below it.
-//
-// Across one open bucket i = k is fixed and fl(j/m) is monotone in j, so the
-// rounded difference is monotone and its absolute value peaks at an end of
-// the bucket. The first point never wins: the preceding window value (or,
-// for bucket 0, the origin) has the same i and a smaller j. Points above
-// a[n-1] have i = n and only shrink toward |1 − 1| = 0. The candidates are
-// evaluated with the walk's own expression, so the maximum is the same
-// float64. The walk stops when either sample is exhausted; every point it
-// skips has i = n or j = m and lies at or below the last point it reached.
-func ksDistanceUnsorted(a, b []float64) float64 {
-	if n := len(a); n > ksStackWindow {
-		pooled := bucketPool.Get().(*[]int)
-		if cap(*pooled) < 2*n {
-			*pooled = make([]int, 2*n)
-		}
-		c := (*pooled)[:2*n]
-		clear(c)
-		d := ksDistanceBuckets(a, b, c)
-		bucketPool.Put(pooled)
-		return d
-	}
-	var stack [2 * ksStackWindow]int
-	return ksDistanceBuckets(a, b, stack[:2*len(a)])
-}
-
-// ksDistanceBuckets is ksDistanceUnsorted over zeroed bucket counts c of
-// length 2×len(a).
-func ksDistanceBuckets(a, b []float64, c []int) float64 {
-	n := len(a)
-	lo, hi := a[0], a[n-1]
-	below := 0
-	for _, v := range b {
-		switch {
-		case v < lo:
-			below++
-		case v > hi:
-			// Above the window i = n: never the maximum.
-		default:
-			k := searchBelow(a, v)
-			if a[k] == v { //vet:allow floateq -- ties between the samples are exact equality, as in the sorted walk
-				c[2*k+1]++
-			} else {
-				c[2*k]++
-			}
-		}
-	}
-	c[0] += below
-	na, nb := float64(n), float64(len(b))
+// The walk evaluates |i/n − j/m| at every distinct point of the merged
+// support, with i and j the counts of window and baseline values at or
+// below it. For a run of tied window values a[k] … a[t-1], let lo and hi
+// count the baseline values below and at or below a[k]: D is the largest
+// |k/n − lo/m| and |t/n − hi/m| over the runs. Below a[k], back to the
+// previous window value, i = k is fixed and fl(j/m) is monotone in j, so
+// |i/n − j/m| peaks at an end: the previous run's candidate, or the last
+// baseline value below a[k] (an empty stretch repeats the former). Points
+// above a[n-1] only shrink toward |1 − 1|. The candidates use the walk's
+// own expression, so the maximum is the same float64; an empty baseline
+// gives the walk's 0, every candidate being NaN.
+func ksDistanceSearch(a, b []float64) float64 {
+	na, nb := float64(len(a)), float64(len(b))
 	var d float64
-	j := 0
-	for k := 0; k < n; k++ {
-		if c[2*k] > 0 {
-			j += c[2*k]
-			if diff := abs(float64(k)/na - float64(j)/nb); diff > d {
-				d = diff
-			}
+	for k := 0; k < len(a); {
+		v := a[k]
+		t := k + 1
+		for t < len(a) && a[t] == v { //vet:allow floateq -- a run of tied window values is one point of the support
+			t++
 		}
-		j += c[2*k+1]
-		if k+1 == n || a[k+1] != a[k] { //vet:allow floateq -- a run of tied window values is one point of the support
-			if diff := abs(float64(k+1)/na - float64(j)/nb); diff > d {
-				d = diff
-			}
+		lo := searchBelow(b, v)
+		// The count at or below v is the count below the next float up;
+		// nothing lies above +Inf.
+		hi := len(b)
+		if !math.IsInf(v, 1) {
+			hi = lo + searchBelow(b[lo:], math.Nextafter(v, math.Inf(1)))
 		}
+		if diff := abs(float64(k)/na - float64(lo)/nb); diff > d {
+			d = diff
+		}
+		if diff := abs(float64(t)/na - float64(hi)/nb); diff > d {
+			d = diff
+		}
+		k = t
 	}
 	return d
 }
 
-// searchBelow returns lowerBound(a, v) — the count of the ascending,
-// non-empty a's values below v — by a branch-free binary search.
+// searchBelow returns lowerBound(a, v) — the count of the ascending a's
+// values below v — by a branch-free binary search.
 func searchBelow(a []float64, v float64) int {
+	if len(a) == 0 {
+		return 0
+	}
 	base, size := 0, len(a)
 	for size > 1 {
 		half := size / 2

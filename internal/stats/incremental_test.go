@@ -92,7 +92,7 @@ func checkOneWindow(t *testing.T, step int, win *WindowSlab, base *KSBaselines, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotD := ksDistanceUnsorted(win.Sorted(0), baseline); gotD != wantD { //vet:allow floateq -- the equivalence contract is bitwise
+	if gotD := ksDistanceSearch(win.Sorted(0), base.series[0]); gotD != wantD { //vet:allow floateq -- the equivalence contract is bitwise
 		t.Fatalf("step %d: D=%v, batch %v", step, gotD, wantD)
 	}
 	wantP, err := (KSTest{}).PValue(finite, baseline)
@@ -241,10 +241,10 @@ func fuzzFloats(data []byte, grid uint8) []float64 {
 	return out
 }
 
-// FuzzKSDistanceUnsorted holds the one-pass kernel the exact baselines use
-// bit for bit to the sorted merge walk, ksDistanceSorted(window,
-// sort(baseline)), and checks it leaves the baseline as it was.
-func FuzzKSDistanceUnsorted(f *testing.F) {
+// FuzzKSDistanceSearch holds the binary-search kernel the baselines use bit
+// for bit to the sorted merge walk, ksDistanceSorted(window, baseline), and
+// checks it leaves the baseline as it was.
+func FuzzKSDistanceSearch(f *testing.F) {
 	grid := func(vs ...byte) []byte { return vs }
 	long := make([]byte, 200)
 	for i := range long {
@@ -255,10 +255,11 @@ func FuzzKSDistanceUnsorted(f *testing.F) {
 	f.Add(grid(253, 4, 5), grid(4, 253, 253, 6), uint8(8))           // -0 against +0
 	f.Add(grid(2, 5, 9), grid(255, 254, 3, 255, 254, 9), uint8(16))  // ±Inf baseline values
 	f.Add(grid(254, 0, 255), grid(254, 255, 1, 2), uint8(6))         // ±Inf in the window
-	f.Add(grid(0, 1, 2, 3), grid(10, 11, 12, 13, 14, 15), uint8(32)) // disjoint: every value on the fast path
-	f.Add(long[:100], long, uint8(50))                               // a window over the stack buckets
+	f.Add(grid(0, 1, 2, 3), grid(10, 11, 12, 13, 14, 15), uint8(32)) // disjoint samples
+	f.Add(long[:100], long, uint8(50))                               // a long window
 	f.Add(long[:40], long[100:], uint8(0))                           // raw bit patterns
 	f.Add(grid(7), grid(), uint8(8))                                 // empty baseline
+	f.Add(long[:60], long[60:70], uint8(50))                         // a window longer than the baseline
 	f.Fuzz(func(t *testing.T, window, baseline []byte, g uint8) {
 		a := fuzzFloats(window, g)
 		b := fuzzFloats(baseline, g)
@@ -266,11 +267,10 @@ func FuzzKSDistanceUnsorted(f *testing.F) {
 			return
 		}
 		slices.Sort(a)
+		slices.Sort(b)
 		orig := append([]float64(nil), b...)
-		sorted := append([]float64(nil), b...)
-		slices.Sort(sorted)
-		want := ksDistanceSorted(a, sorted)
-		got := ksDistanceUnsorted(a, b)
+		want := ksDistanceSorted(a, b)
+		got := ksDistanceSearch(a, b)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("D = %v, sorted walk %v (window %v, baseline %v)", got, want, a, orig)
 		}
@@ -280,16 +280,33 @@ func FuzzKSDistanceUnsorted(f *testing.F) {
 	})
 }
 
-// TestKSBaselinesReadInPlace: an exact set keeps a reference to each
-// baseline, not a copy, and neither building it nor testing against it
-// reorders or modifies the caller's series.
+// TestKSBaselinesReadInPlace: a set keeps a reference to a sorted
+// baseline, not a copy, and testing against it leaves the series as it was.
 func TestKSBaselinesReadInPlace(t *testing.T) {
-	series := []float64{5, 3, 9, 1, 7, 3}
+	series := []float64{1, 3, 3, 5, 7, 9}
 	orig := append([]float64(nil), series...)
 	win, b := newOneWindow(t, series, 4)
 	if &b.series[0][0] != &series[0] {
-		t.Fatal("exact baseline was copied")
+		t.Fatal("sorted baseline was copied")
 	}
+	for _, v := range []float64{10, 11, 12} {
+		win.Push(0, v)
+	}
+	if _, err := b.GuardedPValue(0, win.Sorted(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !sameValues(series, orig) {
+		t.Fatalf("baseline changed to %v, was %v", series, orig)
+	}
+}
+
+// TestKSBaselinesSortUnsortedSeries: an unsorted baseline is tested from a
+// private sorted copy, so the caller's series keeps its order and the
+// guarded p-value is the batch one, bit for bit.
+func TestKSBaselinesSortUnsortedSeries(t *testing.T) {
+	series := []float64{5, 3, 9, 1, 7, 3}
+	orig := append([]float64(nil), series...)
+	win, b := newOneWindow(t, series, 4)
 	window := []float64{10, 11, 12}
 	for _, v := range window {
 		win.Push(0, v)
@@ -358,10 +375,11 @@ func TestKSBaselinesInfiniteLocationRunsKS(t *testing.T) {
 }
 
 // BenchmarkKSBaselinesGuardedPValue times one guarded test of a window of 8
-// against a 384-value baseline read in place, in the two regimes the kernel
-// sees: a shifted window, whose baseline values all take the one-compare
-// path, and a window inside the baseline's range (guard tolerance lowered so
-// the KS test runs), whose values each need a count over the window.
+// against a 384-value baseline the set holds sorted, in the two regimes the
+// kernel sees: a shifted window, the only kind the guard lets through in
+// practice, and a window inside the baseline's range (guard tolerance
+// lowered so the KS test runs). Either way the kernel makes two searches per
+// distinct window value.
 func BenchmarkKSBaselinesGuardedPValue(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	baseline := make([]float64, 384)

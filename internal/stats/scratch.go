@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// radixMinLen is the shortest sample sortFloat64s radix-sorts; shorter ones
+// radixMinLen is the shortest sample Sorter.Sort radix-sorts; shorter ones
 // go to slices.Sort. BenchmarkSortFloat64s sets it: the radix path pays a
 // fixed cost of about 1.3 µs to clear and sum its 256-bucket histograms, so
 // pdqsort wins at 64 values and the radix path from 96 up, by 2.7× at 384.
@@ -14,20 +14,21 @@ import (
 // 384-value baselines take the radix path.
 const radixMinLen = 96
 
-// sortKeys holds the order-preserving keys and the scatter buffer of
-// sortFloat64s's radix path. Its zero value is ready; the buffers grow to
-// the longest sample radix-sorted and are reused after that.
-type sortKeys struct {
+// Sorter sorts float64 samples, holding the order-preserving keys and the
+// scatter buffer of its radix path. Its zero value is ready; the buffers
+// grow to the longest sample radix-sorted and are reused after that. A
+// Sorter is not safe for concurrent use.
+type Sorter struct {
 	keys, tmp []uint64
 }
 
-// sortFloat64s sorts s ascending in place, with NaNs first: the order of
+// Sort sorts s ascending in place, with NaNs first: the order of
 // slices.Sort, except that −0 may land before an equal +0 that pdqsort
-// would have left after it. No consumer can see that: the KS walks compare
-// with < and ==, and the trimmed-mean sum, starting at +0, never becomes −0.
-// Samples from radixMinLen values up take radixSortFloat64s, shorter ones
-// slices.Sort.
-func sortFloat64s(s []float64, k *sortKeys) {
+// would have left after it. No consumer can see that: the KS statistics
+// compare with < and ==, and the trimmed-mean sum, starting at +0, never
+// becomes −0. Samples from radixMinLen values up take radixSortFloat64s,
+// shorter ones slices.Sort.
+func (k *Sorter) Sort(s []float64) {
 	if len(s) < radixMinLen || uint64(len(s)) > math.MaxUint32 {
 		slices.Sort(s)
 		return
@@ -35,13 +36,13 @@ func sortFloat64s(s []float64, k *sortKeys) {
 	radixSortFloat64s(s, k)
 }
 
-// radixSortFloat64s is sortFloat64s's LSD radix sort, one byte per pass,
+// radixSortFloat64s is Sorter.Sort's LSD radix sort, one byte per pass,
 // over keys that order like the floats: one key pass builds all eight byte
 // histograms, a byte that every key shares is skipped, each other byte is
 // one stable scatter, and a last pass decodes the keys back. A NaN has no
 // place in that key order, so meeting one hands the whole sample to
 // slices.Sort. s must be shorter than 2^32.
-func radixSortFloat64s(s []float64, k *sortKeys) {
+func radixSortFloat64s(s []float64, k *Sorter) {
 	n := len(s)
 	if n == 0 {
 		return
@@ -106,7 +107,7 @@ func radixSortFloat64s(s []float64, k *sortKeys) {
 // with no coordination on the hot path.
 type scratch struct {
 	a, b []float64
-	keys sortKeys
+	keys Sorter
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -118,8 +119,8 @@ func borrowScratch(x, y []float64) *scratch {
 	s := scratchPool.Get().(*scratch)
 	s.a = append(s.a[:0], x...)
 	s.b = append(s.b[:0], y...)
-	sortFloat64s(s.a, &s.keys)
-	sortFloat64s(s.b, &s.keys)
+	s.keys.Sort(s.a)
+	s.keys.Sort(s.b)
 	return s
 }
 

@@ -146,7 +146,7 @@ func matchesSliceSort(got, want []float64, exact bool) error {
 // FuzzSortFloat64s pins the radix kernel to slices.Sort: for any input, at
 // any length, the radix path returns slices.Sort's sequence bit for bit up to
 // the places of −0 and +0, and the same trimmed mean bit for bit. An input
-// holding a NaN takes the fallback and matches exactly. sortFloat64s, which
+// holding a NaN takes the fallback and matches exactly. Sorter.Sort, which
 // picks a path by length, must agree as well. reps tiles the input, so short
 // seeds reach lengths on both sides of radixMinLen.
 func FuzzSortFloat64s(f *testing.F) {
@@ -167,7 +167,7 @@ func FuzzSortFloat64s(f *testing.F) {
 		tiled := bytes.Repeat(data, min(1+int(reps), 1+maxBytes/max(len(data), 1)))
 		in := sortFuzzSample(tiled[:min(len(tiled), maxBytes)], grid)
 		exact := slices.ContainsFunc(in, math.IsNaN)
-		var keys sortKeys
+		var keys Sorter
 		// The reversed copy sorts with the buffers the first one grew.
 		rev := slices.Clone(in)
 		slices.Reverse(rev)
@@ -179,7 +179,7 @@ func FuzzSortFloat64s(f *testing.F) {
 				sort func([]float64)
 			}{
 				{"radixSortFloat64s", func(s []float64) { radixSortFloat64s(s, &keys) }},
-				{"sortFloat64s", func(s []float64) { sortFloat64s(s, &keys) }},
+				{"Sorter.Sort", keys.Sort},
 			} {
 				got := slices.Clone(sample)
 				path.sort(got)
@@ -222,7 +222,7 @@ func BenchmarkSortFloat64s(b *testing.B) {
 	for _, n := range []int{8, 64, 96, 128, 192, 384} {
 		samples := fleetShapedSamples(64, n)
 		buf := make([]float64, n)
-		var keys sortKeys
+		var keys Sorter
 		for _, path := range []struct {
 			name string
 			sort func([]float64)
@@ -241,22 +241,35 @@ func BenchmarkSortFloat64s(b *testing.B) {
 	}
 }
 
-// BenchmarkKSBaselinesAdd times adding one 384-value fleet-shaped baseline,
-// the sort that dominates a fleet detector's construction. Each run of 256
-// adds fills a fresh set, as one detector would.
+// BenchmarkKSBaselinesAdd times adding one 384-value fleet-shaped baseline.
+// A sorted series, as every model baseline is, costs Add an order check and
+// the trimmed mean; an unsorted one falls back to a private sorted copy.
+// Each run of 256 adds fills a fresh set, as one detector would.
 func BenchmarkKSBaselinesAdd(b *testing.B) {
-	samples := fleetShapedSamples(256, 384)
-	var set *KSBaselines
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%len(samples) == 0 {
-			b.StopTimer()
-			set = NewKSBaselines(len(samples))
-			b.StartTimer()
-		}
-		if err := set.Add(samples[i%len(samples)]); err != nil {
-			b.Fatal(err)
-		}
+	unsorted := fleetShapedSamples(256, 384)
+	sorted := make([][]float64, len(unsorted))
+	for i, s := range unsorted {
+		sorted[i] = slices.Clone(s)
+		slices.Sort(sorted[i])
+	}
+	for _, bc := range []struct {
+		name    string
+		samples [][]float64
+	}{{"sorted", sorted}, {"unsorted", unsorted}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var set *KSBaselines
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(bc.samples) == 0 {
+					b.StopTimer()
+					set = NewKSBaselines(len(bc.samples))
+					b.StartTimer()
+				}
+				if err := set.Add(bc.samples[i%len(bc.samples)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

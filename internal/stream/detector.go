@@ -71,9 +71,9 @@ func (a *metricAgg) removeAnom(svc string) {
 // len(Services) + service index, in baseline order. The hot state a push
 // touches — the pair's ring and sorted index, side by side in one
 // detector-wide slab, and its 16-byte metadata record — is kept apart from
-// the cold state only a test reads: a reference to each baseline series
-// (read in place, never copied), its trimmed mean, and the cached
-// p-values.
+// the cold state only a test reads: a reference to each sorted baseline
+// series (a private sorted copy of an unsorted one), its trimmed mean, and
+// the cached p-values.
 //
 // Detection is incremental end to end, in both completeness modes: Observe
 // only marks a pair dirty, and the flush before the next Detect recomputes
@@ -100,7 +100,7 @@ type Detector struct {
 	// win is the hot per-pair state: ring, sorted index and metadata.
 	win stats.WindowSlab
 	// base is the cold per-pair baseline side: the baseline snapshot's
-	// series, referenced in place, with their trimmed means.
+	// series, referenced when sorted, with their trimmed means.
 	// A pair whose baseline has no usable series has Len 0 (and no
 	// flagUsable): it can never be observed or tested.
 	base *stats.KSBaselines
@@ -114,10 +114,11 @@ type Detector struct {
 }
 
 // NewDetector builds a Detector over the given baseline snapshot. The
-// detector keeps the snapshot and reads its series in place on every test,
-// with no copy: the caller must not modify the snapshot or its series while
-// the detector is in use. A NaN baseline value is rejected; no per-hop call
-// sorts anything. The zero option set means: DefaultWindow,
+// detector keeps the snapshot and reads each sorted series (every series of
+// a core.Model baseline is) in place, with no copy: the caller must not
+// modify the snapshot or its series while the detector is in use. An
+// unsorted series is sorted into a private copy. A NaN baseline value is
+// rejected; no per-hop call sorts anything. The zero option set means: DefaultWindow,
 // core.DefaultAlpha, strict completeness, serial execution. The test is
 // always the batch default, stats.GuardedTest{Inner: stats.KSTest{}}.
 func NewDetector(baseline *metrics.Snapshot, opts ...Option) (*Detector, error) {
@@ -400,7 +401,7 @@ func (d *Detector) stage(pairs []int) {
 }
 
 // pvalue computes pair p's guarded-KS p-value over the sorted finite window
-// and the baseline read in place.
+// and the sorted baseline.
 func (d *Detector) pvalue(p int) (float64, error) {
 	return d.base.GuardedPValue(p, d.win.Sorted(p), 0)
 }

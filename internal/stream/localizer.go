@@ -60,8 +60,9 @@ type Localizer struct {
 }
 
 // NewLocalizer builds a streaming localizer for a trained model. Its
-// detector reads the model's baseline series in place: the caller must not
-// modify model.Baseline while the localizer is in use.
+// detector reads the model's sorted baseline series in place (core.Model):
+// the caller must not modify model.Baseline while the localizer is in use.
+// A hand-built model's unsorted series are sorted into private copies.
 // Detection is always tolerant, as in the batch localizer; WithTolerant is
 // ignored.
 func NewLocalizer(model *core.Model, opts ...Option) (*Localizer, error) {

@@ -8,14 +8,14 @@
 // O(n log n) per series per tick. This package keeps, per (metric, service)
 // pair, an incremental KS comparison whose production window is maintained
 // by ordered insert/evict — so a hop costs one bounded insert per pair plus
-// one pass of the D statistic over the baseline, never a sort. The pairs'
-// state is dense rather than one object per pair: every window's ring and
-// sorted index sit side by side in one stats.WindowSlab with a 16-byte
-// metadata record each, so at the default window a push touches two
-// adjacent cache lines and one record. The baselines are not copied:
-// stats.KSBaselines keeps a reference to each series of the caller's
-// baseline snapshot (the model's, for a Localizer) and reads it in place,
-// so that snapshot must not be modified while the engine uses it.
+// a D statistic of two binary searches of the sorted baseline per window
+// value, never a sort. The pairs' state is dense rather than one object per
+// pair: every window's ring and sorted index sit side by side in one
+// stats.WindowSlab with a 16-byte metadata record each, so at the default
+// window a push touches two adjacent cache lines and one record. The
+// baselines are not copied: stats.KSBaselines keeps a reference to each
+// sorted series of the caller's snapshot (a core.Model's are all sorted),
+// which must not be modified while the engine uses it.
 //
 // Scale contract: each hop's flush recomputes only the pairs whose windows
 // actually changed — so a hop that touches T of the S×M pairs costs O(T)

@@ -53,6 +53,8 @@ type SynthWorkload struct {
 // NewSynth generates a workload. Pair (m, s) draws from a normal
 // distribution with a mean that varies across the grid; the faulty service's
 // mean shifts by +5 (five baseline standard deviations) from FaultAfter on.
+// The baseline series are sorted, as a learned model's are (core.Model), so
+// the detectors built on the workload read them in place.
 func NewSynth(cfg SynthConfig) (*SynthWorkload, error) {
 	if cfg.Services < 1 || cfg.Metrics < 1 || cfg.BaselineLen < 1 || cfg.Hops < 0 {
 		return nil, fmt.Errorf("stream: synth wants positive grid sizes, got %+v", cfg)
@@ -87,6 +89,7 @@ func NewSynth(cfg SynthConfig) (*SynthWorkload, error) {
 			base.Data[m][svc] = series
 		}
 	}
+	core.SortBaseline(base)
 
 	// active reports whether service si reports on hop h. The RNG draw below
 	// always runs for every pair — membership filters the hop map only — so
