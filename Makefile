@@ -110,7 +110,8 @@ bench:
 
 # Short-budget run of the micro-benchmarks, with allocations: one guarded KS
 # test of a window of 8 against a sorted 384-value baseline (a shifted and
-# an overlapping window), the baseline sort (pdqsort against the radix
+# an overlapping window), one push into a full window of 8 (striding across
+# 32,768 windows, and a dependent chain into one), the baseline sort (pdqsort against the radix
 # kernel from 8 to 384 values, whose numbers set its crossover, and one
 # 384-value KSBaselines.Add of a sorted and of an unsorted series), the stream engine's fleet-scale ones
 # (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
@@ -124,7 +125,7 @@ bench:
 # the BenchmarkParallel_* benchmarks of bench_test.go.
 BENCHTIME ?= 200x
 bench-micro:
-	$(GO) test -run xxx -bench '^Benchmark(KSBaselinesGuardedPValue|SortFloat64s|KSBaselinesAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
+	$(GO) test -run xxx -bench '^Benchmark(KSBaselinesGuardedPValue|WindowSlabPush|SortFloat64s|KSBaselinesAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
 	$(GO) test -run xxx -bench '4096$$|^BenchmarkPipelineTick$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
 	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 	$(GO) test -run xxx -bench '^BenchmarkMicro_SimulatorThroughput$$' -benchmem -benchtime $(BENCHTIME) ./internal/sim

@@ -156,6 +156,14 @@ func (lo *Localizer) detectAll(ctx context.Context, op string, model *Model, pro
 // anomaly evidence are the same computation. The Degradation field is left
 // nil — it describes a production snapshot, which the vote never sees.
 func (lo *Localizer) AggregateIndexed(idx *CausalIndex, detections []*Detection) (*Localization, error) {
+	return lo.AggregateIndexedWith(new(VoteScratch), idx, detections)
+}
+
+// AggregateIndexedWith is AggregateIndexed counting the votes in the
+// caller's scratch, which it reuses instead of allocating: only the returned
+// Localization is new. The result does not alias the scratch, so the caller
+// may pass the same one to the next call.
+func (lo *Localizer) AggregateIndexedWith(sc *VoteScratch, idx *CausalIndex, detections []*Detection) (*Localization, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("core: aggregate: nil causal index")
 	}
@@ -199,7 +207,7 @@ func (lo *Localizer) AggregateIndexed(idx *CausalIndex, detections []*Detection)
 			continue
 		}
 		// s* = argmax_s score(A(M), C(s, M)) over trained targets.
-		best, winners := idx.score(lo.rule, metric, anom)
+		best, winners := idx.score(sc, lo.rule, metric, anom)
 		if best <= 0 {
 			// The anomalies match no learned world at all.
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -85,12 +86,23 @@ func (idx *CausalIndex) Postings() int {
 	return total
 }
 
+// VoteScratch is reusable working storage for the vote's per-metric
+// counting. A caller that votes hop after hop (the stream localizer) keeps
+// one and passes it to Localizer.AggregateIndexedWith, so the counting
+// allocates nothing once the scratch has grown. A VoteScratch is not safe
+// for concurrent use; the zero value is ready to use.
+type VoteScratch struct {
+	hits    []int32 // the targets the anomalous services' postings name, repeats kept
+	winners []int32 // the current argmax targets
+}
+
 // score computes the metric's argmax over targets touched by the anomaly set
 // anom (sorted, duplicate-free — a Detection's Anomalous slice). Targets with
 // an empty intersection score zero under every rule and can never win (the
 // caller discards best <= 0), so skipping them reproduces a dense scan of
 // every target exactly (TestAggregateIndexedMatchesDense); winners come out
-// in ascending model.Targets order.
+// in ascending model.Targets order. A target's intersection count is the
+// length of its run in the sorted postings hits.
 //
 // Under IntersectionVote a tie keeps only the targets with the smallest
 // causal set — the Occam refinement of the paper's "closest set" criterion.
@@ -99,28 +111,29 @@ func (idx *CausalIndex) Postings() int {
 // everything, so it ties every comparison); among explanations covering the
 // same anomalies, the one that predicts the fewest unobserved effects
 // explains the data better.
-func (idx *CausalIndex) score(rule VoteRule, metric string, anom []string) (float64, []string) {
+func (idx *CausalIndex) score(sc *VoteScratch, rule VoteRule, metric string, anom []string) (float64, []string) {
 	post := idx.postings[metric]
-	counts := make(map[int32]int32, 8)
+	hits := sc.hits[:0]
 	for _, s := range anom {
-		for _, ti := range post[s] {
-			counts[ti]++
-		}
+		hits = append(hits, post[s]...)
 	}
-	if len(counts) == 0 {
+	sc.hits = hits
+	if len(hits) == 0 {
 		return 0, nil
 	}
-	touched := make([]int32, 0, len(counts))
-	for ti := range counts {
-		touched = append(touched, ti)
-	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	slices.Sort(hits)
 	sizes := idx.setSizes[metric]
 	parsimony := rule == IntersectionVote
 	best, bestSize := -1.0, int32(0)
-	var winners []string
-	for _, ti := range touched {
-		c, size := counts[ti], sizes[ti]
+	winners := sc.winners[:0]
+	for k := 0; k < len(hits); {
+		ti := hits[k]
+		t := k + 1
+		for t < len(hits) && hits[t] == ti {
+			t++
+		}
+		c, size := int32(t-k), sizes[ti]
+		k = t
 		var score float64
 		if rule == JaccardVote {
 			// |C ∪ A| = |C| + |A| − |C ∩ A|; both sets are duplicate-free.
@@ -133,11 +146,16 @@ func (idx *CausalIndex) score(rule VoteRule, metric string, anom []string) (floa
 		//vet:allow floateq -- tied targets compute the same integer ratio; exact tie detection is the vote-splitting rule
 		case score > best, score == best && parsimony && size < bestSize:
 			best, bestSize = score, size
-			winners = []string{idx.model.Targets[ti]}
+			winners = append(winners[:0], ti)
 		//vet:allow floateq -- tied targets compute the same integer ratio; exact tie detection is the vote-splitting rule
 		case score == best && (!parsimony || size == bestSize):
-			winners = append(winners, idx.model.Targets[ti])
+			winners = append(winners, ti)
 		}
 	}
-	return best, winners
+	sc.winners = winners
+	names := make([]string, len(winners))
+	for i, ti := range winners {
+		names[i] = idx.model.Targets[ti]
+	}
+	return best, names
 }

@@ -204,6 +204,44 @@ func TestAggregateIndexedMatchesDense(t *testing.T) {
 	}
 }
 
+// TestAggregateIndexedWithReusedScratch: one scratch carried across models,
+// rules and evidence gives what a fresh one gives, and an earlier result
+// keeps its winners when the scratch is reused.
+func TestAggregateIndexedWithReusedScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	var sc VoteScratch
+	var prev, prevCopy *Localization
+	for trial := 0; trial < 200; trial++ {
+		model := randomModel(rng, 3+rng.Intn(30))
+		idx, err := NewCausalIndex(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rule := range []VoteRule{IntersectionVote, JaccardVote, PureIntersectionVote} {
+			lo, err := NewLocalizer(WithVoteRule(rule))
+			if err != nil {
+				t.Fatal(err)
+			}
+			detections := randomDetections(rng, model)
+			want, err := lo.AggregateIndexed(idx, detections)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lo.AggregateIndexedWith(&sc, idx, detections)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d rule %v: reused scratch diverges\n fresh: %+v\nreused: %+v", trial, rule, want, got)
+			}
+			if prev != nil && !reflect.DeepEqual(prev, prevCopy) {
+				t.Fatalf("trial %d rule %v: reusing the scratch changed the previous result", trial, rule)
+			}
+			prev, prevCopy = got, want
+		}
+	}
+}
+
 func TestCausalIndexValidation(t *testing.T) {
 	if _, err := NewCausalIndex(nil); err == nil {
 		t.Fatal("nil model accepted")

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -26,10 +27,11 @@ import (
 // maintains each production window through ordered insert/evict: a ring
 // remembers arrival order (so the oldest value can be evicted when the
 // window is full) and a sorted index keeps the finite values ordered between
-// pushes. A push costs O(window): a count of the values below the new one
-// and a bounded shift inside the window. The D statistic never pays a sort
-// either: two binary searches of the sorted baseline per distinct window
-// value find every candidate for the maximum (ksDistanceSearch).
+// pushes. A push costs O(window): one pass over the sorted index that moves
+// the evicted value's slot to the new value's place (WindowSlab.Push). The
+// D statistic never pays a sort either: two binary searches of the sorted
+// baseline per distinct window value find every candidate for the maximum
+// (ksDistanceSearch).
 //
 // Equivalence contract: after any sequence of pushes into window i,
 // KSBaselines.PValue(i, slab.Sorted(i)) equals KSTest{}.PValue(window,
@@ -51,7 +53,11 @@ import (
 // in ring slot j mod window, so the oldest retained value sits in slot
 // pushed mod window once the ring is full, and in slot 0 before.
 type WindowSlab struct {
-	w    int
+	w int
+	// wrap is ⌈2⁶⁴/w⌉ mod 2⁶⁴, with which slot finds a ring slot by two
+	// multiplications instead of a division (Lemire, Kaser and Kurz,
+	// "Faster remainder by direct computation", 2019).
+	wrap uint64
 	vals []float64
 	meta []WindowMeta
 }
@@ -78,7 +84,21 @@ func NewWindowSlab(n, window int) (*WindowSlab, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("stats: incremental ks: negative window count %d", n)
 	}
-	return &WindowSlab{w: window, vals: make([]float64, 2*window*n), meta: make([]WindowMeta, n)}, nil
+	return &WindowSlab{
+		w:    window,
+		wrap: math.MaxUint64/uint64(window) + 1,
+		vals: make([]float64, 2*window*n),
+		meta: make([]WindowMeta, n),
+	}, nil
+}
+
+// slot returns j mod window: the ring slot of a window's push number j.
+func (s *WindowSlab) slot(j int) int {
+	if uint64(j) < 1<<32 { // exact for every 32-bit j and window
+		hi, _ := bits.Mul64(s.wrap*uint64(j), uint64(s.w))
+		return int(hi)
+	}
+	return j % s.w
 }
 
 // Count reports the number of windows in the slab.
@@ -110,33 +130,48 @@ func (s *WindowSlab) Window(i int) []float64 {
 	if p <= w {
 		return append(make([]float64, 0, p), ring[:p]...)
 	}
-	head := p % w
+	head := s.slot(p)
 	return append(append(make([]float64, 0, w), ring[head:]...), ring[:head]...)
 }
 
 // Push appends one production value to window i, evicting the oldest when
 // the window is full. Non-finite values age through the ring like any other
 // but never enter the sorted index.
+//
+// The sorted index changes in one pass. When a finite value leaves a full
+// ring and a finite one arrives, the evicted value's slot becomes a hole
+// that moves toward the new value's place, each value it passes shifting
+// one slot into it, and the new value fills the hole where it stops. A fill
+// (a ring not yet full, or a non-finite value evicted) opens the hole past
+// the last value; a drain (a non-finite value arriving) closes the evicted
+// value's slot. The index holds the same multiset as a remove-then-insert
+// would; only the relative order of −0 and +0 may differ, which no
+// statistic can see, as they compare values with < and ==.
 func (s *WindowSlab) Push(i int, v float64) {
 	w := s.w
 	m := &s.meta[i]
 	buf := s.vals[2*i*w : 2*i*w+2*w]
-	ring, sorted := buf[:w], buf[w:w+int(m.finite)]
+	ring, index := buf[:w], buf[w:]
+	n := int(m.finite)
 	slot := m.pushed
+	m.pushed++
 	old := math.NaN() // nothing to evict until the ring is full
 	if slot >= w {
-		slot %= w
+		slot = s.slot(slot)
 		old = ring[slot]
 	}
 	ring[slot] = v
-	m.pushed++
-	if isFinite(old) {
-		sorted = removeSorted(sorted, old)
+	switch oldFinite, newFinite := isFinite(old), isFinite(v); {
+	case oldFinite && newFinite:
+		settle(index[:n], indexOf(index[:n], old), v)
+	case newFinite:
+		settle(index[:n+1], n, v)
+		m.finite++
+	case oldFinite:
+		j := indexOf(index[:n], old)
+		copy(index[j:n-1], index[j+1:n])
+		m.finite--
 	}
-	if isFinite(v) {
-		sorted = insertSorted(sorted, v)
-	}
-	m.finite = int32(len(sorted))
 }
 
 // Restore refills a fresh window i from a persisted snapshot: values is the
@@ -160,52 +195,45 @@ func (s *WindowSlab) Restore(i int, values []float64, pushed int) error {
 			len(values), pushed, w, want)
 	}
 	buf := s.vals[2*i*w : 2*i*w+2*w]
-	ring, sorted := buf[:w], buf[w:w]
+	ring, index := buf[:w], buf[w:]
 	first := pushed - len(values) // lifetime index of values[0]
-	for j, v := range values {
-		ring[(first+j)%w] = v
-		if isFinite(v) {
-			sorted = insertSorted(sorted, v)
-		}
-	}
-	m.pushed = pushed
-	m.finite = int32(len(sorted))
-	return nil
-}
-
-// lowerBound returns the first index of the ascending s holding a value ≥ v,
-// by counting the values below v. The linear pass costs no more than the
-// O(len(s)) shift every insert or evict pays after it.
-func lowerBound(s []float64, v float64) int {
 	n := 0
-	for _, x := range s {
-		if x < v {
+	for j, v := range values {
+		ring[s.slot(first+j)] = v
+		if isFinite(v) {
+			settle(index[:n+1], n, v)
 			n++
 		}
 	}
-	return n
+	m.pushed = pushed
+	m.finite = int32(n)
+	return nil
 }
 
-// insertSorted places v into the ascending s, whose backing array has room
-// for one more value, and returns the grown slice.
-func insertSorted(s []float64, v float64) []float64 {
-	i := lowerBound(s, v)
-	s = s[:len(s)+1]
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// removeSorted evicts one instance of v from the ascending s and returns the
-// shrunk slice. Which instance of a tied value is removed is immaterial: the
-// multiset is what the statistics see.
-func removeSorted(s []float64, v float64) []float64 {
-	i := lowerBound(s, v)
-	if i >= len(s) || s[i] != v { //vet:allow floateq -- exact bit-match lookup of a value known to be present
-		return s
+// indexOf returns the position of a value equal to v in the ascending s,
+// which holds one.
+func indexOf(s []float64, v float64) int {
+	j := 0
+	for s[j] != v { //vet:allow floateq -- exact lookup of a value known to be present
+		j++
 	}
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
+	return j
+}
+
+// settle fills the hole at s[j] with v and leaves s ascending: s is
+// ascending but for s[j], whose value is gone. The hole moves toward v's
+// place, each value it passes shifting one slot into it, so every moved
+// value is written once; only one of the two loops moves anything.
+func settle(s []float64, j int, v float64) {
+	for j+1 < len(s) && s[j+1] < v {
+		s[j] = s[j+1]
+		j++
+	}
+	for j > 0 && s[j-1] > v {
+		s[j] = s[j-1]
+		j--
+	}
+	s[j] = v
 }
 
 // KSBaselines holds the baseline side of many incremental KS comparisons in
@@ -275,6 +303,20 @@ func (b *KSBaselines) pvalue(i int, window []float64) float64 {
 // mean, then the KS p-value. relTol zero selects DefaultRelTol, matching the
 // guard's defaulting.
 func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (float64, error) {
+	return b.GuardedPValueAt(i, window, WindowLocation(window), relTol)
+}
+
+// WindowLocation returns the guard's location of a sorted window: its
+// trimmed mean, DefaultTrim cut from each tail.
+func WindowLocation(window []float64) float64 {
+	return trimmedMeanSorted(window, DefaultTrim)
+}
+
+// GuardedPValueAt is GuardedPValue for a window whose location,
+// WindowLocation(window), the caller has taken already. A caller testing
+// many windows can take every location first, in a tight loop whose
+// independent sums the processor overlaps, and test after.
+func (b *KSBaselines) GuardedPValueAt(i int, window []float64, loc, relTol float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: guarded test needs non-empty samples (|x|=%d |y|=%d)", len(window), b.size[i])
 	}
@@ -285,7 +327,7 @@ func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (fl
 	if tol < 0 {
 		return 0, fmt.Errorf("stats: negative relative tolerance %v", tol)
 	}
-	if sameLocation(trimmedMeanSorted(window, DefaultTrim), b.trimmed[i], tol) {
+	if sameLocation(loc, b.trimmed[i], tol) {
 		return 1, nil
 	}
 	return b.pvalue(i, window), nil
@@ -333,8 +375,8 @@ func ksDistanceSearch(a, b []float64) float64 {
 	return d
 }
 
-// searchBelow returns lowerBound(a, v) — the count of the ascending a's
-// values below v — by a branch-free binary search.
+// searchBelow returns the count of the ascending a's values below v — the
+// first index holding a value ≥ v — by a branch-free binary search.
 func searchBelow(a []float64, v float64) int {
 	if len(a) == 0 {
 		return 0
@@ -355,5 +397,5 @@ func searchBelow(a []float64, v float64) int {
 
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return abs(v) <= math.MaxFloat64 // false for NaN, whose comparisons all fail
 }

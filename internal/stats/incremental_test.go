@@ -169,6 +169,222 @@ func TestIncrementalKSGuardTolerance(t *testing.T) {
 	}
 }
 
+// oracleWindow is the reference push WindowSlab.Push is held to: a ring in
+// arrival order and a sorted index updated by a remove and then an insert,
+// each finding its place by a count of the smaller values and moving the
+// rest with copy.
+type oracleWindow struct {
+	w      int
+	pushed int
+	ring   []float64
+	sorted []float64
+}
+
+func newOracleWindow(w int) *oracleWindow {
+	return &oracleWindow{w: w, ring: make([]float64, w), sorted: make([]float64, 0, w)}
+}
+
+func (o *oracleWindow) push(v float64) {
+	slot := o.pushed
+	old := math.NaN()
+	if slot >= o.w {
+		slot %= o.w
+		old = o.ring[slot]
+	}
+	o.ring[slot] = v
+	o.pushed++
+	if isFinite(old) {
+		o.sorted = removeSorted(o.sorted, old)
+	}
+	if isFinite(v) {
+		o.sorted = insertSorted(o.sorted, v)
+	}
+}
+
+// window returns the retained values in arrival order.
+func (o *oracleWindow) window() []float64 {
+	if o.pushed <= o.w {
+		return append([]float64(nil), o.ring[:o.pushed]...)
+	}
+	head := o.pushed % o.w
+	return append(append([]float64(nil), o.ring[head:]...), o.ring[:head]...)
+}
+
+// lowerBound returns the first index of the ascending s holding a value ≥ v,
+// by counting the values below v.
+func lowerBound(s []float64, v float64) int {
+	n := 0
+	for _, x := range s {
+		if x < v {
+			n++
+		}
+	}
+	return n
+}
+
+// insertSorted places v into the ascending s, whose backing array has room
+// for one more value, and returns the grown slice.
+func insertSorted(s []float64, v float64) []float64 {
+	i := lowerBound(s, v)
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// removeSorted evicts one instance of v from the ascending s and returns the
+// shrunk slice.
+func removeSorted(s []float64, v float64) []float64 {
+	i := lowerBound(s, v)
+	if i >= len(s) || s[i] != v { //vet:allow floateq -- exact bit-match lookup of a value known to be present
+		return s
+	}
+	copy(s[i:], s[i+1:])
+	return s[:len(s)-1]
+}
+
+// sameOrder reports whether two ascending samples hold the same values
+// position by position, comparing with ==: the same multiset, up to the
+// relative order of −0 and +0.
+func sameOrder(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] { //vet:allow floateq -- the multiset comparison is exact
+			return false
+		}
+	}
+	return true
+}
+
+// samePValue reports whether two (p, err) results agree: the same bits, or
+// both an error.
+func samePValue(p1 float64, err1 error, p2 float64, err2 error) bool {
+	if (err1 == nil) != (err2 == nil) {
+		return false
+	}
+	return math.Float64bits(p1) == math.Float64bits(p2)
+}
+
+// TestWindowSlabPushMatchesOracle drives seeded push scripts, rich in ties,
+// ±0, NaN and ±Inf, through slabs of three windows at several capacities
+// and holds every window to the reference push after every push: the same
+// arrival-order window bit for bit, the same sorted multiset, and the same
+// p-values bit for bit against baselines that tie the pushed values.
+func TestWindowSlabPushMatchesOracle(t *testing.T) {
+	pool := []float64{-2, -1, -1, 0, math.Copysign(0, -1), 1, 1, 2, 3, 3,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	baselines := [][]float64{
+		{-1, 0, 1, 1, 2},
+		{math.Inf(-1), math.Copysign(0, -1), 0, 3, math.Inf(1)},
+		{-2, -2, 1, 2, 3, 3, 3},
+	}
+	for _, w := range []int{1, 2, 8, 33} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(w)))
+			slab, err := NewWindowSlab(len(baselines), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := NewKSBaselines(len(baselines))
+			oracles := make([]*oracleWindow, len(baselines))
+			for i, b := range baselines {
+				if err := base.Add(b); err != nil {
+					t.Fatal(err)
+				}
+				oracles[i] = newOracleWindow(w)
+			}
+			for step := 0; step < 40*w+40; step++ {
+				i := rng.Intn(len(baselines))
+				v := pool[rng.Intn(len(pool))]
+				if rng.Intn(4) == 0 {
+					v += 0.5 * float64(rng.Intn(3))
+				}
+				slab.Push(i, v)
+				oracles[i].push(v)
+				for k, o := range oracles {
+					if got, want := slab.Window(k), o.window(); !sameValues(got, want) {
+						t.Fatalf("w=%d seed %d step %d: window %d = %v, oracle %v", w, seed, step, k, got, want)
+					}
+					got := slab.Sorted(k)
+					if !sameOrder(got, o.sorted) {
+						t.Fatalf("w=%d seed %d step %d: sorted %d = %v, oracle %v", w, seed, step, k, got, o.sorted)
+					}
+					p1, err1 := base.PValue(k, got)
+					p2, err2 := base.PValue(k, o.sorted)
+					if !samePValue(p1, err1, p2, err2) {
+						t.Fatalf("w=%d seed %d step %d: window %d p=%v (%v), oracle %v (%v)", w, seed, step, k, p1, err1, p2, err2)
+					}
+					g1, err1 := base.GuardedPValue(k, got, 0)
+					g2, err2 := base.GuardedPValue(k, o.sorted, 0)
+					if !samePValue(g1, err1, g2, err2) {
+						t.Fatalf("w=%d seed %d step %d: window %d guarded p=%v (%v), oracle %v (%v)", w, seed, step, k, g1, err1, g2, err2)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowSlabSlot holds the ring-slot reciprocal to j mod window, on
+// both sides of the 32-bit range it is exact over.
+func TestWindowSlabSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, w := range []int{1, 2, 3, 7, 8, 33, 1000, 1<<31 - 1} {
+		s, err := NewWindowSlab(0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := []int{0, 1, w - 1, w, w + 1, 1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<40 + 7, math.MaxInt64}
+		for k := 0; k < 1000; k++ {
+			js = append(js, int(rng.Uint32()), rng.Intn(1<<40))
+		}
+		for _, j := range js {
+			if got := s.slot(j); got != j%w {
+				t.Fatalf("window %d: slot(%d) = %d, want %d", w, j, got, j%w)
+			}
+		}
+	}
+}
+
+// TestWindowSlabPushPastUint32: a window restored just short of 2³² pushes
+// keeps matching the reference push as its count crosses into the range
+// where the ring slot is found by a division.
+func TestWindowSlabPushPastUint32(t *testing.T) {
+	const w = 8
+	rng := rand.New(rand.NewSource(9))
+	slab, err := NewWindowSlab(1, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOracleWindow(w)
+	values := make([]float64, w)
+	for i := range values {
+		values[i] = float64(rng.Intn(5))
+	}
+	pushed := 1<<32 - 3
+	if err := slab.Restore(0, values, pushed); err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range values {
+		o.ring[(pushed-w+j)%w] = v
+		o.sorted = insertSorted(o.sorted, v)
+	}
+	o.pushed = pushed
+	for step := 0; step < 3*w; step++ {
+		v := float64(rng.Intn(5))
+		slab.Push(0, v)
+		o.push(v)
+		if got, want := slab.Window(0), o.window(); !sameValues(got, want) {
+			t.Fatalf("step %d: window %v, oracle %v", step, got, want)
+		}
+		if got := slab.Sorted(0); !sameOrder(got, o.sorted) {
+			t.Fatalf("step %d: sorted %v, oracle %v", step, got, o.sorted)
+		}
+	}
+}
+
 // FuzzIncrementalKS cross-checks the incremental D-statistic and p-values
 // of a one-window slab against stats.KS on the same data for fuzzer-chosen
 // baselines, window capacities and push sequences.
@@ -176,6 +392,8 @@ func FuzzIncrementalKS(f *testing.F) {
 	f.Add(int64(1), uint8(19), uint8(8), uint16(40))
 	f.Add(int64(42), uint8(3), uint8(1), uint16(7))
 	f.Add(int64(99), uint8(64), uint8(31), uint16(200))
+	f.Add(int64(2186), uint8(8), uint8(7), uint16(200)) // a window of 8 evicts a value it still holds a tie of, 12 times
+	f.Add(int64(7), uint8(5), uint8(0), uint16(90))     // a window of 1 evicts a NaN or ±Inf 20 times
 	f.Fuzz(func(t *testing.T, seed int64, baseN, window uint8, steps uint16) {
 		bn := int(baseN)%64 + 1
 		w := int(window)%32 + 1
@@ -410,6 +628,46 @@ func BenchmarkKSBaselinesGuardedPValue(b *testing.B) {
 				if p, err := set.GuardedPValue(0, window, bc.tol); err != nil || p == 1 {
 					b.Fatalf("p = %v, err = %v: the KS test did not run", p, err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkWindowSlabPush times one push into a full window of 8, the
+// fleet's hot path, in two regimes: independent, pushes striding across
+// 32,768 windows (as a hop spreads over its pairs), and one-window, a
+// dependent chain into one window, each push waiting on the last. Both
+// counts are powers of two, so the loop picks a window and a value with a
+// mask.
+func BenchmarkWindowSlabPush(b *testing.B) {
+	const window = 8
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = 100 + rng.NormFloat64()*10
+	}
+	for _, bc := range []struct {
+		name    string
+		windows int
+		stride  int
+	}{
+		{"independent", 32768, 4099},
+		{"one-window", 1, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			slab, err := NewWindowSlab(bc.windows, window)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < bc.windows; i++ {
+				for k := 0; k < window; k++ {
+					slab.Push(i, vals[(i+k)%len(vals)])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slab.Push(i*bc.stride&(bc.windows-1), vals[i&(len(vals)-1)])
 			}
 		})
 	}

@@ -67,9 +67,12 @@ func (a *metricAgg) removeAnom(svc string) {
 // completeness mode. A NaN or ±Inf production value ages through its window
 // but is never tested, exactly as core.Detect drops it.
 //
-// Pair state is dense: (metric, service) pair p = metric index ×
-// len(Services) + service index, in baseline order. The hot state a push
-// touches — the pair's ring and sorted index, side by side in one
+// Pair state is dense: (metric, service) pair p = service index ×
+// len(Metrics) + metric index, in baseline order. A service's pairs are
+// neighbours, because a hop reports a service's metrics together: the
+// records of one service's pairs share a cache line or two in every per-pair
+// array, instead of each pair costing a line of its own. The hot state a
+// push touches — the pair's ring and sorted index, side by side in one
 // detector-wide slab, and its 16-byte metadata record — is kept apart from
 // the cold state only a test reads: a reference to each sorted baseline
 // series (a private sorted copy of an unsorted one), its trimmed mean, and
@@ -165,10 +168,10 @@ func newDetector(baseline *metrics.Snapshot, s settings) (*Detector, error) {
 	}
 	d.win = *win
 	d.base = stats.NewKSBaselines(pairs)
-	for mi, m := range baseline.Metrics {
-		for si, svc := range baseline.Services {
+	for si, svc := range baseline.Services {
+		for mi, m := range baseline.Metrics {
 			series, _ := baseline.SeriesOK(m, svc)
-			p := mi*len(baseline.Services) + si
+			p := d.pairIndex(mi, si)
 			if err := d.base.Add(series); err != nil {
 				return nil, fmt.Errorf("stream: baseline %s/%s: %w", m, svc, err)
 			}
@@ -209,14 +212,19 @@ func (d *Detector) pair(mi int, svc string) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	p := mi*len(d.baseline.Services) + si
+	p := d.pairIndex(mi, si)
 	return p, d.win.Meta(p).Flags&flagUsable != 0
+}
+
+// pairIndex returns the dense index of (metric index mi, service index si).
+func (d *Detector) pairIndex(mi, si int) int {
+	return si*len(d.baseline.Metrics) + mi
 }
 
 // names returns pair p's metric and service.
 func (d *Detector) names(p int) (metric, svc string) {
-	n := len(d.baseline.Services)
-	return d.baseline.Metrics[p/n], d.baseline.Services[p%n]
+	n := len(d.baseline.Metrics)
+	return d.baseline.Metrics[p%n], d.baseline.Services[p/n]
 }
 
 // Observe feeds one production window-value for a (metric, service) pair.
@@ -335,15 +343,15 @@ func (d *Detector) flush(ctx context.Context) error {
 		d.stage(d.dirty)
 	}
 
-	nsvc := len(d.baseline.Services)
+	nm := len(d.baseline.Metrics)
 	for _, p := range d.dirty {
-		mi := p / nsvc
+		mi, si := p%nm, p/nm
 		m := d.win.Meta(p)
 		agg := &d.aggs[mi]
 		if m.Flags&flagTestable != 0 {
 			agg.tested--
 			if m.Flags&flagAnom != 0 {
-				agg.removeAnom(d.baseline.Services[p%nsvc])
+				agg.removeAnom(d.baseline.Services[si])
 			}
 		}
 		m.Flags &^= flagDirty | flagTestable | flagAnom
@@ -352,7 +360,7 @@ func (d *Detector) flush(ctx context.Context) error {
 			agg.tested++
 			if d.fdr == 0 && pv < d.alpha {
 				m.Flags |= flagAnom
-				agg.insertAnom(d.baseline.Services[p%nsvc])
+				agg.insertAnom(d.baseline.Services[si])
 			}
 		}
 		if d.fdr > 0 {
@@ -385,8 +393,15 @@ func (d *Detector) flush(ctx context.Context) error {
 // finite value, which the tolerant guard excludes: a strict pair whose test
 // fails is staged untestable, and its metric's Detect rebuilds the error
 // (strictError).
+//
+// The guard's window locations are taken first, into d.pval, in a loop of
+// independent sums the processor overlaps; the tests read them back.
 func (d *Detector) stage(pairs []int) {
 	for _, p := range pairs {
+		d.pval[p] = stats.WindowLocation(d.win.Sorted(p))
+	}
+	for _, p := range pairs {
+		loc := d.pval[p]
 		d.pval[p] = untestable
 		if d.win.Pushed(p) == 0 {
 			continue
@@ -394,26 +409,19 @@ func (d *Detector) stage(pairs []int) {
 		if d.tolerant && (d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp) {
 			continue
 		}
-		if pv, err := d.pvalue(p); err == nil {
+		if pv, err := d.base.GuardedPValueAt(p, d.win.Sorted(p), loc, 0); err == nil {
 			d.pval[p] = pv
 		}
 	}
 }
 
-// pvalue computes pair p's guarded-KS p-value over the sorted finite window
-// and the sorted baseline.
-func (d *Detector) pvalue(p int) (float64, error) {
-	return d.base.GuardedPValue(p, d.win.Sorted(p), 0)
-}
-
 // redecide reruns the family decision for one metric from the cached
 // p-values, rebuilding its anomalous set.
 func (d *Detector) redecide(mi int) error {
-	row := mi * len(d.baseline.Services)
 	pvals := d.pvalBuf[:0]
 	for si := range d.baseline.Services {
-		if d.win.Meta(row+si).Flags&flagTestable != 0 {
-			pvals = append(pvals, d.pval[row+si])
+		if p := d.pairIndex(mi, si); d.win.Meta(p).Flags&flagTestable != 0 {
+			pvals = append(pvals, d.pval[p])
 		}
 	}
 	d.pvalBuf = pvals
@@ -425,7 +433,7 @@ func (d *Detector) redecide(mi int) error {
 	agg.anom = agg.anom[:0]
 	j := 0
 	for si, svc := range d.baseline.Services {
-		m := d.win.Meta(row + si)
+		m := d.win.Meta(d.pairIndex(mi, si))
 		if m.Flags&flagTestable == 0 {
 			continue
 		}
@@ -449,7 +457,7 @@ func (d *Detector) Materialize() *metrics.Snapshot {
 	out := metrics.NewSnapshot(d.baseline.Metrics, d.baseline.Services)
 	for mi, m := range d.baseline.Metrics {
 		for si, svc := range d.baseline.Services {
-			p := mi*len(d.baseline.Services) + si
+			p := d.pairIndex(mi, si)
 			if d.win.Pushed(p) == 0 {
 				continue
 			}
@@ -465,55 +473,73 @@ func (d *Detector) Materialize() *metrics.Snapshot {
 // decision made by core.DecideFamily. The answer is read from the metric's
 // aggregate after a flush of the pairs the last hops touched.
 func (d *Detector) Detect(ctx context.Context, metric string) (*core.Detection, error) {
-	if err := d.flush(ctx); err != nil {
+	det := new(core.Detection)
+	if err := d.detectInto(ctx, []string{metric}, []*core.Detection{det}); err != nil {
 		return nil, err
 	}
-	return d.detect(metric)
+	return det, nil
 }
 
 // DetectAll runs Detect for every baseline metric after a single flush. The
 // result is aligned with baseline.Metrics by index; on failure the error is
 // the first failing metric's.
 func (d *Detector) DetectAll(ctx context.Context) ([]*core.Detection, error) {
-	return d.detectEach(ctx, d.baseline.Metrics)
-}
-
-// detectEach flushes once, then detects each named metric in order,
-// stopping at the first error.
-func (d *Detector) detectEach(ctx context.Context, names []string) ([]*core.Detection, error) {
-	if err := d.flush(ctx); err != nil {
-		return nil, err
+	dets := make([]core.Detection, len(d.baseline.Metrics))
+	out := make([]*core.Detection, len(dets))
+	for i := range dets {
+		out[i] = &dets[i]
 	}
-	out := make([]*core.Detection, len(names))
-	for i, m := range names {
-		det, err := d.detect(m)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = det
+	if err := d.detectInto(ctx, d.baseline.Metrics, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// detect reads a metric's flushed aggregate. Strict mode refuses a family
-// that does not cover every baseline service, as batch strict mode does.
-func (d *Detector) detect(metric string) (*core.Detection, error) {
+// detectInto flushes once, then overwrites *dst[i] with the detection of
+// names[i], stopping at the first error. The anomalous sets are fresh
+// copies that share one backing array, each capped at its length, so a
+// caller may reuse the Detection values while the sets it handed on stay
+// intact.
+func (d *Detector) detectInto(ctx context.Context, names []string, dst []*core.Detection) error {
+	if err := d.flush(ctx); err != nil {
+		return err
+	}
+	total := 0
+	for _, m := range names {
+		agg, err := d.agg(m)
+		if err != nil {
+			return err
+		}
+		total += len(agg.anom)
+	}
+	all := make([]string, 0, total)
+	for i, m := range names {
+		agg, _ := d.agg(m)
+		start := len(all)
+		all = append(all, agg.anom...)
+		*dst[i] = core.Detection{Anomalous: all[start:len(all):len(all)], Tested: agg.tested}
+	}
+	return nil
+}
+
+// agg returns a metric's flushed aggregate, whose anomalous set the caller
+// must not modify. A metric outside the baseline has an empty family in
+// tolerant mode (batch SeriesOK misses every pair). Strict mode refuses a
+// family that does not cover every baseline service, as batch strict mode
+// does.
+func (d *Detector) agg(metric string) (metricAgg, error) {
 	mi, ok := d.metricIndex[metric]
 	if !ok {
 		if d.tolerant {
-			// Batch: production.SeriesOK misses every pair -> empty family.
-			return &core.Detection{Anomalous: []string{}, Tested: 0}, nil
+			return metricAgg{}, nil
 		}
-		return nil, fmt.Errorf("metrics: snapshot has no metric %q", metric)
+		return metricAgg{}, fmt.Errorf("metrics: snapshot has no metric %q", metric)
 	}
-	agg := &d.aggs[mi]
+	agg := d.aggs[mi]
 	if !d.tolerant && agg.tested < len(d.baseline.Services) {
-		return nil, d.strictError(mi)
+		return metricAgg{}, d.strictError(mi)
 	}
-	return &core.Detection{
-		Anomalous: append(make([]string, 0, len(agg.anom)), agg.anom...),
-		Tested:    agg.tested,
-	}, nil
+	return agg, nil
 }
 
 // strictError rebuilds the error batch strict mode reports for metric mi's
@@ -522,20 +548,20 @@ func (d *Detector) detect(metric string) (*core.Detection, error) {
 // observed; failing that, the first pair whose test fails.
 func (d *Detector) strictError(mi int) error {
 	metric := d.baseline.Metrics[mi]
-	row := mi * len(d.baseline.Services)
 	for si, svc := range d.baseline.Services {
 		if _, ok := d.baseline.SeriesOK(metric, svc); !ok {
 			return fmt.Errorf("metrics: snapshot metric %q has no service %q", metric, svc)
 		}
-		if d.win.Pushed(row+si) == 0 {
+		if d.win.Pushed(d.pairIndex(mi, si)) == 0 {
 			return fmt.Errorf("stream: no production window for metric %q service %q", metric, svc)
 		}
 	}
 	for si, svc := range d.baseline.Services {
-		if d.win.Meta(row+si).Flags&flagTestable != 0 {
+		p := d.pairIndex(mi, si)
+		if d.win.Meta(p).Flags&flagTestable != 0 {
 			continue
 		}
-		if _, err := d.pvalue(row + si); err != nil {
+		if _, err := d.base.GuardedPValue(p, d.win.Sorted(p), 0); err != nil {
 			return fmt.Errorf("stream: anomaly test %s on %s: %w", metric, svc, err)
 		}
 	}

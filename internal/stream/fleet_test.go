@@ -88,6 +88,43 @@ func TestDetectorSteadyHopAllocatesNothing(t *testing.T) {
 	}
 }
 
+// steadyStepAllocs bounds the objects one steady-state Localizer.Step
+// allocates at fleet scale: only what the published Verdict holds — the
+// Verdict, its Candidates and Confirmed, and Full with its maps and
+// per-metric winner and anomaly slices.
+const steadyStepAllocs = 16
+
+// TestLocalizerSteadyStepAllocs: once warm, a whole Step allocates only the
+// Verdict it publishes; the detector, the vote's counting and the
+// hysteresis ring reuse their storage.
+func TestLocalizerSteadyStepAllocs(t *testing.T) {
+	w := newFleetSynth(t)
+	loc, err := NewLocalizer(w.Model(), WithWindow(fleetWindow), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const hopEvery = sim.Time(30e9)
+	at := sim.Time(0)
+	for _, hop := range w.Hops {
+		if _, err := loc.Step(ctx, at, hop); err != nil {
+			t.Fatal(err)
+		}
+		at += hopEvery
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(2*fleetCycle, func() {
+		if _, err := loc.Step(ctx, at, steadyHop(w, i)); err != nil {
+			t.Fatal(err)
+		}
+		at += hopEvery
+		i++
+	})
+	if allocs > steadyStepAllocs {
+		t.Fatalf("steady Step allocates %v times, want at most %d", allocs, steadyStepAllocs)
+	}
+}
+
 // BenchmarkDetectorObserveHop4096 times one steady-state hop's ingest plus
 // the flush of the pairs it touched: the detector's whole per-hop cost
 // before the per-metric detections are read.

@@ -51,12 +51,74 @@ type Localizer struct {
 	idx   *core.CausalIndex
 	det   *Detector
 	voter *core.Localizer
-	hystK int
-	hystN int
-	// history holds the candidate sets of the last hystN hops, oldest
-	// first. Hops where no metric cast a vote contribute an empty set, so
-	// quiet periods break confirmation streaks instead of sustaining them.
-	history []map[string]bool
+	hyst  hysteresis
+
+	// Per-hop working storage, reused by every Step: the vote's counting
+	// scratch and the detections handed to the vote, one per model metric.
+	vote core.VoteScratch
+	dets []*core.Detection
+}
+
+// hysteresis is the K-of-N filter over the candidate sets of the last N
+// hops: a fixed ring of N sets, the oldest overwritten first, and a running
+// count per service of the retained sets naming it. Hops where no metric
+// cast a vote contribute an empty set, so quiet periods break confirmation
+// streaks instead of sustaining them.
+type hysteresis struct {
+	k      int
+	sets   [][]string     // the ring: N slots, each set sorted and duplicate-free
+	filled int            // retained sets, at most N
+	next   int            // the slot the next set fills: the oldest once the ring is full
+	counts map[string]int // per service: how many retained sets name it
+}
+
+func newHysteresis(k, n int) hysteresis {
+	return hysteresis{k: k, sets: make([][]string, n), counts: make(map[string]int)}
+}
+
+// horizon reports N, the number of sets the filter retains.
+func (h *hysteresis) horizon() int { return len(h.sets) }
+
+// push retains a copy of set, evicting the oldest retained set once N are.
+func (h *hysteresis) push(set []string) {
+	slot := h.sets[h.next]
+	if h.filled == len(h.sets) {
+		for _, s := range slot {
+			if h.counts[s]--; h.counts[s] == 0 {
+				delete(h.counts, s)
+			}
+		}
+	} else {
+		h.filled++
+	}
+	for _, s := range set {
+		h.counts[s]++
+	}
+	h.sets[h.next] = append(slot[:0], set...)
+	h.next = (h.next + 1) % len(h.sets)
+}
+
+// retained returns copies of the retained sets, oldest first.
+func (h *hysteresis) retained() [][]string {
+	out := make([][]string, h.filled)
+	for j := range out {
+		set := h.sets[(h.next-h.filled+j+len(h.sets))%len(h.sets)]
+		out[j] = append(make([]string, 0, len(set)), set...)
+	}
+	return out
+}
+
+// confirmed returns the sorted services named in at least K of the retained
+// sets, or nil when none is.
+func (h *hysteresis) confirmed() []string {
+	var out []string
+	for s, n := range h.counts {
+		if n >= h.k {
+			out = append(out, s)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // NewLocalizer builds a streaming localizer for a trained model. Its
@@ -108,12 +170,16 @@ func newLocalizer(model *core.Model, s settings) (*Localizer, error) {
 	if err != nil {
 		return nil, err
 	}
+	dets := make([]*core.Detection, len(model.Metrics))
+	for i := range dets {
+		dets[i] = new(core.Detection)
+	}
 	return &Localizer{
 		idx:   idx,
 		det:   det,
 		voter: voter,
-		hystK: hystK,
-		hystN: hystN,
+		hyst:  newHysteresis(hystK, hystN),
+		dets:  dets,
 	}, nil
 }
 
@@ -129,15 +195,20 @@ func (l *Localizer) Detector() *Detector { return l.det }
 // Verdict's vote fields are byte-identical to core.Localizer.Localize on the
 // materialized windows. Step does not retain hop or its inner maps: the
 // caller may clear and refill them for the next hop (Pipeline.Tick does).
+//
+// Only what the returned Verdict holds is allocated: the Verdict, its
+// Candidates, Votes and Confirmed, and Full with its maps and per-metric
+// anomaly and winner slices. A subscriber may retain all of it; nothing in
+// it aliases the Localizer's state. The detector's state, the vote's
+// counting and the hysteresis ring reuse storage from hop to hop.
 func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[string]float64) (*Verdict, error) {
 	if err := l.det.ObserveHop(hop); err != nil {
 		return nil, err
 	}
-	detections, err := l.det.detectEach(ctx, l.idx.Model().Metrics)
-	if err != nil {
+	if err := l.det.detectInto(ctx, l.idx.Model().Metrics, l.dets); err != nil {
 		return nil, err
 	}
-	loc, err := l.voter.AggregateIndexed(l.idx, detections)
+	loc, err := l.voter.AggregateIndexedWith(&l.vote, l.idx, l.dets)
 	if err != nil {
 		return nil, err
 	}
@@ -146,42 +217,18 @@ func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[st
 	// contribute their candidates; abstentions and no-vote hops (whose
 	// candidate set is the uninformative full target list) push an empty
 	// set, so a healthy stream never accumulates confirmations.
-	set := make(map[string]bool)
+	var set []string
 	if len(loc.Votes) > 0 {
-		for _, c := range loc.Candidates {
-			set[c] = true
-		}
+		set = loc.Candidates
 	}
-	l.history = append(l.history, set)
-	if len(l.history) > l.hystN {
-		l.history = l.history[1:]
-	}
+	l.hyst.push(set)
 
 	return &Verdict{
 		At:         at,
 		Candidates: loc.Candidates,
 		Votes:      loc.Votes,
 		Abstained:  loc.Abstained,
-		Confirmed:  l.confirmed(),
+		Confirmed:  l.hyst.confirmed(),
 		Full:       loc,
 	}, nil
-}
-
-// confirmed returns the sorted services named top candidate in at least
-// hystK of the retained hops.
-func (l *Localizer) confirmed() []string {
-	counts := make(map[string]int)
-	for _, set := range l.history {
-		for s := range set {
-			counts[s]++
-		}
-	}
-	var out []string
-	for s, n := range counts {
-		if n >= l.hystK {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -401,7 +401,7 @@ func (p *Pipeline) ExportState() *PipelineState {
 	d := p.loc.det
 	for mi, m := range d.baseline.Metrics {
 		for si, svc := range d.baseline.Services {
-			pair := mi*len(d.baseline.Services) + si
+			pair := d.pairIndex(mi, si)
 			pushed := d.win.Pushed(pair)
 			if pushed == 0 {
 				continue
@@ -423,8 +423,8 @@ func (p *Pipeline) ExportState() *PipelineState {
 		}
 	}
 
-	for _, set := range p.loc.history {
-		st.History = append(st.History, sortedNames(set))
+	if p.loc.hyst.filled > 0 {
+		st.History = p.loc.hyst.retained()
 	}
 
 	if len(p.pending) > 0 {
@@ -517,18 +517,18 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 		}
 	}
 
-	if len(st.History) > p.loc.hystN {
-		return fmt.Errorf("stream: snapshot history holds %d hops, hysteresis horizon is %d", len(st.History), p.loc.hystN)
+	if len(st.History) > p.loc.hyst.horizon() {
+		return fmt.Errorf("stream: snapshot history holds %d hops, hysteresis horizon is %d", len(st.History), p.loc.hyst.horizon())
 	}
 	for i, names := range st.History {
-		set := make(map[string]bool, len(names))
 		for _, s := range names {
 			if _, ok := d.svcIndex[s]; !ok {
 				return fmt.Errorf("stream: snapshot history[%d] names unknown service %q", i, s)
 			}
-			set[s] = true
 		}
-		p.loc.history = append(p.loc.history, set)
+	}
+	for _, names := range st.History {
+		p.loc.hyst.push(names)
 	}
 
 	for _, pe := range st.Pending {
@@ -555,7 +555,7 @@ func (p *Pipeline) fresh() bool {
 	if len(p.agg.svcs) > 0 || len(p.pending) > 0 || p.hops > 0 {
 		return false
 	}
-	if len(p.loc.history) > 0 {
+	if p.loc.hyst.filled > 0 {
 		return false
 	}
 	d := p.loc.det
@@ -565,14 +565,4 @@ func (p *Pipeline) fresh() bool {
 		}
 	}
 	return true
-}
-
-// sortedNames turns a membership set into a sorted name slice.
-func sortedNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
