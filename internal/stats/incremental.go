@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -53,11 +52,7 @@ import (
 // in ring slot j mod window, so the oldest retained value sits in slot
 // pushed mod window once the ring is full, and in slot 0 before.
 type WindowSlab struct {
-	w int
-	// wrap is ⌈2⁶⁴/w⌉ mod 2⁶⁴, with which slot finds a ring slot by two
-	// multiplications instead of a division (Lemire, Kaser and Kurz,
-	// "Faster remainder by direct computation", 2019).
-	wrap uint64
+	w    int
 	vals []float64
 	meta []WindowMeta
 }
@@ -86,19 +81,9 @@ func NewWindowSlab(n, window int) (*WindowSlab, error) {
 	}
 	return &WindowSlab{
 		w:    window,
-		wrap: math.MaxUint64/uint64(window) + 1,
 		vals: make([]float64, 2*window*n),
 		meta: make([]WindowMeta, n),
 	}, nil
-}
-
-// slot returns j mod window: the ring slot of a window's push number j.
-func (s *WindowSlab) slot(j int) int {
-	if uint64(j) < 1<<32 { // exact for every 32-bit j and window
-		hi, _ := bits.Mul64(s.wrap*uint64(j), uint64(s.w))
-		return int(hi)
-	}
-	return j % s.w
 }
 
 // Count reports the number of windows in the slab.
@@ -130,7 +115,7 @@ func (s *WindowSlab) Window(i int) []float64 {
 	if p <= w {
 		return append(make([]float64, 0, p), ring[:p]...)
 	}
-	head := s.slot(p)
+	head := p % w
 	return append(append(make([]float64, 0, w), ring[head:]...), ring[:head]...)
 }
 
@@ -157,7 +142,7 @@ func (s *WindowSlab) Push(i int, v float64) {
 	m.pushed++
 	old := math.NaN() // nothing to evict until the ring is full
 	if slot >= w {
-		slot = s.slot(slot)
+		slot %= w
 		old = ring[slot]
 	}
 	ring[slot] = v
@@ -199,7 +184,7 @@ func (s *WindowSlab) Restore(i int, values []float64, pushed int) error {
 	first := pushed - len(values) // lifetime index of values[0]
 	n := 0
 	for j, v := range values {
-		ring[s.slot(first+j)] = v
+		ring[(first+j)%w] = v
 		if isFinite(v) {
 			settle(index[:n+1], n, v)
 			n++
@@ -303,20 +288,6 @@ func (b *KSBaselines) pvalue(i int, window []float64) float64 {
 // mean, then the KS p-value. relTol zero selects DefaultRelTol, matching the
 // guard's defaulting.
 func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (float64, error) {
-	return b.GuardedPValueAt(i, window, WindowLocation(window), relTol)
-}
-
-// WindowLocation returns the guard's location of a sorted window: its
-// trimmed mean, DefaultTrim cut from each tail.
-func WindowLocation(window []float64) float64 {
-	return trimmedMeanSorted(window, DefaultTrim)
-}
-
-// GuardedPValueAt is GuardedPValue for a window whose location,
-// WindowLocation(window), the caller has taken already. A caller testing
-// many windows can take every location first, in a tight loop whose
-// independent sums the processor overlaps, and test after.
-func (b *KSBaselines) GuardedPValueAt(i int, window []float64, loc, relTol float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: guarded test needs non-empty samples (|x|=%d |y|=%d)", len(window), b.size[i])
 	}
@@ -327,7 +298,7 @@ func (b *KSBaselines) GuardedPValueAt(i int, window []float64, loc, relTol float
 	if tol < 0 {
 		return 0, fmt.Errorf("stats: negative relative tolerance %v", tol)
 	}
-	if sameLocation(loc, b.trimmed[i], tol) {
+	if sameLocation(trimmedMeanSorted(window, DefaultTrim), b.trimmed[i], tol) {
 		return 1, nil
 	}
 	return b.pvalue(i, window), nil

@@ -327,64 +327,6 @@ func TestWindowSlabPushMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWindowSlabSlot holds the ring-slot reciprocal to j mod window, on
-// both sides of the 32-bit range it is exact over.
-func TestWindowSlabSlot(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, w := range []int{1, 2, 3, 7, 8, 33, 1000, 1<<31 - 1} {
-		s, err := NewWindowSlab(0, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js := []int{0, 1, w - 1, w, w + 1, 1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<40 + 7, math.MaxInt64}
-		for k := 0; k < 1000; k++ {
-			js = append(js, int(rng.Uint32()), rng.Intn(1<<40))
-		}
-		for _, j := range js {
-			if got := s.slot(j); got != j%w {
-				t.Fatalf("window %d: slot(%d) = %d, want %d", w, j, got, j%w)
-			}
-		}
-	}
-}
-
-// TestWindowSlabPushPastUint32: a window restored just short of 2³² pushes
-// keeps matching the reference push as its count crosses into the range
-// where the ring slot is found by a division.
-func TestWindowSlabPushPastUint32(t *testing.T) {
-	const w = 8
-	rng := rand.New(rand.NewSource(9))
-	slab, err := NewWindowSlab(1, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := newOracleWindow(w)
-	values := make([]float64, w)
-	for i := range values {
-		values[i] = float64(rng.Intn(5))
-	}
-	pushed := 1<<32 - 3
-	if err := slab.Restore(0, values, pushed); err != nil {
-		t.Fatal(err)
-	}
-	for j, v := range values {
-		o.ring[(pushed-w+j)%w] = v
-		o.sorted = insertSorted(o.sorted, v)
-	}
-	o.pushed = pushed
-	for step := 0; step < 3*w; step++ {
-		v := float64(rng.Intn(5))
-		slab.Push(0, v)
-		o.push(v)
-		if got, want := slab.Window(0), o.window(); !sameValues(got, want) {
-			t.Fatalf("step %d: window %v, oracle %v", step, got, want)
-		}
-		if got := slab.Sorted(0); !sameOrder(got, o.sorted) {
-			t.Fatalf("step %d: sorted %v, oracle %v", step, got, o.sorted)
-		}
-	}
-}
-
 // FuzzIncrementalKS cross-checks the incremental D-statistic and p-values
 // of a one-window slab against stats.KS on the same data for fuzzer-chosen
 // baselines, window capacities and push sequences.

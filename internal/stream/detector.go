@@ -217,14 +217,21 @@ func (d *Detector) pair(mi int, svc string) (int, bool) {
 }
 
 // pairIndex returns the dense index of (metric index mi, service index si).
+// pairParts is its inverse; the two are the only statement of the layout.
 func (d *Detector) pairIndex(mi, si int) int {
 	return si*len(d.baseline.Metrics) + mi
 }
 
+// pairParts returns pair p's metric and service indices.
+func (d *Detector) pairParts(p int) (mi, si int) {
+	n := len(d.baseline.Metrics)
+	return p % n, p / n
+}
+
 // names returns pair p's metric and service.
 func (d *Detector) names(p int) (metric, svc string) {
-	n := len(d.baseline.Metrics)
-	return d.baseline.Metrics[p%n], d.baseline.Services[p/n]
+	mi, si := d.pairParts(p)
+	return d.baseline.Metrics[mi], d.baseline.Services[si]
 }
 
 // Observe feeds one production window-value for a (metric, service) pair.
@@ -343,9 +350,8 @@ func (d *Detector) flush(ctx context.Context) error {
 		d.stage(d.dirty)
 	}
 
-	nm := len(d.baseline.Metrics)
 	for _, p := range d.dirty {
-		mi, si := p%nm, p/nm
+		mi, si := d.pairParts(p)
 		m := d.win.Meta(p)
 		agg := &d.aggs[mi]
 		if m.Flags&flagTestable != 0 {
@@ -393,15 +399,8 @@ func (d *Detector) flush(ctx context.Context) error {
 // finite value, which the tolerant guard excludes: a strict pair whose test
 // fails is staged untestable, and its metric's Detect rebuilds the error
 // (strictError).
-//
-// The guard's window locations are taken first, into d.pval, in a loop of
-// independent sums the processor overlaps; the tests read them back.
 func (d *Detector) stage(pairs []int) {
 	for _, p := range pairs {
-		d.pval[p] = stats.WindowLocation(d.win.Sorted(p))
-	}
-	for _, p := range pairs {
-		loc := d.pval[p]
 		d.pval[p] = untestable
 		if d.win.Pushed(p) == 0 {
 			continue
@@ -409,10 +408,16 @@ func (d *Detector) stage(pairs []int) {
 		if d.tolerant && (d.win.Meta(p).Flags&flagLongBase == 0 || d.win.Len(p) < d.minSamp) {
 			continue
 		}
-		if pv, err := d.base.GuardedPValueAt(p, d.win.Sorted(p), loc, 0); err == nil {
+		if pv, err := d.pvalue(p); err == nil {
 			d.pval[p] = pv
 		}
 	}
+}
+
+// pvalue computes pair p's guarded-KS p-value over the sorted finite window
+// and the sorted baseline.
+func (d *Detector) pvalue(p int) (float64, error) {
+	return d.base.GuardedPValue(p, d.win.Sorted(p), 0)
 }
 
 // redecide reruns the family decision for one metric from the cached
@@ -561,7 +566,7 @@ func (d *Detector) strictError(mi int) error {
 		if d.win.Meta(p).Flags&flagTestable != 0 {
 			continue
 		}
-		if _, err := d.base.GuardedPValue(p, d.win.Sorted(p), 0); err != nil {
+		if _, err := d.pvalue(p); err != nil {
 			return fmt.Errorf("stream: anomaly test %s on %s: %w", metric, svc, err)
 		}
 	}
