@@ -102,7 +102,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadArenaReport -fuzztime $(FUZZTIME) ./internal/arena
 	$(GO) test -run xxx -fuzz FuzzIngestHandler -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzCreateTenantHandler -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run xxx -fuzz FuzzLocalizeHandler -fuzztime $(FUZZTIME) ./internal/webui
+	$(GO) test -run xxx -fuzz FuzzLocalizeHandler -fuzztime $(FUZZTIME) ./internal/serve
 
 # Every table, figure, ablation and extension, abbreviated windows.
 bench:

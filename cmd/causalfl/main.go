@@ -17,7 +17,7 @@
 //	causalfl worlds   -model model.json
 //	causalfl explain  -app causalbench|robotshop -fault SVC[,SVC...] [-model model.json] [-quick] [-json] [-out report.json]
 //	causalfl watch    -app causalbench|robotshop [-model model.json] [-fault SVC] [-inject-at 3m] [-duration 10m] [-out verdicts.json]
-//	causalfl serve    [-addr :8080] [-snapshot-dir DIR] [-model model.json] [-queue N] [-snapshot-every N]
+//	causalfl serve    [-addr :8080] [-snapshot-dir DIR] [-metrics preset] [-queue N] [-snapshot-every N]
 //	causalfl diff     -old old.json -new new.json
 //
 // Every table, figure and extension experiment of the evaluation is a

@@ -138,7 +138,7 @@ func TestLocalizeMissingInputs(t *testing.T) {
 		t.Fatal("serve with empty -snapshot-dir accepted")
 	}
 	if err := run(context.Background(), []string{"serve", "-snapshot-dir", t.TempDir(), "-model", "nope.json"}); err == nil {
-		t.Fatal("serve with unreadable -model accepted")
+		t.Fatal("serve accepted -model, which tenants replaced")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Library packages must return errors, not panic: the pipeline embeds the
-// simulator and the learner in long-running services (webui, future
+// simulator and the learner in long-running services (serve, future
 // ingestion paths) where a panic in a misconfigured topology takes down the
 // process. Commands (package main) may panic, and Must*-prefixed helpers
 // keep the familiar stdlib convention (regexp.MustCompile) — they exist for

@@ -37,9 +37,9 @@ type Options struct {
 
 // Server hosts independent per-tenant pipelines behind the HTTP API
 // documented in docs/SERVING.md. One consumer goroutine per tenant owns that
-// tenant's pipeline; handlers only touch queues and locked bookkeeping, so a
-// stalled tenant cannot delay another tenant's verdicts. A flooding one
-// still shares the CPU with it.
+// tenant's pipeline; handlers only touch queues, locked bookkeeping and the
+// tenant's model, which never changes, so a stalled tenant cannot delay
+// another tenant's verdicts. A flooding one still shares the CPU with it.
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
@@ -99,6 +99,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/verdicts", s.handleVerdicts)
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/stats", s.handleTenantStats)
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/snapshot", s.handleSnapshot)
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/localize", s.handleLocalize)
+	s.mux.HandleFunc("GET /v1/tenants/{tenant}/worlds", s.handleWorlds)
+	s.mux.HandleFunc("GET /dashboard", handleDashboard)
+	s.mux.Handle("GET /{$}", http.RedirectHandler("/dashboard", http.StatusFound))
 }
 
 // jsonError writes a JSON error body with an explicit content type.

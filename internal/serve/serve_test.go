@@ -84,29 +84,9 @@ func fixtureCPU(si, tick int, faulty bool) sim.Counters {
 // healthy fixture ticks and whose causal sets name each service alone.
 func fixtureModel(t testing.TB, services []string) *core.Model {
 	t.Helper()
-	set, err := metrics.Preset(metrics.SetRawCPU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseSamples := make(map[string][]telemetry.Sample, len(services))
-	for tick := 1; tick <= 40; tick++ {
-		at := sim.Time(tick) * sim.Time(fixInterval)
-		for si, svc := range services {
-			baseSamples[svc] = append(baseSamples[svc], telemetry.Sample{
-				At: at, Deltas: fixtureCPU(si, tick, false), Span: 1,
-			})
-		}
-	}
-	baseWindows, err := telemetry.WindowsByService(baseSamples, fixLength, fixHop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := metrics.BuildSnapshot(baseWindows, services, set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := fixtureSnapshot(t, services, 1, 40, -1)
 	sets := map[string]map[string][]string{}
-	for _, m := range metrics.Names(set) {
+	for _, m := range baseline.Metrics {
 		byTarget := map[string][]string{}
 		for _, svc := range services {
 			byTarget[svc] = []string{svc}
@@ -115,7 +95,7 @@ func fixtureModel(t testing.TB, services []string) *core.Model {
 	}
 	model := &core.Model{
 		Services:   services,
-		Metrics:    metrics.Names(set),
+		Metrics:    append([]string(nil), baseline.Metrics...),
 		Targets:    append([]string(nil), services...),
 		CausalSets: sets,
 		Baseline:   baseline,
@@ -125,6 +105,34 @@ func fixtureModel(t testing.TB, services []string) *core.Model {
 		t.Fatal(err)
 	}
 	return model
+}
+
+// fixtureSnapshot is the "raw-cpu" snapshot of fixture ticks first..last,
+// the service at index faulty (none if -1) under the CPU fault.
+func fixtureSnapshot(t testing.TB, services []string, first, last, faulty int) *metrics.Snapshot {
+	t.Helper()
+	set, err := metrics.Preset(metrics.SetRawCPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make(map[string][]telemetry.Sample, len(services))
+	for tick := first; tick <= last; tick++ {
+		at := sim.Time(tick) * sim.Time(fixInterval)
+		for si, svc := range services {
+			samples[svc] = append(samples[svc], telemetry.Sample{
+				At: at, Deltas: fixtureCPU(si, tick, si == faulty), Span: 1,
+			})
+		}
+	}
+	windows, err := telemetry.WindowsByService(samples, fixLength, fixHop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := metrics.BuildSnapshot(windows, services, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // tenantCfg is the fixture's standard tenant configuration.
@@ -376,22 +384,30 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestServeMethodHygiene pins the 405 contract: wrong-method requests get an
-// Allow header, not a 404.
+// Allow header listing the right method, not a 404.
 func TestServeMethodHygiene(t *testing.T) {
-	_, c, hs := newTestServer(t, t.TempDir())
-	resp, err := hs.Client().Post(hs.URL+"/v1/tenants", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/tenants: status %d", resp.StatusCode)
-	}
-	if allow := resp.Header.Get("Allow"); !strings.Contains(allow, http.MethodGet) {
-		t.Fatalf("405 without a usable Allow header: %q", allow)
-	}
-	if code := c.do(http.MethodDelete, "/healthz", nil, nil); code != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE /healthz: status %d", code)
+	_, _, hs := newTestServer(t, t.TempDir())
+	for _, tc := range []struct {
+		method, path, allow string
+	}{
+		{http.MethodPost, "/v1/tenants", http.MethodGet},
+		{http.MethodDelete, "/healthz", http.MethodGet},
+	} {
+		req, err := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
+		}
+		if allow := resp.Header.Get("Allow"); !strings.Contains(allow, tc.allow) {
+			t.Errorf("%s %s: Allow = %q, want %s listed", tc.method, tc.path, allow, tc.allow)
+		}
 	}
 }
 

@@ -347,7 +347,8 @@ func ksDistanceSearch(a, b []float64) float64 {
 }
 
 // searchBelow returns the count of the ascending a's values below v — the
-// first index holding a value ≥ v — by a branch-free binary search.
+// first index holding a value ≥ v — by a binary search whose trip count
+// depends only on len(a), not on v or the values.
 func searchBelow(a []float64, v float64) int {
 	if len(a) == 0 {
 		return 0
