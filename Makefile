@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadReport -fuzztime $(FUZZTIME) ./internal/repair
 	$(GO) test -run xxx -fuzz FuzzReadArenaReport -fuzztime $(FUZZTIME) ./internal/arena
 	$(GO) test -run xxx -fuzz FuzzIngestHandler -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzIngestFloat -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzCreateTenantHandler -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzLocalizeHandler -fuzztime $(FUZZTIME) ./internal/serve
 

@@ -13,8 +13,21 @@ import (
 // This file decodes ingest bodies. Almost every body a producer sends is the
 // canonical form encoding/json writes for ingestRequest: plain ASCII keys,
 // no escapes, numbers that fit their fields. A single-pass scanner decodes
-// that form straight into telemetry.Sample values without reflection. The
-// scanner never rejects anything: on any other input it reports "not
+// that form straight into telemetry.Sample values without reflection:
+//
+//   - Sample and counter keys are matched in the order encoding/json writes
+//     the SampleState and CounterState fields. A cursor walks the tag list
+//     and compares each quoted key and its colon as one string; a key out of
+//     that order, repeated or unknown is read and looked up instead.
+//   - A counter float with no exponent, a mantissa below 2^53 and at most 22
+//     fraction digits is converted with one exact division of two exact
+//     float64 values (Clinger's fast path), its digits taken while the
+//     RFC 8259 grammar is checked. Every other number goes to
+//     strconv.ParseFloat.
+//   - Each tick's samples share one array; each service's slice of it is
+//     capped at its own end.
+//
+// The scanner never rejects anything: on any other input it reports "not
 // canonical" and the body is decoded by encoding/json instead, which alone
 // decides what is invalid and words every decode error. The scanner accepts
 // only bodies on which encoding/json succeeds with the same ticks, so which
@@ -38,7 +51,19 @@ var (
 		"cpu_seconds", "busy_seconds",
 		"rx_packets", "tx_packets", "queue_drops",
 	}
+	// sampleMembers and counterMembers spell each key as encoding/json
+	// writes a member's start, quoted and followed by its colon.
+	sampleMembers  = memberStarts(sampleKeys)
+	counterMembers = memberStarts(counterKeys)
 )
+
+func memberStarts(keys []string) []string {
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = `"` + k + `":`
+	}
+	return out
+}
 
 // decodeIngest decodes an ingest body into ticks. names interns service
 // names: a known name is returned as the table's own string, so decoding it
@@ -79,32 +104,39 @@ type ingestScanner struct {
 	buf   []byte
 	pos   int
 	names map[string]string
-	// scratch holds the samples of the service being decoded.
-	scratch []telemetry.Sample
-	// hint sizes each tick's map: the previous tick's service count in
-	// this body, so a map is sized by what the input has shown, not by
-	// the model.
-	hint int
+	// samples and services are one tick's scratch: every sample in body
+	// order, and where each service's run of them starts and ends.
+	samples  []telemetry.Sample
+	services []serviceRun
+}
+
+// serviceRun is one service's samples in ingestScanner.samples.
+type serviceRun struct {
+	name     string
+	from, to int
 }
 
 // request decodes a whole body: one object whose only key is "ticks",
-// surrounded by nothing but whitespace.
+// surrounded by nothing but whitespace. A repeated "ticks" makes
+// encoding/json decode the second array into the maps of the first, merging
+// them, so it is left to encoding/json.
 func (s *ingestScanner) request() ([]map[string][]telemetry.Sample, bool) {
 	ticks := []map[string][]telemetry.Sample{}
-	seen := false
-	ok := s.members(func(key []byte) bool {
-		// A repeated "ticks" makes encoding/json decode the second array
-		// into the maps of the first, merging them.
-		if string(key) != "ticks" || seen {
-			return false
+	more, ok := s.open('{', '}')
+	if more {
+		key, isStr := s.str()
+		if !isStr || string(key) != "ticks" || !s.eat(':') {
+			return nil, false
 		}
-		seen = true
-		return s.elements(func() bool {
-			tick, ok := s.tick()
+		for more, ok = s.open('[', ']'); more; more, ok = s.next(']') {
+			tick, valid := s.tick()
+			if !valid {
+				return nil, false
+			}
 			ticks = append(ticks, tick)
-			return ok
-		})
-	})
+		}
+		ok = ok && s.eat('}')
+	}
 	s.space()
 	return ticks, ok && s.pos == len(s.buf)
 }
@@ -112,55 +144,74 @@ func (s *ingestScanner) request() ([]map[string][]telemetry.Sample, bool) {
 // tick decodes one {service: [sample, ...], ...} object. A repeated service
 // replaces the earlier one, as in encoding/json.
 func (s *ingestScanner) tick() (map[string][]telemetry.Sample, bool) {
-	tick := make(map[string][]telemetry.Sample, s.hint)
-	ok := s.members(func(key []byte) bool {
+	s.samples, s.services = s.samples[:0], s.services[:0]
+	more, ok := s.open('{', '}')
+	for ; more; more, ok = s.next('}') {
+		key, isStr := s.str()
+		if !isStr || !s.eat(':') {
+			return nil, false
+		}
 		name, known := s.names[string(key)]
 		if !known {
 			name = string(key)
 		}
-		s.scratch = s.scratch[:0]
-		if !s.elements(s.sample) {
-			return false
+		from := len(s.samples)
+		inner, valid := s.open('[', ']')
+		for ; inner; inner, valid = s.next(']') {
+			s.samples = append(s.samples, telemetry.Sample{})
+			if !s.sample(&s.samples[len(s.samples)-1]) {
+				return nil, false
+			}
 		}
-		// An empty service still gets a non-nil slice, as encoding/json
-		// gives it.
-		samples := make([]telemetry.Sample, len(s.scratch))
-		copy(samples, s.scratch)
-		tick[name] = samples
-		return true
-	})
-	s.hint = len(tick)
-	return tick, ok
+		if !valid {
+			return nil, false
+		}
+		s.services = append(s.services, serviceRun{name, from, len(s.samples)})
+	}
+	if !ok {
+		return nil, false
+	}
+	// An empty service still gets a non-nil slice, as encoding/json gives
+	// it: make returns one even for no samples.
+	all := make([]telemetry.Sample, len(s.samples))
+	copy(all, s.samples)
+	tick := make(map[string][]telemetry.Sample, len(s.services))
+	for _, run := range s.services {
+		tick[run.name] = all[run.from:run.to:run.to]
+	}
+	return tick, true
 }
 
 // sample decodes one SampleState object onto a zero telemetry.Sample. A
 // repeated key overwrites, and a repeated "deltas" decodes onto the same
 // counters, as encoding/json does.
-func (s *ingestScanner) sample() bool {
-	s.scratch = append(s.scratch, telemetry.Sample{})
-	smp := &s.scratch[len(s.scratch)-1]
-	return s.members(func(key []byte) bool {
-		var ok bool
-		switch lookup(sampleKeys, key) {
+func (s *ingestScanner) sample(smp *telemetry.Sample) bool {
+	more, ok := s.open('{', '}')
+	for cursor := 0; more; more, ok = s.next('}') {
+		var valid bool
+		switch s.key(sampleKeys, sampleMembers, &cursor) {
 		case 0:
 			var at int64
-			at, ok = s.int(64)
+			at, valid = s.int(64)
 			smp.At = sim.Time(at)
 		case 1:
-			ok = s.counters(&smp.Deltas)
+			valid = s.counters(&smp.Deltas)
 		case 2:
-			smp.Missing, ok = s.bool()
+			smp.Missing, valid = s.bool()
 		case 3:
 			var span int64
-			span, ok = s.int(strconv.IntSize)
+			span, valid = s.int(strconv.IntSize)
 			smp.Span = int(span)
 		case 4:
-			smp.Corrupt, ok = s.bool()
+			smp.Corrupt, valid = s.bool()
 		case 5:
-			_, ok = s.bool() // snapshot-only; ignored on the ingest wire
+			_, valid = s.bool() // snapshot-only; ignored on the ingest wire
 		}
-		return ok
-	})
+		if !valid {
+			return false
+		}
+	}
+	return ok
 }
 
 // counters decodes one CounterState object onto c.
@@ -171,19 +222,46 @@ func (s *ingestScanner) counters(c *sim.Counters) bool {
 		nil, nil, // cpu_seconds and busy_seconds are floats
 		&c.RxPackets, &c.TxPackets, &c.QueueDrops,
 	}
-	return s.members(func(key []byte) bool {
-		var ok bool
-		switch i := lookup(counterKeys, key); i {
+	more, ok := s.open('{', '}')
+	for cursor := 0; more; more, ok = s.next('}') {
+		var valid bool
+		switch i := s.key(counterKeys, counterMembers, &cursor); i {
 		case -1:
 		case 7:
-			c.CPUSeconds, ok = s.float()
+			c.CPUSeconds, valid = s.float()
 		case 8:
-			c.BusySeconds, ok = s.float()
+			c.BusySeconds, valid = s.float()
 		default:
-			*uints[i], ok = s.uint()
+			*uints[i], valid = s.uint()
 		}
-		return ok
-	})
+		if !valid {
+			return false
+		}
+	}
+	return ok
+}
+
+// key consumes a member's key and colon and returns the key's index in
+// keys, or -1 when the member is not canonical. members are the keys as
+// memberStarts spells them. They are tried from *cursor on, the order
+// encoding/json writes them in, skipping the fields it omitted; a key found
+// there moves *cursor past it. Any other key is read and looked up.
+func (s *ingestScanner) key(keys, members []string, cursor *int) int {
+	s.space()
+	rest := s.buf[s.pos:]
+	for i := *cursor; i < len(members); i++ {
+		m := members[i]
+		if len(rest) >= len(m) && string(rest[:len(m)]) == m {
+			s.pos += len(m)
+			*cursor = i + 1
+			return i
+		}
+	}
+	key, ok := s.str()
+	if !ok || !s.eat(':') {
+		return -1
+	}
+	return lookup(keys, key)
 }
 
 // lookup returns key's index in keys, or -1.
@@ -220,42 +298,23 @@ func (s *ingestScanner) eat(c byte) bool {
 	return false
 }
 
-// members decodes an object, calling member with each key once the colon
-// is consumed; member decodes the value.
-func (s *ingestScanner) members(member func(key []byte) bool) bool {
-	if !s.eat('{') {
-		return false
+// open consumes the opening delimiter of an object or array. more reports
+// that a member or element follows, ok that the container began at all;
+// an empty container is consumed whole.
+func (s *ingestScanner) open(start, end byte) (more, ok bool) {
+	if !s.eat(start) {
+		return false, false
 	}
-	if s.eat('}') {
-		return true
-	}
-	for {
-		key, ok := s.str()
-		if !ok || !s.eat(':') || !member(key) {
-			return false
-		}
-		if !s.eat(',') {
-			return s.eat('}')
-		}
-	}
+	return !s.eat(end), true
 }
 
-// elements decodes an array, calling element for each value.
-func (s *ingestScanner) elements(element func() bool) bool {
-	if !s.eat('[') {
-		return false
+// next consumes what follows a member or element: a comma, after which
+// more follow, or the container's end.
+func (s *ingestScanner) next(end byte) (more, ok bool) {
+	if s.eat(',') {
+		return true, true
 	}
-	if s.eat(']') {
-		return true
-	}
-	for {
-		if !element() {
-			return false
-		}
-		if !s.eat(',') {
-			return s.eat(']')
-		}
-	}
+	return false, s.eat(end)
 }
 
 // plain marks the bytes a string may hold on the scanner's path: printable
@@ -299,46 +358,6 @@ func (s *ingestScanner) bool() (v, ok bool) {
 		return true, true
 	}
 	return false, s.word("false")
-}
-
-// number returns the RFC 8259 number token at the current position.
-// Validating the grammar first matters: strconv accepts forms JSON does
-// not, such as "+1" or "0x10".
-func (s *ingestScanner) number() ([]byte, bool) {
-	b, i := s.buf, s.pos
-	digits := func() bool {
-		from := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return nil, false
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return nil, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return nil, false
-		}
-	}
-	tok := b[s.pos:i]
-	s.pos = i
-	return tok, true
 }
 
 // integer reads an RFC 8259 number that has no fraction or exponent, as
@@ -393,10 +412,24 @@ func (s *ingestScanner) uint() (uint64, bool) {
 	return mag, ok && !neg
 }
 
-// float also takes the strings stream.Float64 spells non-finite values with.
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// float reads an RFC 8259 number token, or one of the strings
+// stream.Float64 spells non-finite values with. The grammar is checked
+// first because strconv accepts forms JSON does not, such as "+1" or
+// "0x10"; the check also gathers the token's digits. A token with no
+// exponent whose digits, read as an integer, stay below 2^53, and which
+// has at most 22 after the point, is that integer over a power of ten: both
+// exact in a float64, so the one division is correctly rounded, as
+// strconv.ParseFloat rounds. Every other token goes to strconv.ParseFloat.
 func (s *ingestScanner) float() (float64, bool) {
 	s.space()
-	if s.pos < len(s.buf) && s.buf[s.pos] == '"' {
+	b, i := s.buf, s.pos
+	if i < len(b) && b[i] == '"' {
 		switch {
 		case s.word(`"NaN"`):
 			return math.NaN(), true
@@ -407,9 +440,61 @@ func (s *ingestScanner) float() (float64, bool) {
 		}
 		return 0, false
 	}
-	tok, ok := s.number()
-	if !ok {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	// mant stops growing once it reaches 2^53, which already rules out the
+	// exact path, so it cannot overflow.
+	var mant uint64
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if mant < 1<<53 {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+		}
+	default:
 		return 0, false
+	}
+	frac := 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		from := i
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if mant < 1<<53 {
+				mant = mant*10 + uint64(b[i]-'0')
+			}
+		}
+		if frac = i - from; frac == 0 {
+			return 0, false
+		}
+	}
+	exact := mant < 1<<53 && frac < len(exactPow10)
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		exact = false
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		from := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		if i == from {
+			return 0, false
+		}
+	}
+	tok := b[s.pos:i]
+	s.pos = i
+	if exact {
+		v := float64(mant) / exactPow10[frac]
+		if neg {
+			v = -v
+		}
+		return v, true
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	return v, err == nil

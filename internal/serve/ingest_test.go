@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +153,8 @@ func ingestSeeds(tb testing.TB) map[string][]byte {
 		"plus-float":     []byte(`{"ticks":[{"svc-a":[{"at":1,"deltas":{"cpu_seconds":+1}}]}]}`),
 		"uint-overflow":  []byte(`{"ticks":[{"svc-a":[{"at":1,"deltas":{"requests_received":18446744073709551616}}]}]}`),
 		"negative-zero":  []byte(`{"ticks":[{"svc-a":[{"at":-0,"span":-0,"deltas":{"cpu_seconds":-0}}]}]}`),
+		"17-digit-float": []byte(`{"ticks":[{"svc-a":[{"at":5,"deltas":{"cpu_seconds":0.30000000000000004,"busy_seconds":12345678.901234567}}]}]}`),
+		"exponent-float": []byte(`{"ticks":[{"svc-a":[{"at":5,"deltas":{"cpu_seconds":1.5e-7,"busy_seconds":2E+3}}]}]}`),
 		"negative-uint":  []byte(`{"ticks":[{"svc-a":[{"at":1,"deltas":{"rx_packets":-0}}]}]}`),
 		"repeated-keys":  []byte(`{"ticks":[{"svc-a":[{"at":1,"deltas":{"rx_packets":1},"at":2,"deltas":{"tx_packets":2}}],"svc-a":[{"at":3}]}]}`),
 		"repeated-ticks": []byte(`{"ticks":[{"svc-a":[{"at":1}]}],"ticks":[{"svc-b":[{"at":2}]}]}`),
@@ -447,6 +451,88 @@ func FuzzIngestHandler(f *testing.F) {
 		}
 		if canon(ticks) != canon(wantTicks) {
 			t.Fatalf("body %q: enqueued\n%s\nreference\n%s", body, canon(ticks), canon(wantTicks))
+		}
+	})
+}
+
+// TestIngestDecodeAllocs bounds the objects decoding the robotshop batch
+// takes per tick: the tick's map and the one array all its samples share,
+// each service's slice of it capped so that an append cannot reach the
+// next. With a slice per service it was about 16.
+func TestIngestDecodeAllocs(t *testing.T) {
+	services, body := robotshopBatch(t)
+	names := make(map[string]string, len(services))
+	for _, svc := range services {
+		names[svc] = svc
+	}
+	ticks, err := decodeIngest(body, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tick := range ticks {
+		for svc, samples := range tick {
+			if cap(samples) != len(samples) {
+				t.Fatalf("service %s: %d samples in a slice of capacity %d", svc, len(samples), cap(samples))
+			}
+		}
+	}
+	n := len(ticks)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := decodeIngest(body, names); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTick := allocs / float64(n); perTick > 6 {
+		t.Fatalf("decoding %d ticks took %.0f objects, %.1f per tick, want at most 6", n, allocs, perTick)
+	}
+}
+
+// FuzzIngestFloat holds the scanner's float reader to encoding/json: a
+// token it takes, encoding/json takes with the same value, which for a
+// number is strconv.ParseFloat's to the bit; and where all of the input is
+// one value to encoding/json, the reader stops only at trailing whitespace.
+func FuzzIngestFloat(f *testing.F) {
+	for _, tok := range []string{
+		// Mantissas at 2^52 and at 2^53 - 1, 2^53 and 2^53 + 1.
+		"4503599627370496", "450359962737049.6", "9007199254740991", "9007199254740992",
+		"9007199254740993", "-0.9007199254740993", "900719925474099.1",
+		// 16, 17, 19 and 20 significant digits.
+		"0.1234567890123456", "0.30000000000000004", "12345678.901234567",
+		"1234567890123456789", "0.1234567890123456789", "12345678901234567890", "1.2345678901234567890",
+		// 22 and 23 fraction digits.
+		"0.0000000000000000000005", "1.0000000000000000000001", "0.00000000000000000000005",
+		"0.00000000000000000153551", // 153551 / 1e23 is one ulp off: 1e23 is no float64
+		// Leading zeros, signed zeros and exponents.
+		"0.000123", "007", "00.5", "0", "-0", "-0.0", "-0.000", "1e5", "1E-7", "-2.5E-3",
+		"1.5e+300", "1e400", "1e-400", "4.9e-324",
+		// Not numbers, or not JSON ones.
+		"1e", "1.", ".5", "+1", "-", "0x10", "Inf", `"NaN"`, `"+Inf"`, `"-Inf"`, `"nan"`,
+		" \t1.25", "1.25 ", "1.25,",
+	} {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		s := ingestScanner{buf: []byte(tok)}
+		got, ok := s.float()
+		if !ok {
+			return // the body goes to encoding/json
+		}
+		start := len(tok) - len(strings.TrimLeft(tok, " \t\n\r"))
+		taken := tok[start:s.pos]
+		var want stream.Float64
+		if err := json.Unmarshal([]byte(taken), &want); err != nil {
+			t.Fatalf("the scanner reads %q as %v, encoding/json refuses it: %v", taken, got, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(float64(want)) {
+			t.Fatalf("%q: scanner %v, encoding/json %v", taken, got, float64(want))
+		}
+		if taken[0] != '"' {
+			if v, err := strconv.ParseFloat(taken, 64); err != nil || math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%q: scanner %v (%#x), strconv %v (%#x), %v", taken, got, math.Float64bits(got), v, math.Float64bits(v), err)
+			}
+		}
+		if json.Unmarshal([]byte(tok), &want) == nil && strings.TrimRight(tok[s.pos:], " \t\n\r") != "" {
+			t.Fatalf("%q is one value to encoding/json, the scanner stops after %q", tok, taken)
 		}
 	})
 }

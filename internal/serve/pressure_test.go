@@ -133,6 +133,10 @@ func TestConcurrentServing(t *testing.T) {
 		}
 	}
 
+	// The readers and writers run off the test goroutine, so they report
+	// errors here instead of failing the test themselves; each sends at
+	// most one.
+	errs := make(chan error, 3+tenants)
 	stopReaders := make(chan struct{})
 	var readers sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -147,8 +151,19 @@ func TestConcurrentServing(t *testing.T) {
 				}
 				name := names[n%tenants]
 				var st TenantStats
-				c.do(http.MethodGet, "/v1/tenants/"+name+"/stats", nil, &st)
-				c.verdicts(name, 0)
+				var vs verdictsResponse
+				for _, read := range []struct {
+					path string
+					out  any
+				}{
+					{"/v1/tenants/" + name + "/stats", &st},
+					{"/v1/tenants/" + name + "/verdicts?since=0", &vs},
+				} {
+					if code, err := c.request(http.MethodGet, read.path, nil, read.out); err != nil || code != http.StatusOK {
+						errs <- fmt.Errorf("GET %s: status %d, %v", read.path, code, err)
+						return
+					}
+				}
 				srv.Stats()
 				n++
 			}
@@ -163,8 +178,17 @@ func TestConcurrentServing(t *testing.T) {
 			for i := range wire {
 				// Producers retry on backpressure: the default queue is
 				// deep enough that this converges quickly.
-				for c.ingest(name, wire[i:i+1]) == http.StatusTooManyRequests {
-					runtime.Gosched()
+				for {
+					code, err := c.request(http.MethodPost, "/v1/tenants/"+name+"/ingest", ingestRequest{Ticks: wire[i : i+1]}, nil)
+					if err == nil && code == http.StatusTooManyRequests {
+						runtime.Gosched()
+						continue
+					}
+					if err != nil || code != http.StatusAccepted {
+						errs <- fmt.Errorf("%s ingest %d: status %d, %v", name, i, code, err)
+						return
+					}
+					break
 				}
 			}
 		}(name)
@@ -172,6 +196,10 @@ func TestConcurrentServing(t *testing.T) {
 	writers.Wait()
 	close(stopReaders)
 	readers.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
 
 	want := mustJSON(t, fx.wantTimeline(t, cfg))
 	for _, name := range names {

@@ -213,31 +213,38 @@ func newTestServer(t testing.TB, dir string) (*Server, *client, *httptest.Server
 // non-nil), returning the status code.
 func (c *client) do(method, path string, body, out any) int {
 	c.t.Helper()
-	var rd *bytes.Reader
-	if body != nil {
-		blob, err := json.Marshal(body)
-		if err != nil {
-			c.t.Fatal(err)
-		}
-		rd = bytes.NewReader(blob)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
+	code, err := c.request(method, path, body, out)
 	if err != nil {
 		c.t.Fatal(err)
+	}
+	return code
+}
+
+// request is do reporting its errors instead of failing the test, for use
+// off the test goroutine.
+func (c *client) request(method, path string, body, out any) (int, error) {
+	var blob []byte
+	if body != nil {
+		var err error
+		if blob, err = json.Marshal(body); err != nil {
+			return 0, err
+		}
+	}
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(blob))
+	if err != nil {
+		return 0, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		c.t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			c.t.Fatalf("%s %s: decode response: %v", method, path, err)
+			return 0, fmt.Errorf("%s %s: decode response: %v", method, path, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 func (c *client) create(name string, cfg TenantConfig, model *core.Model) int {

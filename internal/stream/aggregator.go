@@ -67,6 +67,8 @@ type AggStats struct {
 type Aggregator struct {
 	length, hop time.Duration
 	svcs        map[string]*svcWindows
+	// done is IngestTick's result, cleared and refilled on every call.
+	done map[string][]telemetry.Window
 }
 
 // bufSample is one buffered sample plus its contribution flag, which feeds
@@ -97,6 +99,8 @@ type svcWindows struct {
 	lastAt sim.Time
 	// stats is the service's ingest accounting.
 	stats SvcAggStats
+	// out holds the windows the latest Ingest returned.
+	out []telemetry.Window
 }
 
 // NewAggregator builds an aggregator with the given window geometry; zero
@@ -135,18 +139,23 @@ func (a *Aggregator) Stats() AggStats {
 // Ingest feeds one service's next samples and returns the windows completed
 // by them, in start order. Samples must arrive in strictly ascending stamp
 // order; ones that do not are dropped and counted, never applied.
+//
+// The returned slice is the service's own and is reused: it is valid only
+// until the next Ingest or IngestTick for the same service, so a caller that
+// keeps windows copies them first.
 func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.Window {
 	sw := a.svcs[svc]
 	if sw == nil {
 		sw = &svcWindows{}
 		a.svcs[svc] = sw
 	}
-	for _, smp := range samples {
+	for i := range samples {
+		smp := &samples[i] // read in place: a Sample is about 130 bytes
 		if sw.stats.Accepted > 0 && smp.At <= sw.lastAt {
 			sw.stats.OutOfOrder++
 			continue
 		}
-		sw.buf = append(sw.buf, bufSample{s: smp})
+		sw.buf = append(sw.buf, bufSample{s: *smp})
 		sw.lastAt = smp.At
 		sw.stats.Accepted++
 	}
@@ -166,7 +175,7 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.
 		sw.expected = int(a.length / time.Duration(sw.interval))
 	}
 
-	var out []telemetry.Window
+	out := sw.out[:0]
 	end := sw.buf[len(sw.buf)-1].s.At
 	length := sim.Time(a.length)
 	for sw.next+length <= end {
@@ -194,6 +203,7 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.
 		out = append(out, w)
 		sw.next += sim.Time(a.hop)
 	}
+	sw.out = out
 	sw.stats.Windows += uint64(len(out))
 
 	// Trim: a sample stamped at or before the next window start can never
@@ -217,15 +227,22 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.
 // and returns the completed windows per service, nil when the tick completes
 // none. Per-service results are independent, so services go in map order.
 // The error is reserved; IngestTick currently never fails.
+//
+// The returned map and its slices are reused: they are valid only until the
+// next IngestTick or Ingest, so a caller that keeps windows copies them
+// first.
 func (a *Aggregator) IngestTick(tick map[string][]telemetry.Sample) (map[string][]telemetry.Window, error) {
-	var out map[string][]telemetry.Window
+	clear(a.done)
 	for svc, samples := range tick {
 		if ws := a.Ingest(svc, samples); len(ws) > 0 {
-			if out == nil {
-				out = make(map[string][]telemetry.Window, len(tick))
+			if a.done == nil {
+				a.done = make(map[string][]telemetry.Window, len(tick))
 			}
-			out[svc] = ws
+			a.done[svc] = ws
 		}
 	}
-	return out, nil
+	if len(a.done) == 0 {
+		return nil, nil
+	}
+	return a.done, nil
 }

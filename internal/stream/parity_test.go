@@ -104,23 +104,23 @@ func TestWorkerParityPaperApps(t *testing.T) {
 	}
 }
 
-// BenchmarkPipelineTick feeds recorded robotshop ticks through a warm
-// stream.Pipeline: aggregation, window assembly, and each completed hop's
-// Localizer.Step (one hop every three ticks). The recording is replayed in
-// cycles, its stamps moved forward by the recording's length each cycle.
-func BenchmarkPipelineTick(b *testing.B) {
-	model, cfg := parityModel(b, robotshop.Build, 31)
+// recordedPipeline warms a stream.Pipeline on recorded robotshop ticks and
+// returns feed, which hands it the i-th tick of the recording replayed in
+// cycles, its stamps moved forward by the recording's length each cycle;
+// feed(64) is the first tick past the warm-up.
+func recordedPipeline(tb testing.TB) (feed func(i int)) {
+	model, cfg := parityModel(tb, robotshop.Build, 31)
 	p, err := stream.NewPipeline(model,
 		stream.WithMetricSet(cfg.Metrics),
 		stream.WithGeometry(cfg.WindowLength, cfg.WindowHop),
 		stream.WithWindow(6),
 	)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ls, err := eval.NewLiveSession(cfg, 1, 31+99)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const recorded = 64
 	ticks := make([]map[string][]telemetry.Sample, recorded)
@@ -129,7 +129,7 @@ func BenchmarkPipelineTick(b *testing.B) {
 	}
 	span := recorded * sim.Time(cfg.SampleInterval)
 	ctx := context.Background()
-	feed := func(i int) {
+	feed = func(i int) {
 		tick := ticks[i%recorded]
 		if i >= recorded {
 			for _, samples := range tick {
@@ -139,16 +139,43 @@ func BenchmarkPipelineTick(b *testing.B) {
 			}
 		}
 		if _, err := p.Tick(ctx, tick); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < recorded; i++ {
 		feed(i)
 	}
+	return feed
+}
+
+// steadyTickAllocs bounds the objects a steady Pipeline.Tick on recorded
+// robotshop ticks allocates, averaged over ticks: what the hop every third
+// tick completes publishes, its Verdict and the slice Tick returns it in.
+// It was 9 while the aggregator allocated each service's completed windows
+// and the map holding them.
+const steadyTickAllocs = 3
+
+func TestPipelineSteadyTickAllocs(t *testing.T) {
+	feed := recordedPipeline(t)
+	i := 64
+	allocs := testing.AllocsPerRun(3*64, func() {
+		feed(i)
+		i++
+	})
+	if allocs > steadyTickAllocs {
+		t.Fatalf("steady Pipeline.Tick allocates %v times, want at most %d", allocs, steadyTickAllocs)
+	}
+}
+
+// BenchmarkPipelineTick feeds recorded robotshop ticks through a warm
+// stream.Pipeline: aggregation, window assembly, and each completed hop's
+// Localizer.Step (one hop every three ticks).
+func BenchmarkPipelineTick(b *testing.B) {
+	feed := recordedPipeline(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feed(recorded + i)
+		feed(64 + i)
 	}
 }
 
