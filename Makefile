@@ -118,7 +118,8 @@ bench:
 # (detector ingest + flush, and a whole Localizer.Step, on the 4096-service
 # synthetic fleet) and its Pipeline.Tick on recorded robotshop ticks,
 # serve's ingest decode and handler (a 64-tick, 12-service robotshop
-# batch) and the simulator's throughput (one simulated
+# batch) and the same decoded batch through validation and the tenant's
+# pipeline to its verdicts (BenchmarkTenantBatch), and the simulator's throughput (one simulated
 # second of each paper app at default load, in events per second). A smoke check:
 # it fails only if a benchmark errors or panics; raise BENCHTIME locally for
 # numbers to compare. The 4096-service fleet is measured end to end by
@@ -128,7 +129,7 @@ BENCHTIME ?= 200x
 bench-micro:
 	$(GO) test -run xxx -bench '^Benchmark(KSBaselinesGuardedPValue|WindowSlabPush|SortFloat64s|KSBaselinesAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/stats
 	$(GO) test -run xxx -bench '4096$$|^BenchmarkPipelineTick$$' -benchmem -benchtime $(BENCHTIME) ./internal/stream
-	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
+	$(GO) test -run xxx -bench '^Benchmark(IngestDecode|HandleIngest|TenantBatch)$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve
 	$(GO) test -run xxx -bench '^BenchmarkMicro_SimulatorThroughput$$' -benchmem -benchtime $(BENCHTIME) ./internal/sim
 
 # End-to-end streaming demo: train, watch a live session, break a service,

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"causalfl/internal/sim"
 	"causalfl/internal/stream"
@@ -15,6 +17,11 @@ import (
 // no escapes, numbers that fit their fields. A single-pass scanner decodes
 // that form straight into telemetry.Sample values without reflection:
 //
+//   - Each tick's service keys are resolved once, to the tenant pipeline's
+//     service indices (stream.Pipeline.Services). encoding/json writes a
+//     tick's keys in sorted order, so a cursor walks the tenant's sorted
+//     names and compares each key with the next one; a key it skips to or
+//     that is out of order is looked up instead. No tick carries a name.
 //   - Sample and counter keys are matched in the order encoding/json writes
 //     the SampleState and CounterState fields. A cursor walks the tag list
 //     and compares each quoted key and its colon as one string; a key out of
@@ -24,8 +31,9 @@ import (
 //     float64 values (Clinger's fast path), its digits taken while the
 //     RFC 8259 grammar is checked. Every other number goes to
 //     strconv.ParseFloat.
-//   - Each tick's samples share one array; each service's slice of it is
-//     capped at its own end.
+//   - All the samples of a batch share one array, and all its ticks' entries
+//     another; each slice of them is capped at its own end. The scanner's
+//     scratch comes from a pool, so a batch allocates about three objects.
 //
 // The scanner never rejects anything: on any other input it reports "not
 // canonical" and the body is decoded by encoding/json instead, which alone
@@ -65,121 +73,234 @@ func memberStarts(keys []string) []string {
 	return out
 }
 
-// decodeIngest decodes an ingest body into ticks. names interns service
-// names: a known name is returned as the table's own string, so decoding it
-// allocates nothing.
+// serviceTable resolves the service names of the ingest wire to a tenant
+// pipeline's service indices.
+type serviceTable struct {
+	// names is each service's name by pipeline index.
+	names []string
+	// sorted holds the names in ascending order, the order encoding/json
+	// writes a tick's keys in; index[j] is sorted[j]'s pipeline index.
+	sorted []string
+	index  []int
+	// byName maps a name to its position in sorted.
+	byName map[string]int
+}
+
+// newServiceTable indexes a pipeline's services (stream.Pipeline.Services).
+func newServiceTable(names []string) *serviceTable {
+	t := &serviceTable{names: names, index: make([]int, len(names)), byName: make(map[string]int, len(names))}
+	t.sorted = slices.Clone(names)
+	slices.Sort(t.sorted)
+	for j, name := range t.sorted {
+		t.byName[name] = j
+	}
+	for si, name := range names {
+		t.index[t.byName[name]] = si
+	}
+	return t
+}
+
+// ingestBatch is a decoded ingest body in a tenant's service indices.
+type ingestBatch struct {
+	ticks [][]stream.ServiceSamples
+	// unknown names, for each tick that carries services the tenant lacks,
+	// the first of them in name order; validateTicks refuses the batch.
+	unknown []unknownService
+}
+
+// unknownService is the first service in name order of tick that the
+// tenant lacks.
+type unknownService struct {
+	tick int
+	name string
+}
+
+// noteUnknown records in list that tick k carries the service name the
+// tenant lacks. Ticks are noted in ascending order.
+func noteUnknown(list []unknownService, k int, name string) []unknownService {
+	if n := len(list); n > 0 && list[n-1].tick == k {
+		list[n-1].name = min(list[n-1].name, name)
+		return list
+	}
+	return append(list, unknownService{k, name})
+}
+
+// decodeIngest decodes an ingest body into ticks in svcs's indices.
 //
-// The ticks never alias body: both paths copy every service name and value
-// out of it (the scanner interns or copies each key, and encoding/json
-// copies whatever it decodes). The handler relies on that to reuse the body
-// buffer once it has answered, while the ticks wait in the tenant's queue.
-func decodeIngest(body []byte, names map[string]string) ([]map[string][]telemetry.Sample, error) {
-	sc := ingestScanner{buf: body, names: names}
-	if ticks, ok := sc.request(); ok {
-		return ticks, nil
+// The batch never aliases body: both paths copy every value out of it, and
+// the name of a service the tenant lacks too. The handler relies on that to
+// reuse the body buffer once it has answered, while the ticks wait in the
+// tenant's queue.
+func decodeIngest(body []byte, svcs *serviceTable) (ingestBatch, error) {
+	sc := scanners.Get().(*ingestScanner)
+	sc.reset(body, svcs)
+	b, ok := sc.request()
+	sc.release()
+	if ok {
+		return b, nil
 	}
 	var req ingestRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
+		return ingestBatch{}, err
 	}
-	ticks := make([]map[string][]telemetry.Sample, len(req.Ticks))
-	for i, wire := range req.Ticks {
-		tick := make(map[string][]telemetry.Sample, len(wire))
+	b = ingestBatch{ticks: make([][]stream.ServiceSamples, len(req.Ticks))}
+	for k, wire := range req.Ticks {
+		tick := make([]stream.ServiceSamples, 0, len(wire))
 		for svc, ss := range wire {
-			samples := make([]telemetry.Sample, len(ss))
-			for j, one := range ss {
-				samples[j] = one.Sample()
+			j, known := svcs.byName[svc]
+			if !known {
+				b.unknown = noteUnknown(b.unknown, k, svc)
+				continue
 			}
-			tick[svc] = samples
+			samples := make([]telemetry.Sample, len(ss))
+			for i := range ss {
+				samples[i] = ss[i].Sample()
+			}
+			tick = append(tick, stream.ServiceSamples{Service: svcs.index[j], Samples: samples})
 		}
-		ticks[i] = tick
+		b.ticks[k] = tick
 	}
-	return ticks, nil
+	return b, nil
 }
+
+// maxPooledSamples caps the sample scratch a pooled scanner keeps, as
+// maxPooledBody caps body buffers.
+const maxPooledSamples = 1 << 13
+
+var scanners = sync.Pool{New: func() any { return new(ingestScanner) }}
 
 // ingestScanner decodes the canonical ingest form. Every method returns
 // false as soon as the input leaves that form. Strings it returns are views
-// of buf; anything it stores in a tick is a copy or an interned name.
+// of buf; anything it stores in a batch is a copy.
 type ingestScanner struct {
-	buf   []byte
-	pos   int
-	names map[string]string
-	// samples and services are one tick's scratch: every sample in body
-	// order, and where each service's run of them starts and ends.
-	samples  []telemetry.Sample
-	services []serviceRun
+	buf  []byte
+	pos  int
+	svcs *serviceTable
+	// samples, runs and ends are one batch's scratch: every sample in body
+	// order, each service's run of them, and where each tick's runs end.
+	samples []telemetry.Sample
+	runs    []serviceRun
+	ends    []int
+	unknown []unknownService
 }
 
 // serviceRun is one service's samples in ingestScanner.samples.
 type serviceRun struct {
-	name     string
+	service  int // pipeline index
 	from, to int
+}
+
+// reset readies a pooled scanner for body.
+func (s *ingestScanner) reset(body []byte, svcs *serviceTable) {
+	s.buf, s.pos, s.svcs = body, 0, svcs
+	s.samples, s.runs, s.ends, s.unknown = s.samples[:0], s.runs[:0], s.ends[:0], nil
+}
+
+// release returns the scanner to the pool, unless its sample scratch grew
+// past maxPooledSamples.
+func (s *ingestScanner) release() {
+	s.buf, s.svcs, s.unknown = nil, nil, nil
+	if cap(s.samples) <= maxPooledSamples {
+		scanners.Put(s)
+	}
 }
 
 // request decodes a whole body: one object whose only key is "ticks",
 // surrounded by nothing but whitespace. A repeated "ticks" makes
 // encoding/json decode the second array into the maps of the first, merging
 // them, so it is left to encoding/json.
-func (s *ingestScanner) request() ([]map[string][]telemetry.Sample, bool) {
-	ticks := []map[string][]telemetry.Sample{}
+func (s *ingestScanner) request() (ingestBatch, bool) {
 	more, ok := s.open('{', '}')
 	if more {
 		key, isStr := s.str()
 		if !isStr || string(key) != "ticks" || !s.eat(':') {
-			return nil, false
+			return ingestBatch{}, false
 		}
 		for more, ok = s.open('[', ']'); more; more, ok = s.next(']') {
-			tick, valid := s.tick()
-			if !valid {
-				return nil, false
+			if !s.tick() {
+				return ingestBatch{}, false
 			}
-			ticks = append(ticks, tick)
 		}
 		ok = ok && s.eat('}')
 	}
 	s.space()
-	return ticks, ok && s.pos == len(s.buf)
+	if !ok || s.pos != len(s.buf) {
+		return ingestBatch{}, false
+	}
+	return s.batch(), true
+}
+
+// batch copies the scratch out: one array for every sample, one for every
+// tick's entries.
+func (s *ingestScanner) batch() ingestBatch {
+	all := make([]telemetry.Sample, len(s.samples))
+	copy(all, s.samples)
+	entries := make([]stream.ServiceSamples, len(s.runs))
+	for i, r := range s.runs {
+		entries[i] = stream.ServiceSamples{Service: r.service, Samples: all[r.from:r.to:r.to]}
+	}
+	b := ingestBatch{ticks: make([][]stream.ServiceSamples, len(s.ends)), unknown: s.unknown}
+	from := 0
+	for k, end := range s.ends {
+		b.ticks[k] = entries[from:end:end]
+		from = end
+	}
+	return b
 }
 
 // tick decodes one {service: [sample, ...], ...} object. A repeated service
-// replaces the earlier one, as in encoding/json.
-func (s *ingestScanner) tick() (map[string][]telemetry.Sample, bool) {
-	s.samples, s.services = s.samples[:0], s.services[:0]
+// replaces the earlier one, as in encoding/json. The samples of a service
+// the tenant lacks are read and dropped, and its name noted.
+func (s *ingestScanner) tick() bool {
+	first := len(s.runs)
 	more, ok := s.open('{', '}')
-	for ; more; more, ok = s.next('}') {
+	for cursor := 0; more; more, ok = s.next('}') {
 		key, isStr := s.str()
 		if !isStr || !s.eat(':') {
-			return nil, false
+			return false
 		}
-		name, known := s.names[string(key)]
-		if !known {
-			name = string(key)
-		}
+		si, known := s.service(key, &cursor)
 		from := len(s.samples)
 		inner, valid := s.open('[', ']')
 		for ; inner; inner, valid = s.next(']') {
 			s.samples = append(s.samples, telemetry.Sample{})
 			if !s.sample(&s.samples[len(s.samples)-1]) {
-				return nil, false
+				return false
 			}
 		}
 		if !valid {
-			return nil, false
+			return false
 		}
-		s.services = append(s.services, serviceRun{name, from, len(s.samples)})
+		if !known {
+			s.samples = s.samples[:from]
+			s.unknown = noteUnknown(s.unknown, len(s.ends), string(key))
+			continue
+		}
+		run := serviceRun{si, from, len(s.samples)}
+		if i := slices.IndexFunc(s.runs[first:], func(r serviceRun) bool { return r.service == si }); i >= 0 {
+			s.runs[first+i] = run
+		} else {
+			s.runs = append(s.runs, run)
+		}
 	}
-	if !ok {
-		return nil, false
+	s.ends = append(s.ends, len(s.runs))
+	return ok
+}
+
+// service resolves a tick's key to its pipeline index. The sorted names
+// are tried at *cursor first, where encoding/json puts the next key when no
+// service was left out; a key found anywhere moves *cursor past it.
+func (s *ingestScanner) service(key []byte, cursor *int) (int, bool) {
+	sorted := s.svcs.sorted
+	j := *cursor
+	if j >= len(sorted) || sorted[j] != string(key) {
+		var known bool
+		if j, known = s.svcs.byName[string(key)]; !known {
+			return 0, false
+		}
 	}
-	// An empty service still gets a non-nil slice, as encoding/json gives
-	// it: make returns one even for no samples.
-	all := make([]telemetry.Sample, len(s.samples))
-	copy(all, s.samples)
-	tick := make(map[string][]telemetry.Sample, len(s.services))
-	for _, run := range s.services {
-		tick[run.name] = all[run.from:run.to:run.to]
-	}
-	return tick, true
+	*cursor = j + 1
+	return s.svcs.index[j], true
 }
 
 // sample decodes one SampleState object onto a zero telemetry.Sample. A

@@ -10,11 +10,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"causalfl/internal/apps/robotshop"
 	"causalfl/internal/eval"
@@ -48,8 +49,36 @@ func referenceDecode(body []byte) ([]map[string][]telemetry.Sample, error) {
 	return ticks, nil
 }
 
+// referenceValidate is the ingest validation written over named ticks:
+// the first tick with an unknown service, an out-of-range stamp or a
+// negative span is refused, naming its first invalid service in name order.
+func referenceValidate(services []string, ticks []map[string][]telemetry.Sample) error {
+	for _, tick := range ticks {
+		names := make([]string, 0, len(tick))
+		for name := range tick {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, svc := range names {
+			if !slices.Contains(services, svc) {
+				return fmt.Errorf("serve: unknown service %q (model has %v)", svc, services)
+			}
+			for _, smp := range tick[svc] {
+				if smp.At < 0 || smp.At >= maxSampleStamp {
+					return fmt.Errorf("serve: sample stamp %v for %q out of range", smp.At, svc)
+				}
+				if smp.Span < 0 {
+					return fmt.Errorf("serve: negative sample span %d for %q", smp.Span, svc)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // referenceIngest is the ingest handler's contract on top of
-// referenceDecode: the status, the response body and the ticks it enqueues.
+// referenceDecode and referenceValidate: the status, the response body and
+// the ticks it enqueues.
 func referenceIngest(tn *tenant, body []byte) (int, string, []map[string][]telemetry.Sample) {
 	rec := httptest.NewRecorder()
 	ticks, err := referenceDecode(body)
@@ -59,7 +88,7 @@ func referenceIngest(tn *tenant, body []byte) (int, string, []map[string][]telem
 	case len(ticks) == 0:
 		jsonError(rec, http.StatusBadRequest, "empty batch")
 	default:
-		if err := tn.validateTicks(ticks); err != nil {
+		if err := referenceValidate(tn.model.Services, ticks); err != nil {
 			jsonError(rec, http.StatusBadRequest, "%v", err)
 			break
 		}
@@ -67,6 +96,22 @@ func referenceIngest(tn *tenant, body []byte) (int, string, []map[string][]telem
 		return rec.Code, rec.Body.String(), ticks
 	}
 	return rec.Code, rec.Body.String(), nil
+}
+
+// namedTicks spells indexed ticks with svcs's names, for comparison with
+// referenceDecode.
+func namedTicks(svcs *serviceTable, ticks [][]stream.ServiceSamples) []map[string][]telemetry.Sample {
+	if ticks == nil {
+		return nil
+	}
+	out := make([]map[string][]telemetry.Sample, len(ticks))
+	for k, tick := range ticks {
+		out[k] = make(map[string][]telemetry.Sample, len(tick))
+		for _, e := range tick {
+			out[k][svcs.names[e.Service]] = e.Samples
+		}
+	}
+	return out
 }
 
 // canon renders ticks for comparison: %#v sorts map keys, tells nil from
@@ -93,11 +138,17 @@ func newIngestHarness(tb testing.TB, services []string) *ingestHarness {
 }
 
 // post drives the ingest handler and returns its status, response body
-// and the batch it enqueued, if any.
+// and the batch it enqueued, if any, spelled with service names.
 func (h *ingestHarness) post(body []byte) (int, string, []map[string][]telemetry.Sample) {
+	code, resp, ticks := h.serve(body)
+	return code, resp, namedTicks(h.tn.svcs, ticks)
+}
+
+// serve is post with the enqueued batch as the consumer receives it.
+func (h *ingestHarness) serve(body []byte) (int, string, [][]stream.ServiceSamples) {
 	rec := httptest.NewRecorder()
 	h.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants/t/ingest", bytes.NewReader(body)))
-	var ticks []map[string][]telemetry.Sample
+	var ticks [][]stream.ServiceSamples
 	select {
 	case j := <-h.tn.queue:
 		ticks = j.ticks
@@ -106,11 +157,13 @@ func (h *ingestHarness) post(body []byte) (int, string, []map[string][]telemetry
 	return rec.Code, rec.Body.String(), ticks
 }
 
-// scan runs the scanner alone; ok is false when it leaves the body to
-// encoding/json.
-func scan(body []byte, names map[string]string) ([]map[string][]telemetry.Sample, bool) {
-	sc := ingestScanner{buf: body, names: names}
-	return sc.request()
+// scan runs the scanner alone over a tenant with the given services; ok is
+// false when it leaves the body to encoding/json.
+func scan(body []byte, services []string) ([]map[string][]telemetry.Sample, bool) {
+	svcs := newServiceTable(services)
+	sc := ingestScanner{buf: body, svcs: svcs}
+	b, ok := sc.request()
+	return namedTicks(svcs, b.ticks), ok
 }
 
 // robotshopBatch records 64 ticks of a robotshop live session and encodes
@@ -163,11 +216,18 @@ func ingestSeeds(tb testing.TB) map[string][]byte {
 		"empty":          []byte(`{"ticks":[{},{"svc-a":[]}]}`),
 		"empty-batch":    []byte(` { "ticks" : [ ] } `),
 		"invalid":        []byte(`{"ticks":[{"svc-zz":[{"at":1}],"svc-yy":[{"at":1}],"svc-a":[{"at":-1}]}]}`),
-		"bad-span":       []byte(`{"ticks":[{"svc-b":[{"at":1,"span":-2}],"svc-a":[{"at":99999999999999999}]}]}`),
-		"trailing-batch": []byte(one + one),
-		"trailing-junk":  []byte(one + "garbage!!"),
-		"truncated":      []byte(one[:len(one)-3]),
-		"no-body":        nil,
+		// The scanner's service cursor: keys out of name order, a service
+		// repeated in one tick (the later replaces the earlier), a service
+		// the tenant lacks after valid ones, and empty sample arrays.
+		"unsorted-services": []byte(`{"ticks":[{"svc-c":[{"at":5}],"svc-a":[{"at":5}],"svc-b":[{"at":5}]},{"svc-b":[{"at":10}],"svc-a":[{"at":10}]}]}`),
+		"repeated-service":  []byte(`{"ticks":[{"svc-a":[{"at":5}],"svc-b":[{"at":5}],"svc-a":[{"at":6},{"at":7}]},{"svc-c":[],"svc-c":[{"at":8}]}]}`),
+		"unknown-service":   []byte(`{"ticks":[{"svc-a":[{"at":5}]},{"svc-a":[{"at":10}],"svc-b":[{"at":10}],"svc-zz":[{"at":10}]}]}`),
+		"empty-samples":     []byte(`{"ticks":[{"svc-a":[],"svc-b":[{"at":5}],"svc-c":[]},{"svc-b":[]}]}`),
+		"bad-span":          []byte(`{"ticks":[{"svc-b":[{"at":1,"span":-2}],"svc-a":[{"at":99999999999999999}]}]}`),
+		"trailing-batch":    []byte(one + one),
+		"trailing-junk":     []byte(one + "garbage!!"),
+		"truncated":         []byte(one[:len(one)-3]),
+		"no-body":           nil,
 	}
 }
 
@@ -190,7 +250,7 @@ func TestIngestScannerKeysMatchWireTags(t *testing.T) {
 
 	// Each key, set alone, takes the scanner and lands where encoding/json
 	// puts it.
-	names := map[string]string{"svc-a": "svc-a"}
+	names := []string{"svc-a"}
 	var bodies []string
 	for i, key := range counterKeys {
 		bodies = append(bodies, fmt.Sprintf(`{"ticks":[{"svc-a":[{"at":1,"deltas":{%q:%d}}]}]}`, key, i+2))
@@ -215,35 +275,34 @@ func TestIngestScannerKeysMatchWireTags(t *testing.T) {
 
 // TestIngestScannerTakesCanonicalBodies pins which bodies take the scanner:
 // encoding/json's own output, compact or indented, decodes there, to the
-// same ticks, and a known service name is the table's own string.
+// same ticks, and so do ticks whose services come out of order, repeat or
+// are unknown to the tenant.
 func TestIngestScannerTakesCanonicalBodies(t *testing.T) {
 	services, batch := robotshopBatch(t)
-	names := make(map[string]string, len(services))
-	for _, svc := range services {
-		names[svc] = svc
-	}
 	seeds := ingestSeeds(t)
-	for name, body := range map[string][]byte{"robotshop": batch, "canonical": seeds["canonical"], "pretty": seeds["pretty"]} {
-		got, ok := scan(body, names)
+	seeds["robotshop"] = batch
+	for _, name := range []string{"robotshop", "canonical", "pretty", "unsorted-services", "repeated-service", "unknown-service", "empty-samples"} {
+		names := []string{"svc-a", "svc-b", "svc-c"}
+		if name == "robotshop" {
+			names = services
+		}
+		got, ok := scan(seeds[name], names)
 		if !ok {
 			t.Fatalf("%s: the scanner leaves the body to encoding/json", name)
 		}
-		want, err := referenceDecode(body)
+		want, err := referenceDecode(seeds[name])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) == 0 || canon(got) != canon(want) {
-			t.Fatalf("%s: scanner and encoding/json disagree", name)
+		for _, tick := range want {
+			delete(tick, "svc-zz") // the tenant lacks it: it is noted, not decoded
 		}
-	}
-	got, _ := scan(batch, names)
-	for svc := range got[0] {
-		if own := names[svc]; unsafe.StringData(svc) != unsafe.StringData(own) {
-			t.Fatalf("service %q was not interned", svc)
+		if len(got) == 0 || canon(got) != canon(want) {
+			t.Fatalf("%s:\nscanner %s\njson    %s", name, canon(got), canon(want))
 		}
 	}
 	for _, name := range []string{"case-folded", "escaped-name", "non-ascii-name", "null-samples", "float-stamp", "uint-overflow", "repeated-ticks", "unknown-key", "trailing-batch", "trailing-junk"} {
-		if _, ok := scan(seeds[name], names); ok {
+		if _, ok := scan(seeds[name], services); ok {
 			t.Fatalf("%s: the scanner took a body it must leave to encoding/json", name)
 		}
 	}
@@ -390,7 +449,7 @@ func TestIngestDoesNotRetainBody(t *testing.T) {
 	tn.queue <- jobB
 	release()
 	err = srv.Quiesce(context.Background(), "t")
-	if got, want := canon(jobA.ticks), canon(wantA); got != want {
+	if got, want := canon(namedTicks(tn.svcs, jobA.ticks)), canon(wantA); got != want {
 		t.Fatalf("batch A changed after batch B was read:\ngot  %s\nwant %s", got, want)
 	}
 	if err != nil {
@@ -412,7 +471,7 @@ func TestHandleIngestAllocBound(t *testing.T) {
 	services, body := robotshopBatch(t)
 	h := newIngestHarness(t, services)
 	post := func() {
-		if code, resp, _ := h.post(body); code != http.StatusAccepted {
+		if code, resp, _ := h.serve(body); code != http.StatusAccepted {
 			t.Fatalf("status %d: %s", code, resp)
 		}
 	}
@@ -456,34 +515,34 @@ func FuzzIngestHandler(f *testing.F) {
 }
 
 // TestIngestDecodeAllocs bounds the objects decoding the robotshop batch
-// takes per tick: the tick's map and the one array all its samples share,
-// each service's slice of it capped so that an append cannot reach the
-// next. With a slice per service it was about 16.
+// takes: the array all its samples share, the array of all its ticks'
+// entries and the tick list, each service's slice capped so that an append
+// cannot reach the next. It was 6 per tick with a map per tick and an array
+// per tick, and about 16 per tick with a slice per service.
 func TestIngestDecodeAllocs(t *testing.T) {
 	services, body := robotshopBatch(t)
-	names := make(map[string]string, len(services))
-	for _, svc := range services {
-		names[svc] = svc
-	}
-	ticks, err := decodeIngest(body, names)
+	svcs := newServiceTable(services)
+	b, err := decodeIngest(body, svcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tick := range ticks {
-		for svc, samples := range tick {
-			if cap(samples) != len(samples) {
-				t.Fatalf("service %s: %d samples in a slice of capacity %d", svc, len(samples), cap(samples))
+	for _, tick := range b.ticks {
+		for _, e := range tick {
+			if cap(e.Samples) != len(e.Samples) {
+				t.Fatalf("service %s: %d samples in a slice of capacity %d", svcs.names[e.Service], len(e.Samples), cap(e.Samples))
 			}
 		}
 	}
-	n := len(ticks)
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scanners at random")
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeIngest(body, names); err != nil {
+		if _, err := decodeIngest(body, svcs); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perTick := allocs / float64(n); perTick > 6 {
-		t.Fatalf("decoding %d ticks took %.0f objects, %.1f per tick, want at most 6", n, allocs, perTick)
+	if allocs > 3 {
+		t.Fatalf("decoding %d ticks took %.0f objects, want at most 3", len(b.ticks), allocs)
 	}
 }
 
@@ -605,17 +664,14 @@ func FuzzCreateTenantHandler(f *testing.F) {
 // BenchmarkIngestDecode decodes a 64-tick, 12-service robotshop batch.
 func BenchmarkIngestDecode(b *testing.B) {
 	services, body := robotshopBatch(b)
-	names := make(map[string]string, len(services))
-	for _, svc := range services {
-		names[svc] = svc
-	}
+	svcs := newServiceTable(services)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ticks, err := decodeIngest(body, names)
-		if err != nil || len(ticks) != 64 {
-			b.Fatalf("decoded %d ticks: %v", len(ticks), err)
+		batch, err := decodeIngest(body, svcs)
+		if err != nil || len(batch.ticks) != 64 {
+			b.Fatalf("decoded %d ticks: %v", len(batch.ticks), err)
 		}
 	}
 }
@@ -629,7 +685,7 @@ func BenchmarkHandleIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if code, resp, _ := h.post(body); code != http.StatusAccepted {
+		if code, resp, _ := h.serve(body); code != http.StatusAccepted {
 			b.Fatalf("status %d: %s", code, resp)
 		}
 	}

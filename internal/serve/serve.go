@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"causalfl/internal/core"
-	"causalfl/internal/telemetry"
 )
 
 // ErrExists rejects creating a tenant that already exists.
@@ -357,23 +356,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r)
 	defer releaseBody(body)
-	var ticks []map[string][]telemetry.Sample
+	var batch ingestBatch
 	if err == nil {
-		ticks, err = decodeIngest(body.Bytes(), t.services)
+		batch, err = decodeIngest(body.Bytes(), t.svcs)
 	}
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	if len(ticks) == 0 {
+	if len(batch.ticks) == 0 {
 		jsonError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if err := t.validateTicks(ticks); err != nil {
+	if err := t.validateTicks(batch); err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := t.enqueueBatch(ticks); err != nil {
+	if err := t.enqueueBatch(batch.ticks); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
@@ -385,7 +384,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(ticks)})
+	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(batch.ticks)})
 }
 
 // verdictsResponse is the GET /verdicts body.

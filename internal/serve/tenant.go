@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"causalfl/internal/core"
@@ -177,7 +176,7 @@ var (
 // job is one unit of tenant work: an ingest batch, a barrier, or both (a
 // barrier with snapshot set forces a snapshot at its queue position).
 type job struct {
-	ticks []map[string][]telemetry.Sample
+	ticks [][]stream.ServiceSamples
 	// barrier, when non-nil, receives the job's outcome; quiesce and
 	// forced-snapshot callers block on it to get an ordered flush point.
 	barrier  chan error
@@ -199,10 +198,8 @@ type tenant struct {
 	model *core.Model
 	set   []metrics.Metric
 	store *Store
-	// services holds each model service name as its own key and value:
-	// validateTicks tests membership, and the ingest scanner interns
-	// decoded names against it.
-	services map[string]string
+	// svcs resolves ingest service names to the pipeline's indices.
+	svcs *serviceTable
 
 	queue chan job
 	stop  chan struct{} // closed once: begin shutdown
@@ -245,12 +242,8 @@ func newTenant(name string, cfg TenantConfig, model *core.Model, store *Store, s
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %q: %w", name, err)
 	}
-	services := make(map[string]string, len(model.Services))
-	for _, svc := range model.Services {
-		services[svc] = svc
-	}
 	t := &tenant{
-		name: name, cfg: cfg, model: model, set: set, store: store, services: services,
+		name: name, cfg: cfg, model: model, set: set, store: store, svcs: newServiceTable(pipe.Services()),
 		queue:  make(chan job, cfg.QueueCap),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -273,7 +266,7 @@ func newTenant(name string, cfg TenantConfig, model *core.Model, store *Store, s
 
 // enqueueBatch hands an ingest batch to the consumer without blocking: a full
 // queue is the backpressure signal, not a stall.
-func (t *tenant) enqueueBatch(ticks []map[string][]telemetry.Sample) error {
+func (t *tenant) enqueueBatch(ticks [][]stream.ServiceSamples) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.failed != nil {
@@ -412,7 +405,7 @@ func (t *tenant) process(j job) {
 	}
 	var emitted []SeqVerdict
 	for _, tick := range j.ticks {
-		vs, err := t.pipe.Tick(context.Background(), tick)
+		vs, err := t.pipe.TickIndexed(context.Background(), tick)
 		if err != nil {
 			t.mu.Lock()
 			t.failed = err
@@ -528,36 +521,39 @@ func (t *tenant) snapshotStats() TenantStats {
 }
 
 // validateTicks rejects hostile ingest shapes before they reach the queue:
-// unknown services, out-of-range stamps, negative spans. The first invalid
-// tick is re-checked in service-name order, so the error names the same
-// service whatever the map order.
-func (t *tenant) validateTicks(ticks []map[string][]telemetry.Sample) error {
-	for _, tick := range ticks {
-		for svc, samples := range tick {
-			if t.validateService(svc, samples) == nil {
+// unknown services, out-of-range stamps, negative spans. Within the first
+// invalid tick the error names the first invalid service in name order, so
+// it does not depend on the order of the tick's keys.
+func (t *tenant) validateTicks(b ingestBatch) error {
+	unknown := b.unknown
+	for k, tick := range b.ticks {
+		var name string
+		var err error
+		if len(unknown) > 0 && unknown[0].tick == k {
+			name = unknown[0].name
+			err = fmt.Errorf("serve: unknown service %q (model has %v)", name, t.model.Services)
+			unknown = unknown[1:]
+		}
+		for _, e := range tick {
+			svc := t.svcs.names[e.Service]
+			if err != nil && svc > name {
 				continue
 			}
-			names := make([]string, 0, len(tick))
-			for name := range tick {
-				names = append(names, name)
+			if serr := validateService(svc, e.Samples); serr != nil {
+				name, err = svc, serr
 			}
-			sort.Strings(names)
-			for _, name := range names {
-				if err := t.validateService(name, tick[name]); err != nil {
-					return err
-				}
-			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // validateService checks one service's samples of a tick.
-func (t *tenant) validateService(svc string, samples []telemetry.Sample) error {
-	if _, ok := t.services[svc]; !ok {
-		return fmt.Errorf("serve: unknown service %q (model has %v)", svc, t.model.Services)
-	}
-	for _, smp := range samples {
+func validateService(svc string, samples []telemetry.Sample) error {
+	for i := range samples {
+		smp := &samples[i] // read in place: a Sample is about 130 bytes
 		if smp.At < 0 || smp.At >= maxSampleStamp {
 			return fmt.Errorf("serve: sample stamp %v for %q out of range", smp.At, svc)
 		}

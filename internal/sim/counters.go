@@ -58,21 +58,21 @@ func (c Counters) Sub(prev Counters) Counters {
 	}
 }
 
-// Add returns the element-wise sum of c and other. It is used when
-// aggregating per-interval deltas into hopping windows.
-func (c Counters) Add(other Counters) Counters {
-	return Counters{
-		RequestsReceived: c.RequestsReceived + other.RequestsReceived,
-		RequestsSent:     c.RequestsSent + other.RequestsSent,
-		ResponsesOK:      c.ResponsesOK + other.ResponsesOK,
-		ResponsesErr:     c.ResponsesErr + other.ResponsesErr,
-		ErrorsObserved:   c.ErrorsObserved + other.ErrorsObserved,
-		LogMessages:      c.LogMessages + other.LogMessages,
-		ErrorLogMessages: c.ErrorLogMessages + other.ErrorLogMessages,
-		CPUSeconds:       c.CPUSeconds + other.CPUSeconds,
-		BusySeconds:      c.BusySeconds + other.BusySeconds,
-		RxPackets:        c.RxPackets + other.RxPackets,
-		TxPackets:        c.TxPackets + other.TxPackets,
-		QueueDrops:       c.QueueDrops + other.QueueDrops,
-	}
+// AddTo adds other into c field by field, each as c.Field + other.Field,
+// so a sum accumulated in place is bit-identical to one built by value. It
+// is used when aggregating per-interval deltas into hopping windows; taking
+// both operands by pointer copies neither.
+func (c *Counters) AddTo(other *Counters) {
+	c.RequestsReceived += other.RequestsReceived
+	c.RequestsSent += other.RequestsSent
+	c.ResponsesOK += other.ResponsesOK
+	c.ResponsesErr += other.ResponsesErr
+	c.ErrorsObserved += other.ErrorsObserved
+	c.LogMessages += other.LogMessages
+	c.ErrorLogMessages += other.ErrorLogMessages
+	c.CPUSeconds += other.CPUSeconds
+	c.BusySeconds += other.BusySeconds
+	c.RxPackets += other.RxPackets
+	c.TxPackets += other.TxPackets
+	c.QueueDrops += other.QueueDrops
 }

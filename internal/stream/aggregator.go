@@ -66,7 +66,13 @@ type AggStats struct {
 // the accounting.
 type Aggregator struct {
 	length, hop time.Duration
-	svcs        map[string]*svcWindows
+	// svcs is the per-service state, by service index; names and index
+	// map between indices and names. A Pipeline's aggregator holds the
+	// model's services from the start; a standalone one adds each name the
+	// first time a tick carries it.
+	svcs  []svcWindows
+	names []string
+	index map[string]int
 	// done is IngestTick's result, cleared and refilled on every call.
 	done map[string][]telemetry.Window
 }
@@ -101,6 +107,9 @@ type svcWindows struct {
 	stats SvcAggStats
 	// out holds the windows the latest Ingest returned.
 	out []telemetry.Window
+	// seen marks a service that some tick has carried, with samples or
+	// without: only those have accounting and exported state.
+	seen bool
 }
 
 // NewAggregator builds an aggregator with the given window geometry; zero
@@ -116,7 +125,19 @@ func NewAggregator(length, hop time.Duration) (*Aggregator, error) {
 	if hop > length {
 		return nil, fmt.Errorf("telemetry: hop %v larger than window %v would drop samples", hop, length)
 	}
-	return &Aggregator{length: length, hop: hop, svcs: make(map[string]*svcWindows)}, nil
+	return &Aggregator{length: length, hop: hop, index: make(map[string]int)}, nil
+}
+
+// resolve returns svc's index, adding the service if it is new.
+func (a *Aggregator) resolve(svc string) int {
+	i, ok := a.index[svc]
+	if !ok {
+		i = len(a.svcs)
+		a.index[svc] = i
+		a.names = append(a.names, svc)
+		a.svcs = append(a.svcs, svcWindows{})
+	}
+	return i
 }
 
 // Length returns the window length.
@@ -129,9 +150,11 @@ func (a *Aggregator) Hop() time.Duration { return a.hop }
 // breakdown.
 func (a *Aggregator) Stats() AggStats {
 	out := AggStats{PerService: make(map[string]SvcAggStats, len(a.svcs))}
-	for svc, sw := range a.svcs {
-		out.PerService[svc] = sw.stats
-		out.SvcAggStats.add(sw.stats)
+	for i := range a.svcs {
+		if sw := &a.svcs[i]; sw.seen {
+			out.PerService[a.names[i]] = sw.stats
+			out.SvcAggStats.add(sw.stats)
+		}
 	}
 	return out
 }
@@ -144,11 +167,13 @@ func (a *Aggregator) Stats() AggStats {
 // until the next Ingest or IngestTick for the same service, so a caller that
 // keeps windows copies them first.
 func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.Window {
-	sw := a.svcs[svc]
-	if sw == nil {
-		sw = &svcWindows{}
-		a.svcs[svc] = sw
-	}
+	return a.ingest(a.resolve(svc), samples)
+}
+
+// ingest is Ingest for the service at index si.
+func (a *Aggregator) ingest(si int, samples []telemetry.Sample) []telemetry.Window {
+	sw := &a.svcs[si]
+	sw.seen = true
 	for i := range samples {
 		smp := &samples[i] // read in place: a Sample is about 130 bytes
 		if sw.stats.Accepted > 0 && smp.At <= sw.lastAt {
@@ -192,7 +217,7 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.
 			// The batch inclusion rule verbatim: the sample's covered
 			// stretch (At-span*interval, At] must lie inside the window.
 			if smp.At-sim.Time(span)*sw.interval >= w.Start && smp.At <= w.End {
-				w.Sum = w.Sum.Add(smp.Deltas)
+				w.Sum.AddTo(&smp.Deltas)
 				w.Covered += span
 				sw.buf[i].used = true
 			}
@@ -234,7 +259,7 @@ func (a *Aggregator) Ingest(svc string, samples []telemetry.Sample) []telemetry.
 func (a *Aggregator) IngestTick(tick map[string][]telemetry.Sample) (map[string][]telemetry.Window, error) {
 	clear(a.done)
 	for svc, samples := range tick {
-		if ws := a.Ingest(svc, samples); len(ws) > 0 {
+		if ws := a.ingest(a.resolve(svc), samples); len(ws) > 0 {
 			if a.done == nil {
 				a.done = make(map[string][]telemetry.Window, len(tick))
 			}

@@ -296,10 +296,15 @@ func (d *Detector) ObserveHop(hop map[string]map[string]float64) error {
 		}
 	}
 	d.hop = checked
-	for _, hv := range checked {
+	d.observe(checked)
+	return nil
+}
+
+// observe pushes a hop's checked (pair, value) records.
+func (d *Detector) observe(recs []hopValue) {
+	for _, hv := range recs {
 		d.push(hv.pair, hv.v)
 	}
-	return nil
 }
 
 // observeSorted ingests a hop pair by pair in sorted (metric, service)

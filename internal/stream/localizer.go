@@ -194,7 +194,9 @@ func (l *Localizer) Detector() *Detector { return l.det }
 // over the sparse causal index, and the hysteresis filter updates last. The returned
 // Verdict's vote fields are byte-identical to core.Localizer.Localize on the
 // materialized windows. Step does not retain hop or its inner maps: the
-// caller may clear and refill them for the next hop (Pipeline.Tick does).
+// caller may clear and refill them for the next hop. Step resolves the
+// names through Detector.ObserveHop; Pipeline passes its hops as resolved
+// records to the same core.
 //
 // Only what the returned Verdict holds is allocated: the Verdict, its
 // Candidates, Votes and Confirmed, and Full with its maps and per-metric
@@ -205,6 +207,19 @@ func (l *Localizer) Step(ctx context.Context, at sim.Time, hop map[string]map[st
 	if err := l.det.ObserveHop(hop); err != nil {
 		return nil, err
 	}
+	return l.localize(ctx, at)
+}
+
+// stepRecords is Step over a hop already resolved to (pair, value)
+// records, as Pipeline builds them from its pair layout.
+func (l *Localizer) stepRecords(ctx context.Context, at sim.Time, recs []hopValue) (*Verdict, error) {
+	l.det.observe(recs)
+	return l.localize(ctx, at)
+}
+
+// localize re-localizes after a hop's values were pushed: flush, detect,
+// vote, hysteresis.
+func (l *Localizer) localize(ctx context.Context, at sim.Time) (*Verdict, error) {
 	if err := l.det.detectInto(ctx, l.idx.Model().Metrics, l.dets); err != nil {
 		return nil, err
 	}

@@ -379,23 +379,27 @@ func (p *Pipeline) ExportState() *PipelineState {
 		LastVerdictAt: p.lastAt,
 	}
 
-	if len(p.agg.svcs) > 0 {
-		st.Aggregator = make(map[string]AggServiceState, len(p.agg.svcs))
-		for svc, sw := range p.agg.svcs {
-			as := AggServiceState{
-				Interval: sw.interval,
-				Next:     sw.next,
-				Expected: sw.expected,
-				LastAt:   sw.lastAt,
-				Stats:    sw.stats,
-			}
-			for _, bs := range sw.buf {
-				ss := EncodeSample(bs.s)
-				ss.Used = bs.used
-				as.Buf = append(as.Buf, ss)
-			}
-			st.Aggregator[svc] = as
+	for i := range p.agg.svcs {
+		sw := &p.agg.svcs[i]
+		if !sw.seen {
+			continue
 		}
+		if st.Aggregator == nil {
+			st.Aggregator = make(map[string]AggServiceState, len(p.agg.svcs))
+		}
+		as := AggServiceState{
+			Interval: sw.interval,
+			Next:     sw.next,
+			Expected: sw.expected,
+			LastAt:   sw.lastAt,
+			Stats:    sw.stats,
+		}
+		for _, bs := range sw.buf {
+			ss := EncodeSample(bs.s)
+			ss.Used = bs.used
+			as.Buf = append(as.Buf, ss)
+		}
+		st.Aggregator[p.agg.names[i]] = as
 	}
 
 	d := p.loc.det
@@ -427,19 +431,14 @@ func (p *Pipeline) ExportState() *PipelineState {
 		st.History = p.loc.hyst.retained()
 	}
 
-	if len(p.pending) > 0 {
-		starts := make([]sim.Time, 0, len(p.pending))
-		for start := range p.pending {
-			starts = append(starts, start)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, start := range starts {
-			pe := PendingState{Start: start, Windows: make(map[string]WindowState, len(p.pending[start]))}
-			for svc, w := range p.pending[start] {
-				pe.Windows[svc] = EncodeWindow(w)
+	for _, pw := range p.pending {
+		pe := PendingState{Start: pw.start, Windows: make(map[string]WindowState, pw.n)}
+		for si, ok := range pw.reported {
+			if ok {
+				pe.Windows[p.agg.names[si]] = EncodeWindow(pw.windows[si])
 			}
-			st.Pending = append(st.Pending, pe)
 		}
+		st.Pending = append(st.Pending, pe)
 	}
 	return st
 }
@@ -468,30 +467,35 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 		return fmt.Errorf("stream: snapshot window geometry %v/%v does not match pipeline %v/%v",
 			st.Length, st.Hop, p.agg.length, p.agg.hop)
 	}
-	// d.svcIndex doubles as the model's service set: Model.Validate holds
-	// the baseline the detector indexes to exactly the model's services.
+	// The aggregator's services are the model's: Model.Validate holds the
+	// baseline the detector indexes to exactly the model's services.
 	d := p.loc.det
 	if d.window != st.Window {
 		return fmt.Errorf("stream: snapshot sliding window %d does not match pipeline %d", st.Window, d.window)
 	}
 	for svc, as := range st.Aggregator {
+		si, ok := p.agg.index[svc]
+		if !ok {
+			return fmt.Errorf("stream: snapshot aggregator names unknown service %q", svc)
+		}
 		if as.Interval > 0 {
 			if want := int(sim.Time(p.agg.length) / as.Interval); as.Expected != want {
 				return fmt.Errorf("stream: snapshot aggregator %q: expected %d does not match length %v / interval %v",
 					svc, as.Expected, p.agg.length, as.Interval)
 			}
 		}
-		sw := &svcWindows{
+		sw := &p.agg.svcs[si]
+		*sw = svcWindows{
 			interval: as.Interval,
 			next:     as.Next,
 			expected: as.Expected,
 			lastAt:   as.LastAt,
 			stats:    as.Stats,
+			seen:     true,
 		}
 		for _, ss := range as.Buf {
 			sw.buf = append(sw.buf, bufSample{s: ss.Sample(), used: ss.Used})
 		}
-		p.agg.svcs[svc] = sw
 	}
 
 	for m, bySvc := range st.Pairs {
@@ -522,7 +526,7 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 	}
 	for i, names := range st.History {
 		for _, s := range names {
-			if _, ok := d.svcIndex[s]; !ok {
+			if _, ok := p.agg.index[s]; !ok {
 				return fmt.Errorf("stream: snapshot history[%d] names unknown service %q", i, s)
 			}
 		}
@@ -532,17 +536,19 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 	}
 
 	for _, pe := range st.Pending {
-		if len(pe.Windows) >= len(d.svcIndex) {
+		if len(pe.Windows) >= len(p.agg.svcs) {
 			return fmt.Errorf("stream: snapshot pending %v is fully reported; it should have been emitted", pe.Start)
 		}
-		bySvc := make(map[string]telemetry.Window, len(pe.Windows))
+		pw := p.slot(pe.Start)
 		for svc, ws := range pe.Windows {
-			if _, ok := d.svcIndex[svc]; !ok {
+			si, ok := p.agg.index[svc]
+			if !ok {
 				return fmt.Errorf("stream: snapshot pending %v names unknown service %q", pe.Start, svc)
 			}
-			bySvc[svc] = ws.Window()
+			pw.windows[si] = ws.Window()
+			pw.reported[si] = true
 		}
-		p.pending[pe.Start] = bySvc
+		pw.n = len(pe.Windows)
 	}
 
 	p.hops = st.Hops
@@ -552,8 +558,13 @@ func (p *Pipeline) RestoreState(st *PipelineState) error {
 
 // fresh reports whether the pipeline has ingested nothing yet.
 func (p *Pipeline) fresh() bool {
-	if len(p.agg.svcs) > 0 || len(p.pending) > 0 || p.hops > 0 {
+	if len(p.pending) > 0 || p.hops > 0 {
 		return false
+	}
+	for i := range p.agg.svcs {
+		if p.agg.svcs[i].seen {
+			return false
+		}
 	}
 	if p.loc.hyst.filled > 0 {
 		return false

@@ -264,6 +264,9 @@ func TestSnapshotRestoreRejects(t *testing.T) {
 			ps.Pushed += 3
 			st.Pairs["cpu"]["svc-a"] = ps
 		}},
+		{"unknown aggregator service", func(st *stream.PipelineState) {
+			st.Aggregator["svc-zz"] = st.Aggregator["svc-a"]
+		}},
 		{"unknown history service", func(st *stream.PipelineState) {
 			st.History = append(st.History, []string{"svc-zz"})
 		}},

@@ -73,7 +73,8 @@ func HoppingWindows(samples []Sample, length, hop time.Duration) ([]Window, erro
 	var windows []Window
 	for start := origin; start+length <= end; start += hop {
 		w := Window{Start: start, End: start + length, Expected: expected}
-		for _, smp := range samples {
+		for i := range samples {
+			smp := &samples[i] // read in place: a Sample is about 130 bytes
 			if smp.Missing {
 				continue
 			}
@@ -87,7 +88,7 @@ func HoppingWindows(samples []Sample, length, hop time.Duration) ([]Window, erro
 			// from both windows — its mass cannot be split, so the
 			// affected windows honestly report under-coverage instead.
 			if smp.At-sim.Time(span)*sim.Time(interval) >= w.Start && smp.At <= w.End {
-				w.Sum = w.Sum.Add(smp.Deltas)
+				w.Sum.AddTo(&smp.Deltas)
 				w.Covered += span
 			}
 		}
