@@ -163,9 +163,10 @@ func decodeIngest(body []byte, svcs *serviceTable) (ingestBatch, error) {
 	return b, nil
 }
 
-// maxPooledSamples caps the sample scratch a pooled scanner keeps, as
-// maxPooledBody caps body buffers.
-const maxPooledSamples = 1 << 13
+// maxPooledScratch caps the samples, entries and ticks a pooled scanner's
+// scratch keeps room for, as maxPooledBody caps body buffers: a body of a
+// million empty ticks does not pin its tick list in the pool.
+const maxPooledScratch = 1 << 13
 
 var scanners = sync.Pool{New: func() any { return new(ingestScanner) }}
 
@@ -196,11 +197,11 @@ func (s *ingestScanner) reset(body []byte, svcs *serviceTable) {
 	s.samples, s.runs, s.ends, s.unknown = s.samples[:0], s.runs[:0], s.ends[:0], nil
 }
 
-// release returns the scanner to the pool, unless its sample scratch grew
-// past maxPooledSamples.
+// release returns the scanner to the pool, unless its scratch grew past
+// maxPooledScratch.
 func (s *ingestScanner) release() {
 	s.buf, s.svcs, s.unknown = nil, nil, nil
-	if cap(s.samples) <= maxPooledSamples {
+	if max(cap(s.samples), cap(s.runs), cap(s.ends)) <= maxPooledScratch {
 		scanners.Put(s)
 	}
 }

@@ -99,7 +99,8 @@ func referenceIngest(tn *tenant, body []byte) (int, string, []map[string][]telem
 }
 
 // namedTicks spells indexed ticks with svcs's names, for comparison with
-// referenceDecode.
+// referenceDecode. A service listed twice in one tick, which no map can
+// hold, is spelled a second time with a "repeated " prefix.
 func namedTicks(svcs *serviceTable, ticks [][]stream.ServiceSamples) []map[string][]telemetry.Sample {
 	if ticks == nil {
 		return nil
@@ -108,7 +109,11 @@ func namedTicks(svcs *serviceTable, ticks [][]stream.ServiceSamples) []map[strin
 	for k, tick := range ticks {
 		out[k] = make(map[string][]telemetry.Sample, len(tick))
 		for _, e := range tick {
-			out[k][svcs.names[e.Service]] = e.Samples
+			name := svcs.names[e.Service]
+			if _, twice := out[k][name]; twice {
+				name = "repeated " + name
+			}
+			out[k][name] = e.Samples
 		}
 	}
 	return out
@@ -222,6 +227,7 @@ func ingestSeeds(tb testing.TB) map[string][]byte {
 		"unsorted-services": []byte(`{"ticks":[{"svc-c":[{"at":5}],"svc-a":[{"at":5}],"svc-b":[{"at":5}]},{"svc-b":[{"at":10}],"svc-a":[{"at":10}]}]}`),
 		"repeated-service":  []byte(`{"ticks":[{"svc-a":[{"at":5}],"svc-b":[{"at":5}],"svc-a":[{"at":6},{"at":7}]},{"svc-c":[],"svc-c":[{"at":8}]}]}`),
 		"unknown-service":   []byte(`{"ticks":[{"svc-a":[{"at":5}]},{"svc-a":[{"at":10}],"svc-b":[{"at":10}],"svc-zz":[{"at":10}]}]}`),
+		"unknown-services":  []byte(`{"ticks":[{"svc-zz":[{"at":1}],"svc-yy":[{"at":1}],"svc-b":[{"at":1}]}]}`),
 		"empty-samples":     []byte(`{"ticks":[{"svc-a":[],"svc-b":[{"at":5}],"svc-c":[]},{"svc-b":[]}]}`),
 		"bad-span":          []byte(`{"ticks":[{"svc-b":[{"at":1,"span":-2}],"svc-a":[{"at":99999999999999999}]}]}`),
 		"trailing-batch":    []byte(one + one),
@@ -403,6 +409,26 @@ func TestEmptyTicksAllocateLittle(t *testing.T) {
 	}
 	if perTick := (after.TotalAlloc - before.TotalAlloc) / n; perTick > 256 {
 		t.Fatalf("%d bytes allocated per empty tick, want at most 256", perTick)
+	}
+}
+
+// TestScannerPoolDropsLargeScratch: a scanner whose scratch grew past
+// maxPooledScratch, in samples, entries or ticks, is left to the collector,
+// so one huge body does not pin its scratch in the pool.
+func TestScannerPoolDropsLargeScratch(t *testing.T) {
+	for _, grow := range []func(*ingestScanner){
+		func(s *ingestScanner) { s.samples = make([]telemetry.Sample, 0, maxPooledScratch+1) },
+		func(s *ingestScanner) { s.runs = make([]serviceRun, 0, maxPooledScratch+1) },
+		func(s *ingestScanner) { s.ends = make([]int, 0, maxPooledScratch+1) },
+	} {
+		big := new(ingestScanner)
+		grow(big)
+		big.release()
+		for i := 0; i < 4; i++ {
+			if scanners.Get().(*ingestScanner) == big {
+				t.Fatal("a scanner with oversized scratch went back to the pool")
+			}
+		}
 	}
 }
 
