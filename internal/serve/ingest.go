@@ -165,7 +165,9 @@ func decodeIngest(body []byte, svcs *serviceTable) (ingestBatch, error) {
 
 // maxPooledScratch caps the samples, entries and ticks a pooled scanner's
 // scratch keeps room for, as maxPooledBody caps body buffers: a body of a
-// million empty ticks does not pin its tick list in the pool.
+// million empty ticks does not pin its tick list in the pool. The slots are
+// not capped: they hold one entry per service of the largest tenant the
+// scanner has served.
 const maxPooledScratch = 1 << 13
 
 var scanners = sync.Pool{New: func() any { return new(ingestScanner) }}
@@ -183,6 +185,17 @@ type ingestScanner struct {
 	runs    []serviceRun
 	ends    []int
 	unknown []unknownService
+	// slots[si] is where service si's run sits in runs while its stamp is
+	// the current tick's, so a repeated service is found in one step.
+	// Stamps grow by one per tick over the scanner's life, so the slots are
+	// never cleared.
+	slots []serviceSlot
+	stamp int
+}
+
+// serviceSlot is a service's run in the tick stamped stamp.
+type serviceSlot struct {
+	stamp, run int
 }
 
 // serviceRun is one service's samples in ingestScanner.samples.
@@ -211,6 +224,9 @@ func (s *ingestScanner) release() {
 // encoding/json decode the second array into the maps of the first, merging
 // them, so it is left to encoding/json.
 func (s *ingestScanner) request() (ingestBatch, bool) {
+	if len(s.slots) < len(s.svcs.names) {
+		s.slots = make([]serviceSlot, len(s.svcs.names))
+	}
 	more, ok := s.open('{', '}')
 	if more {
 		key, isStr := s.str()
@@ -253,7 +269,7 @@ func (s *ingestScanner) batch() ingestBatch {
 // replaces the earlier one, as in encoding/json. The samples of a service
 // the tenant lacks are read and dropped, and its name noted.
 func (s *ingestScanner) tick() bool {
-	first := len(s.runs)
+	s.stamp++
 	more, ok := s.open('{', '}')
 	for cursor := 0; more; more, ok = s.next('}') {
 		key, isStr := s.str()
@@ -278,9 +294,10 @@ func (s *ingestScanner) tick() bool {
 			continue
 		}
 		run := serviceRun{si, from, len(s.samples)}
-		if i := slices.IndexFunc(s.runs[first:], func(r serviceRun) bool { return r.service == si }); i >= 0 {
-			s.runs[first+i] = run
+		if slot := &s.slots[si]; slot.stamp == s.stamp {
+			s.runs[slot.run] = run
 		} else {
+			*slot = serviceSlot{s.stamp, len(s.runs)}
 			s.runs = append(s.runs, run)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"causalfl/internal/apps/robotshop"
 	"causalfl/internal/eval"
@@ -544,7 +545,9 @@ func FuzzIngestHandler(f *testing.F) {
 // takes: the array all its samples share, the array of all its ticks'
 // entries and the tick list, each service's slice capped so that an append
 // cannot reach the next. It was 6 per tick with a map per tick and an array
-// per tick, and about 16 per tick with a slice per service.
+// per tick, and about 16 per tick with a slice per service. The race
+// detector makes sync.Pool drop scanners at random, so that a decode may
+// grow a new scanner's scratch; there the bound is the old 6 per tick.
 func TestIngestDecodeAllocs(t *testing.T) {
 	services, body := robotshopBatch(t)
 	svcs := newServiceTable(services)
@@ -559,16 +562,62 @@ func TestIngestDecodeAllocs(t *testing.T) {
 			}
 		}
 	}
+	bound := 3.0
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop scanners at random")
+		bound = 6 * float64(len(b.ticks))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := decodeIngest(body, svcs); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Fatalf("decoding %d ticks took %.0f objects, want at most 3", len(b.ticks), allocs)
+	if allocs > bound {
+		t.Fatalf("decoding %d ticks took %.0f objects, want at most %.0f", len(b.ticks), allocs, bound)
+	}
+}
+
+// TestIngestRepeatedServicesCostLinear: a tick whose services come in
+// reverse name order, each listed twice with no samples, decodes to one
+// entry per service, and decoding it costs time linear in its services: a
+// repeat is found in one step, whatever the key order. Sixteen times the
+// services must take less than 64 times as long: a linear decode takes
+// about 15–40 times (the larger tick leaves the caches), a search of the
+// tick's services so far took 100–230 times. (Which listing wins is pinned
+// by the repeated-service seed.)
+func TestIngestRepeatedServicesCostLinear(t *testing.T) {
+	cost := func(n int) time.Duration {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("svc-%05d", i)
+		}
+		var b strings.Builder
+		b.WriteString(`{"ticks":[{`)
+		for k := range 2 * n {
+			if k > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `%q:[]`, names[n-1-k%n])
+		}
+		b.WriteString(`}]}`)
+		svcs, body := newServiceTable(names), []byte(b.String())
+		best := time.Duration(math.MaxInt64)
+		for range 7 {
+			start := time.Now()
+			batch, err := decodeIngest(body, svcs)
+			best = min(best, time.Since(start))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch.ticks) != 1 || len(batch.ticks[0]) != n {
+				t.Fatalf("%d services listed twice decoded to %d ticks, %d entries in the first", n, len(batch.ticks), len(batch.ticks[0]))
+			}
+		}
+		return best
+	}
+	small, large := cost(1<<9), cost(1<<13)
+	t.Logf("512 services: %v, 8192: %v", small, large)
+	if large > 64*small {
+		t.Fatalf("8192 services took %v, 512 took %v: more than 64 times", large, small)
 	}
 }
 

@@ -33,7 +33,8 @@ type Pipeline struct {
 	// ascending order, until every service has reported that window.
 	pending []*pendingWindow
 	// spare holds emptied slots for the next window starts; named and hop
-	// are Tick's and TickIndexed's scratch, refilled on every call.
+	// are Tick's and TickIndexed's scratch, refilled on every call (named is
+	// cleared on return, so it keeps no caller's samples).
 	spare []*pendingWindow
 	named []ServiceSamples
 	hop   []hopValue
@@ -145,8 +146,11 @@ func (p *Pipeline) Tick(ctx context.Context, samples map[string][]telemetry.Samp
 			tick = append(tick, ServiceSamples{Service: si, Samples: ss})
 		}
 	}
-	p.named = tick
-	return p.TickIndexed(ctx, tick)
+	verdicts, err := p.TickIndexed(ctx, tick)
+	// The scratch must not pin the caller's samples until the next Tick.
+	clear(tick)
+	p.named = tick[:0]
+	return verdicts, err
 }
 
 // TickIndexed is Tick over a tick in the pipeline's service indices

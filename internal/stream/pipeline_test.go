@@ -2,7 +2,10 @@ package stream_test
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
+	"weak"
 
 	"causalfl/internal/sim"
 	"causalfl/internal/telemetry"
@@ -113,4 +116,42 @@ func TestPipelinePendingStaysInStartOrder(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPipelineTickKeepsNoSamples: once Tick returns, the pipeline holds no
+// reference to the caller's samples, so a drained batch can be collected
+// before the next Tick.
+func TestPipelineTickKeepsNoSamples(t *testing.T) {
+	fx, err := buildSnapFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := fx.newPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []weak.Pointer[telemetry.Sample]
+	func() {
+		tick := make(map[string][]telemetry.Sample, len(fx.ticks[0]))
+		for svc, ss := range fx.ticks[0] {
+			own := slices.Clone(ss)
+			if len(own) > 0 {
+				refs = append(refs, weak.Make(&own[0]))
+			}
+			tick[svc] = own
+		}
+		if _, err := p.Tick(context.Background(), tick); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if len(refs) == 0 {
+		t.Fatal("the fixture's first tick holds no samples")
+	}
+	runtime.GC()
+	for _, ref := range refs {
+		if ref.Value() != nil {
+			t.Fatal("the pipeline still references a returned tick's samples")
+		}
+	}
+	runtime.KeepAlive(p)
 }
