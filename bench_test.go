@@ -296,8 +296,9 @@ func BenchmarkAblation_VoteJaccard(b *testing.B) {
 	benchVoteRule(b, core.JaccardVote)
 }
 
-// benchTestRule ablates the two-sample decision rule itself.
-func benchTestRule(b *testing.B, test stats.TwoSampleTest) {
+// benchTestRule ablates the two-sample decision rule itself: the guarded KS
+// test, or the bare KS test when raw is set.
+func benchTestRule(b *testing.B, raw bool) {
 	var acc, info float64
 	for i := 0; i < b.N; i++ {
 		cfg := benchOpts.Apply(eval.Config{
@@ -306,7 +307,7 @@ func benchTestRule(b *testing.B, test stats.TwoSampleTest) {
 			TestMultiplier: 4,
 		})
 		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
-			&baselines.Paper{Test: test},
+			&baselines.Paper{RawKS: raw},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -341,18 +342,8 @@ func benchDecision(b *testing.B, fdr float64) {
 func BenchmarkAblation_DecisionAlpha(b *testing.B) { benchDecision(b, 0) }
 func BenchmarkAblation_DecisionFDR(b *testing.B)   { benchDecision(b, 0.05) }
 
-func BenchmarkAblation_TestGuardedKS(b *testing.B) {
-	benchTestRule(b, stats.GuardedTest{Inner: stats.KSTest{}})
-}
-func BenchmarkAblation_TestRawKS(b *testing.B) {
-	benchTestRule(b, stats.KSTest{})
-}
-func BenchmarkAblation_TestMannWhitney(b *testing.B) {
-	benchTestRule(b, stats.GuardedTest{Inner: stats.MannWhitneyTest{}})
-}
-func BenchmarkAblation_TestPermutation(b *testing.B) {
-	benchTestRule(b, stats.GuardedTest{Inner: stats.PermutationTest{Rounds: 100, Seed: 1}})
-}
+func BenchmarkAblation_TestGuardedKS(b *testing.B) { benchTestRule(b, false) }
+func BenchmarkAblation_TestRawKS(b *testing.B)     { benchTestRule(b, true) }
 
 // --- Extensions --------------------------------------------------------------
 
@@ -539,7 +530,7 @@ func BenchmarkMicro_GuardedKSTest(b *testing.B) {
 		x[i] = 5 + rng.NormFloat64()*0.1
 		y[i] = 5 + rng.NormFloat64()*0.1
 	}
-	test := stats.GuardedTest{Inner: stats.KSTest{}}
+	test := stats.GuardedTest{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := test.PValue(x, y); err != nil {

@@ -27,7 +27,6 @@ import (
 
 	"causalfl/internal/core"
 	"causalfl/internal/metrics"
-	"causalfl/internal/stats"
 )
 
 // Technique is one fault-localization method under comparison. Both phases
@@ -58,9 +57,10 @@ type Paper struct {
 	// Label overrides the reported name (used by derived baselines that
 	// reuse this wrapper, like the error-log-only technique).
 	Label string
-	// Test overrides the two-sample decision rule (nil means the core
-	// default, a guarded KS test). Used by the decision-rule ablation.
-	Test stats.TwoSampleTest
+	// RawKS drops the practical-equivalence guard from the KS test
+	// (core.WithRawKS). Used by the decision-rule ablation and the
+	// nonstationary extension.
+	RawKS bool
 	// FDR, when nonzero, replaces per-test alpha with Benjamini-Hochberg
 	// control at this level for both learning and localization.
 	FDR float64
@@ -107,8 +107,8 @@ func (p *Paper) options() []core.Option {
 	if p.Rule != 0 {
 		opts = append(opts, core.WithVoteRule(p.Rule))
 	}
-	if p.Test != nil {
-		opts = append(opts, core.WithTest(p.Test))
+	if p.RawKS {
+		opts = append(opts, core.WithRawKS())
 	}
 	if p.FDR != 0 {
 		opts = append(opts, core.WithFDR(p.FDR))

@@ -6,11 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"causalfl/internal/metrics"
-	"causalfl/internal/stats"
 )
 
 // fixture builds synthetic datasets over services {a,b,c,d} and metrics
@@ -193,12 +193,77 @@ func TestNewLearnerOptions(t *testing.T) {
 	if _, err := NewLearner(WithAlpha(1)); err == nil {
 		t.Error("accepted alpha 1")
 	}
-	if _, err := NewLearner(WithTest(nil)); err == nil {
-		t.Error("accepted nil test")
-	}
-	l, err := NewLearner(WithAlpha(0.01), WithTest(stats.PermutationTest{Rounds: 50, Seed: 1}))
-	if err != nil || l.alpha != 0.01 {
+	l, err := NewLearner(WithAlpha(0.01), WithRawKS())
+	if err != nil || l.alpha != 0.01 || !l.rawKS {
 		t.Errorf("options not applied: %+v err=%v", l, err)
+	}
+}
+
+// TestRawKSReachesLearnerAndLocalizer: a near-deterministic series whose
+// level moves by 10%, under the guard's 20%, is practically equal for the
+// default guarded KS test and a certain shift for the bare KS test. The one
+// boolean decides whether the learner puts the service in the causal set
+// and whether Detect, alone or inside the localizer, flags it.
+func TestRawKSReachesLearnerAndLocalizer(t *testing.T) {
+	ctx := context.Background()
+	series := func(level float64) []float64 {
+		s := make([]float64, 20)
+		for i := range s {
+			s[i] = level + 0.001*float64(i%5)
+		}
+		return s
+	}
+	snap := func(levelB float64) *metrics.Snapshot {
+		s := metrics.NewSnapshot([]string{"m"}, []string{"a", "b"})
+		s.Data["m"]["a"] = series(5)
+		s.Data["m"]["b"] = series(levelB)
+		return s
+	}
+	baseline, shifted := snap(10), snap(11)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		cfg  DetectConfig
+		want bool
+	}{
+		{"guarded", nil, DetectConfig{}, false},
+		{"raw", []Option{WithRawKS()}, DetectConfig{RawKS: true}, true},
+	} {
+		l, err := NewLearner(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := l.Learn(ctx, baseline, map[string]*metrics.Snapshot{"a": shifted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := model.CausalSet("m", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Contains(set, "b"); got != tc.want {
+			t.Errorf("%s: C(a,m) = %v, want b in it: %v", tc.name, set, tc.want)
+		}
+
+		det, err := Detect(ctx, tc.cfg, baseline, shifted, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Contains(det.Anomalous, "b"); got != tc.want {
+			t.Errorf("%s: Detect A(m) = %v, want b in it: %v", tc.name, det.Anomalous, tc.want)
+		}
+
+		lo, err := NewLocalizer(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets, err := lo.detectAll(ctx, "localize", model, shifted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Contains(dets[0].Anomalous, "b"); got != tc.want {
+			t.Errorf("%s: localizer A(m) = %v, want b in it: %v", tc.name, dets[0].Anomalous, tc.want)
+		}
 	}
 }
 
@@ -377,9 +442,6 @@ func TestLocalizerValidation(t *testing.T) {
 	if _, err := NewLocalizer(WithAlpha(2)); err == nil {
 		t.Error("accepted alpha 2")
 	}
-	if _, err := NewLocalizer(WithTest(nil)); err == nil {
-		t.Error("accepted nil test")
-	}
 }
 
 func TestModelJSONRoundTrip(t *testing.T) {
@@ -493,7 +555,7 @@ func TestDetectDirectly(t *testing.T) {
 	production := f.snapshot(map[string]map[string]bool{
 		"m1": {"b": true, "d": true},
 	})
-	cfg := DetectConfig{Test: stats.KSTest{}, Alpha: 0.05}
+	cfg := DetectConfig{RawKS: true, Alpha: 0.05}
 	det, err := Detect(context.Background(), cfg, baseline, production, "m1")
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@ import (
 // KS test, DefaultAlpha, per-test thresholds (no FDR control), strict
 // completeness.
 type DetectConfig struct {
-	// Test is the two-sample test; nil selects the library default (a KS
-	// test wrapped in the practical-equivalence guard).
-	Test stats.TwoSampleTest
+	// RawKS drops the practical-equivalence guard, as WithRawKS does: each
+	// pair is decided by the bare KS test instead of stats.GuardedTest.
+	RawKS bool
 	// Alpha is the per-test significance threshold. Zero selects
 	// DefaultAlpha. Ignored when FDR > 0.
 	Alpha float64
@@ -66,10 +66,6 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 	if cfg.FDR < 0 || cfg.FDR >= 1 {
 		return nil, fmt.Errorf("core: FDR level must be in (0,1), got %v", cfg.FDR)
 	}
-	test := cfg.Test
-	if test == nil {
-		test = stats.GuardedTest{Inner: stats.KSTest{}}
-	}
 	alpha := cfg.Alpha
 	if alpha == 0 && cfg.FDR == 0 {
 		alpha = DefaultAlpha
@@ -119,7 +115,7 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 		if len(pr.prod) == 0 {
 			return nil, fmt.Errorf("core: anomaly test %s on %s: no finite production value", metric, family[i])
 		}
-		p, err := test.PValue(pr.prod, pr.base)
+		p, err := pValue(cfg.RawKS, pr.prod, pr.base)
 		if err != nil {
 			return nil, fmt.Errorf("core: anomaly test %s on %s: %w", metric, family[i], err)
 		}
@@ -139,6 +135,16 @@ func Detect(ctx context.Context, cfg DetectConfig, baseline, production *metrics
 		}
 	}
 	return &Detection{Anomalous: sortedSet(set), Tested: len(family)}, nil
+}
+
+// pValue is the two-sample test of every (metric, service) pair the learner
+// and Detect decide: the KS test behind the practical-equivalence guard, or
+// the bare KS test when raw is set.
+func pValue(raw bool, x, y []float64) (float64, error) {
+	if raw {
+		return stats.KSTest{}.PValue(x, y)
+	}
+	return stats.GuardedTest{}.PValue(x, y)
 }
 
 // finiteValues returns the finite entries of s. When every entry is finite —

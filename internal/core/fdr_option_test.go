@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"causalfl/internal/metrics"
-	"causalfl/internal/stats"
 )
 
 func TestWithFDRValidation(t *testing.T) {
@@ -82,11 +81,11 @@ func TestFDRSuppressesHealthyFalseAnomalies(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		production = mk()
-		perTest, err := Detect(context.Background(), DetectConfig{Test: stats.KSTest{}, Alpha: 0.05}, baseline, production, "m")
+		perTest, err := Detect(context.Background(), DetectConfig{RawKS: true, Alpha: 0.05}, baseline, production, "m")
 		if err != nil {
 			t.Fatal(err)
 		}
-		fdr, err := Detect(context.Background(), DetectConfig{Test: stats.KSTest{}, FDR: 0.05}, baseline, production, "m")
+		fdr, err := Detect(context.Background(), DetectConfig{RawKS: true, FDR: 0.05}, baseline, production, "m")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +102,7 @@ func TestDetectFDRValidation(t *testing.T) {
 	f := newFixture()
 	snap := f.snapshot(nil)
 	for _, q := range []float64{-0.1, 1, 2} {
-		if _, err := Detect(context.Background(), DetectConfig{Test: stats.KSTest{}, FDR: q}, snap, snap, "m1"); err == nil {
+		if _, err := Detect(context.Background(), DetectConfig{RawKS: true, FDR: q}, snap, snap, "m1"); err == nil {
 			t.Errorf("FDR=%v accepted", q)
 		}
 	}

@@ -32,7 +32,6 @@ type Learner struct {
 func NewLearner(opts ...Option) (*Learner, error) {
 	s, err := applyOptions(settings{
 		alpha:      DefaultAlpha,
-		test:       stats.GuardedTest{Inner: stats.KSTest{}},
 		minSamples: DefaultMinSamples,
 	}, opts)
 	if err != nil {
@@ -155,7 +154,7 @@ func (l *Learner) learnCell(model *Model, target string, snap *metrics.Snapshot,
 		if !okF || !okB || len(faulted) < minSamples || len(base) < minSamples {
 			continue
 		}
-		p, err := l.test.PValue(faulted, base)
+		p, err := pValue(l.rawKS, faulted, base)
 		if err != nil {
 			return nil, fmt.Errorf("core: learn: test %s on %s under fault in %s: %w", m, svc, target, err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"causalfl/internal/metrics"
 	"causalfl/internal/parallel"
-	"causalfl/internal/stats"
 )
 
 // VoteRule selects how a metric scores a candidate service against its
@@ -52,7 +51,6 @@ type Localizer struct {
 // NewLocalizer constructs a localizer with the paper's defaults.
 func NewLocalizer(opts ...Option) (*Localizer, error) {
 	s, err := applyOptions(settings{
-		test:       stats.GuardedTest{Inner: stats.KSTest{}},
 		rule:       IntersectionVote,
 		minSamples: DefaultMinSamples,
 	}, opts)
@@ -132,7 +130,7 @@ func (lo *Localizer) detectAll(ctx context.Context, op string, model *Model, pro
 		return nil, fmt.Errorf("core: %s: nil production snapshot", op)
 	}
 	cfg := DetectConfig{
-		Test:       lo.test,
+		RawKS:      lo.rawKS,
 		Alpha:      lo.alpha,
 		FDR:        lo.fdrQ,
 		MinSamples: lo.minSamples,

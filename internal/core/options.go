@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"causalfl/internal/stats"
-)
+import "fmt"
 
 // settings is the shared configuration of the Learner and the Localizer.
 // Both algorithms run the same statistical machinery — a two-sample test per
@@ -13,7 +9,7 @@ import (
 // only affect localization and are ignored by the learner.
 type settings struct {
 	alpha      float64
-	test       stats.TwoSampleTest
+	rawKS      bool
 	fdrQ       float64
 	minSamples int
 	rule       VoteRule
@@ -38,14 +34,12 @@ func WithAlpha(alpha float64) Option {
 	}
 }
 
-// WithTest replaces the default two-sample test (a KS test wrapped in the
-// practical-equivalence guard).
-func WithTest(t stats.TwoSampleTest) Option {
+// WithRawKS drops the practical-equivalence guard: every pair is decided by
+// the bare KS test of the paper's Algorithms 1 and 2 instead of the default
+// stats.GuardedTest.
+func WithRawKS() Option {
 	return func(s *settings) error {
-		if t == nil {
-			return fmt.Errorf("core: nil two-sample test")
-		}
-		s.test = t
+		s.rawKS = true
 		return nil
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"causalfl/internal/load"
 	"causalfl/internal/metrics"
 	"causalfl/internal/parallel"
-	"causalfl/internal/stats"
 )
 
 // This file implements the extension experiments beyond the paper's
@@ -248,14 +247,14 @@ func RunNonstationaryExtension(ctx context.Context, o Options) (*NonstationaryRe
 	// which are pointwise load-invariant, survive.
 	type cell struct {
 		preset string
-		test   stats.TwoSampleTest
+		rawKS  bool
 		label  string
 	}
 	cells := []cell{
-		{metrics.SetRawAll, stats.GuardedTest{Inner: stats.KSTest{}}, "guarded-ks"},
-		{metrics.SetRawAll, stats.KSTest{}, "raw-ks"},
-		{metrics.SetDerivedAll, stats.GuardedTest{Inner: stats.KSTest{}}, "guarded-ks"},
-		{metrics.SetDerivedAll, stats.KSTest{}, "raw-ks"},
+		{metrics.SetRawAll, false, "guarded-ks"},
+		{metrics.SetRawAll, true, "raw-ks"},
+		{metrics.SetDerivedAll, false, "guarded-ks"},
+		{metrics.SetDerivedAll, true, "raw-ks"},
 	}
 	var techniques []baselines.Technique
 	for _, c := range cells {
@@ -265,7 +264,7 @@ func RunNonstationaryExtension(ctx context.Context, o Options) (*NonstationaryRe
 		}
 		techniques = append(techniques, &baselines.Paper{
 			MetricNames: metrics.Names(set),
-			Test:        c.test,
+			RawKS:       c.rawKS,
 			Label:       c.preset + "/" + c.label,
 		})
 	}

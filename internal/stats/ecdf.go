@@ -1,10 +1,10 @@
 // Package stats provides the statistical machinery the fault-localization
 // pipeline depends on: empirical CDFs, the two-sample Kolmogorov–Smirnov test
-// used by Algorithms 1 and 2 of the paper, a permutation test alternative,
-// and descriptive summaries used to render figures.
+// used by Algorithms 1 and 2 of the paper, its practical-equivalence guard
+// and streaming form, and descriptive summaries used to render figures.
 //
 // Everything is implemented from scratch on the standard library and is
-// deterministic given explicit seeds.
+// deterministic: nothing in it draws random numbers.
 package stats
 
 import (
@@ -34,24 +34,6 @@ func (e *ECDF) At(x float64) float64 {
 	// First index with value > x.
 	idx := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
 	return float64(idx) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Quantile returns the q-th empirical quantile (nearest-rank, q in [0,1]).
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	rank := int(q * float64(len(e.sorted)))
-	if rank >= len(e.sorted) {
-		rank = len(e.sorted) - 1
-	}
-	return e.sorted[rank]
 }
 
 // KSDistance computes the Kolmogorov–Smirnov statistic

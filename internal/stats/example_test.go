@@ -10,7 +10,7 @@ import (
 // microscopic displacement of a near-deterministic series is declared
 // practically equal, while a collapse to zero is flagged.
 func Example() {
-	test := stats.GuardedTest{Inner: stats.KSTest{}}
+	test := stats.GuardedTest{}
 
 	base := []float64{0.300, 0.300, 0.301, 0.300, 0.301, 0.300}
 	wobble := []float64{0.299, 0.300, 0.299, 0.300, 0.299, 0.300}

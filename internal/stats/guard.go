@@ -11,10 +11,11 @@ const DefaultRelTol = 0.20
 // robust location estimate.
 const DefaultTrim = 0.1
 
-// GuardedTest wraps a two-sample test with a practical-equivalence guard:
-// when the robust locations (trimmed means) of the two samples are within a
-// relative tolerance of each other, the samples are declared equal (p = 1)
-// without consulting the inner test.
+// GuardedTest is the KS test behind a practical-equivalence guard: when the
+// robust locations (trimmed means) of the two samples are within a relative
+// tolerance of each other, the samples are declared equal (p = 1) without
+// consulting the KS test. It is the default test of the batch learner and
+// localizer, and KSBaselines.GuardedPValue is its streaming form.
 //
 // Rationale: the KS test measures *statistical* significance only. Two kinds
 // of operationally meaningless differences plague black-box service metrics:
@@ -30,30 +31,18 @@ const DefaultTrim = 0.1
 // rates collapsing to zero, error logs appearing from nothing — change the
 // trimmed mean by far more than any reasonable tolerance.
 type GuardedTest struct {
-	// Inner is the significance test consulted when the guard does not
-	// declare practical equivalence.
-	Inner TwoSampleTest
 	// RelTol is the relative location-difference tolerance. Zero means
 	// DefaultRelTol.
 	RelTol float64
 }
 
-var _ TwoSampleTest = GuardedTest{}
-
-// Name implements TwoSampleTest.
-func (g GuardedTest) Name() string {
-	inner := "nil"
-	if g.Inner != nil {
-		inner = g.Inner.Name()
-	}
-	return "guarded-" + inner
-}
-
-// PValue implements TwoSampleTest.
+// PValue returns 1 when x and y are practically equal and KSTest.PValue of
+// the pair otherwise. Both samples are sorted once into one pooled scratch:
+// the guard's trimmed means and the KS distance read the same sorted copies,
+// so the guard adds no allocations to the hot test path. The guard decides
+// first: a pair whose NaNs the trimming leaves out of both trimmed means can
+// be declared equal before the KS test would refuse the NaN.
 func (g GuardedTest) PValue(x, y []float64) (float64, error) {
-	if g.Inner == nil {
-		return 0, fmt.Errorf("stats: guarded test has no inner test")
-	}
 	if len(x) == 0 || len(y) == 0 {
 		return 0, fmt.Errorf("stats: guarded test needs non-empty samples (|x|=%d |y|=%d)", len(x), len(y))
 	}
@@ -64,28 +53,18 @@ func (g GuardedTest) PValue(x, y []float64) (float64, error) {
 	if tol < 0 {
 		return 0, fmt.Errorf("stats: negative relative tolerance %v", tol)
 	}
-	if practicallyEqual(x, y, tol) {
+	s := borrowScratch(x, y)
+	defer s.release()
+	if sameLocation(trimmedMeanSorted(s.a, DefaultTrim), trimmedMeanSorted(s.b, DefaultTrim), tol) {
 		return 1, nil
 	}
-	return g.Inner.PValue(x, y)
-}
-
-// practicallyEqual reports whether the trimmed means of x and y differ by at
-// most tol relative to the larger magnitude. Two all-zero samples are equal;
-// zero-versus-nonzero always differs (relative difference 1), and so does a
-// non-finite trimmed mean. Both samples are sorted into one pooled scratch,
-// so the guard adds no allocations to the hot test path.
-func practicallyEqual(x, y []float64, tol float64) bool {
-	s := borrowScratch(x, y)
-	eq := sameLocation(trimmedMeanSorted(s.a, DefaultTrim), trimmedMeanSorted(s.b, DefaultTrim), tol)
-	s.release()
-	return eq
+	return sortedPValue(s.a, s.b)
 }
 
 // sameLocation is the guard's location decision on two trimmed means, shared
 // by GuardedTest and KSBaselines.GuardedPValue: they differ by at most tol
 // relative to the larger magnitude, or are both zero. A non-finite mean (a
-// sample holding ±Inf or NaN) is never equal to anything, so the inner test
+// sample holding ±Inf or NaN) is never equal to anything, so the KS test
 // decides.
 func sameLocation(tx, ty, tol float64) bool {
 	if !isFinite(tx) || !isFinite(ty) {

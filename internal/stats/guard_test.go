@@ -21,7 +21,7 @@ func TestGuardedTestSuppressesMicroShifts(t *testing.T) {
 	if rawP >= 0.05 {
 		t.Skipf("fixture no longer triggers raw KS (p=%v); rebuild it", rawP)
 	}
-	g := GuardedTest{Inner: KSTest{}}
+	g := GuardedTest{}
 	p, err := g.PValue(x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestGuardedTestPassesRealShifts(t *testing.T) {
 		collapsed[i] = 0
 		appeared[i] = 0
 	}
-	g := GuardedTest{Inner: KSTest{}}
+	g := GuardedTest{}
 	if p, err := g.PValue(base, collapsed); err != nil || p >= 0.05 {
 		t.Errorf("collapse-to-zero not detected (p=%v err=%v)", p, err)
 	}
@@ -60,7 +60,7 @@ func TestGuardedTestSuppressesVarianceOnlyChange(t *testing.T) {
 		wide[i] = 100 + rng.NormFloat64()*10
 		narrow[i] = 100 + rng.NormFloat64()*5
 	}
-	g := GuardedTest{Inner: KSTest{}}
+	g := GuardedTest{}
 	p, err := g.PValue(wide, narrow)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestGuardedTestSuppressesVarianceOnlyChange(t *testing.T) {
 }
 
 func TestGuardedTestBothZeroEqual(t *testing.T) {
-	g := GuardedTest{Inner: KSTest{}}
+	g := GuardedTest{}
 	zeros := []float64{0, 0, 0, 0}
 	p, err := g.PValue(zeros, zeros)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestGuardedTestBothZeroEqual(t *testing.T) {
 // infGuardCases are windows and baselines whose trimmed mean is infinite: a
 // window of under ten values keeps its ±Inf through the 10% trim, and so
 // does a short baseline. The locations are far apart, so the guard must hand
-// each case to the inner test instead of declaring the infinite means equal.
+// each case to the KS test instead of declaring the infinite means equal.
 func infGuardCases() []struct {
 	name             string
 	window, baseline []float64
@@ -105,10 +105,10 @@ func infGuardCases() []struct {
 }
 
 // TestGuardedTestInfiniteLocationRunsInner: an infinite trimmed mean is not
-// practically equal to anything, so the guard returns the inner test's
+// practically equal to anything, so the guard returns the KS test's
 // p-value rather than p = 1.
 func TestGuardedTestInfiniteLocationRunsInner(t *testing.T) {
-	g := GuardedTest{Inner: KSTest{}}
+	g := GuardedTest{}
 	for _, tc := range infGuardCases() {
 		want, err := KSTest{}.PValue(tc.window, tc.baseline)
 		if err != nil {
@@ -118,7 +118,7 @@ func TestGuardedTestInfiniteLocationRunsInner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == 1 || got != want { //vet:allow floateq -- the guard must return the inner p-value bit for bit
+		if got == 1 || got != want { //vet:allow floateq -- the guard must return the KS p-value bit for bit
 			t.Errorf("%s: guarded p = %v, KS p = %v", tc.name, got, want)
 		}
 	}
@@ -126,25 +126,12 @@ func TestGuardedTestInfiniteLocationRunsInner(t *testing.T) {
 
 func TestGuardedTestValidation(t *testing.T) {
 	g := GuardedTest{}
-	if _, err := g.PValue([]float64{1}, []float64{1}); err == nil {
-		t.Error("nil inner test accepted")
-	}
-	g = GuardedTest{Inner: KSTest{}}
 	if _, err := g.PValue(nil, []float64{1}); err == nil {
 		t.Error("empty sample accepted")
 	}
-	g = GuardedTest{Inner: KSTest{}, RelTol: -1}
+	g = GuardedTest{RelTol: -1}
 	if _, err := g.PValue([]float64{1}, []float64{1}); err == nil {
 		t.Error("negative tolerance accepted")
-	}
-}
-
-func TestGuardedTestName(t *testing.T) {
-	if got := (GuardedTest{Inner: KSTest{}}).Name(); got != "guarded-ks" {
-		t.Errorf("Name = %q", got)
-	}
-	if got := (GuardedTest{}).Name(); got != "guarded-nil" {
-		t.Errorf("Name = %q", got)
 	}
 }
 
@@ -175,7 +162,7 @@ func TestTrimmedMean(t *testing.T) {
 // Property: the guard is symmetric and scaling both samples by a positive
 // constant does not change the decision.
 func TestGuardedTestScaleInvarianceProperty(t *testing.T) {
-	g := GuardedTest{Inner: KSTest{}}
+	g := GuardedTest{}
 	rng := rand.New(rand.NewSource(3))
 	prop := func(shiftPct uint8, scaleSeed uint8) bool {
 		scale := 0.5 + float64(scaleSeed)/32.0

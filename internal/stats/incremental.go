@@ -34,10 +34,10 @@ import (
 //
 // Equivalence contract: after any sequence of pushes into window i,
 // KSBaselines.PValue(i, slab.Sorted(i)) equals KSTest{}.PValue(window,
-// baseline) and GuardedPValue equals GuardedTest{Inner:
-// KSTest{}}.PValue(window, baseline) — bit for bit, where window is the
-// retained arrival-order suffix with non-finite values dropped (the same
-// finiteValues filtering core.Detect applies in either mode).
+// baseline) and GuardedPValue equals GuardedTest{}.PValue(window, baseline)
+// — bit for bit, where window is the retained arrival-order suffix with
+// non-finite values dropped (the same finiteValues filtering core.Detect
+// applies in either mode).
 // FuzzIncrementalKS cross-checks this invariant.
 
 // WindowSlab holds the sliding production windows of many incremental KS
@@ -282,11 +282,10 @@ func (b *KSBaselines) pvalue(i int, window []float64) float64 {
 	return ksPValue(ksDistanceSearch(window, b.series[i]), len(window), b.size[i])
 }
 
-// GuardedPValue returns GuardedTest{Inner: KSTest{}, RelTol:
-// relTol}.PValue(window, baseline i) for the sorted finite window: the
-// practical-equivalence guard first, against the cached baseline trimmed
-// mean, then the KS p-value. relTol zero selects DefaultRelTol, matching the
-// guard's defaulting.
+// GuardedPValue returns GuardedTest{RelTol: relTol}.PValue(window,
+// baseline i) for the sorted finite window: the practical-equivalence guard
+// first, against the cached baseline trimmed mean, then the KS p-value.
+// relTol zero selects DefaultRelTol, matching the guard's defaulting.
 func (b *KSBaselines) GuardedPValue(i int, window []float64, relTol float64) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("stats: guarded test needs non-empty samples (|x|=%d |y|=%d)", len(window), b.size[i])

@@ -106,7 +106,7 @@ func checkOneWindow(t *testing.T, step int, win *WindowSlab, base *KSBaselines, 
 	if gotP != wantP { //vet:allow floateq -- the equivalence contract is bitwise
 		t.Fatalf("step %d: p=%v, batch %v", step, gotP, wantP)
 	}
-	wantG, err := (GuardedTest{Inner: KSTest{}}).PValue(finite, baseline)
+	wantG, err := (GuardedTest{}).PValue(finite, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestIncrementalKSGuardTolerance(t *testing.T) {
 		win.Push(0, v)
 	}
 	for _, tol := range []float64{0.05, 0.20, 0.50} {
-		want, err := (GuardedTest{Inner: KSTest{}, RelTol: tol}).PValue(stream, baseline)
+		want, err := (GuardedTest{RelTol: tol}).PValue(stream, baseline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestKSBaselinesSortUnsortedSeries(t *testing.T) {
 	for _, v := range window {
 		win.Push(0, v)
 	}
-	want, err := (GuardedTest{Inner: KSTest{}}).PValue(window, series)
+	want, err := (GuardedTest{}).PValue(window, series)
 	if err != nil {
 		t.Fatal(err)
 	}

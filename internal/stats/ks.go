@@ -6,25 +6,12 @@ import (
 	"math"
 )
 
-// TwoSampleTest decides whether two samples come from the same distribution.
-// Implementations return the p-value for the null hypothesis "x and y are
-// equally distributed"; callers reject the null when p < alpha.
-type TwoSampleTest interface {
-	PValue(x, y []float64) (float64, error)
-	Name() string
-}
-
 // KSTest is the two-sample Kolmogorov–Smirnov test used by the paper
 // (Algorithms 1 and 2 decide F̂_s ≠ F̂_0 with it). The p-value uses the
 // asymptotic Kolmogorov distribution with the Stephens small-sample
 // correction, which is accurate for the ~19-window samples the pipeline
 // produces from ten-minute collection periods.
 type KSTest struct{}
-
-var _ TwoSampleTest = KSTest{}
-
-// Name implements TwoSampleTest.
-func (KSTest) Name() string { return "ks" }
 
 // errNaN rejects a KS sample holding NaN: NaN has no place in the order
 // the statistic walks. ±Inf keep their defined order and are accepted.
@@ -48,13 +35,14 @@ func (KSTest) Statistic(x, y []float64) (float64, error) {
 	return KSDistance(ex, ey), nil
 }
 
-// PValue implements TwoSampleTest. Unlike Statistic it does not build ECDF
-// values: the samples are copied into pooled scratch buffers, sorted there,
-// and the buffers are reused across calls — the per-call allocations on the
+// PValue returns the p-value for the null hypothesis that x and y are
+// equally distributed. Unlike Statistic it does not build ECDF values: the
+// samples are copied into pooled scratch buffers, sorted there, and the
+// buffers are reused across calls — the per-call allocations on the
 // learner's (service × metric × intervention) matrix would otherwise
 // dominate the parallel pipeline's garbage-collection budget. An empty
 // sample, or one holding NaN, is an error.
-func (t KSTest) PValue(x, y []float64) (float64, error) {
+func (KSTest) PValue(x, y []float64) (float64, error) {
 	if len(x) == 0 {
 		return 0, fmt.Errorf("stats: ks first sample: stats: ECDF of empty sample")
 	}
@@ -62,13 +50,19 @@ func (t KSTest) PValue(x, y []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: ks second sample: stats: ECDF of empty sample")
 	}
 	s := borrowScratch(x, y)
-	err := nanError(s.a, s.b)
-	var p float64
-	if err == nil {
-		p = ksPValue(ksDistanceSorted(s.a, s.b), len(x), len(y))
-	}
+	p, err := sortedPValue(s.a, s.b)
 	s.release()
 	return p, err
+}
+
+// sortedPValue is the KS p-value of two sorted, non-empty samples, or the
+// error naming the one that holds NaN. KSTest.PValue and GuardedTest.PValue
+// both end in it.
+func sortedPValue(a, b []float64) (float64, error) {
+	if err := nanError(a, b); err != nil {
+		return 0, err
+	}
+	return ksPValue(ksDistanceSorted(a, b), len(a), len(b)), nil
 }
 
 // nanError reports which of two sorted, non-empty samples holds NaN, which
@@ -147,17 +141,4 @@ func CriticalValue(alpha float64, n, m int) (float64, error) {
 	c := math.Sqrt(-math.Log(alpha/2) / 2)
 	fn, fm := float64(n), float64(m)
 	return c * math.Sqrt((fn+fm)/(fn*fm)), nil
-}
-
-// Differs is a convenience helper: it reports whether test rejects the null
-// hypothesis that x and y are equally distributed at level alpha.
-func Differs(test TwoSampleTest, x, y []float64, alpha float64) (bool, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return false, fmt.Errorf("stats: alpha must be in (0,1), got %v", alpha)
-	}
-	p, err := test.PValue(x, y)
-	if err != nil {
-		return false, err
-	}
-	return p < alpha, nil
 }

@@ -61,7 +61,7 @@ func TestPValueMatchesECDFPath(t *testing.T) {
 func TestGuardedTestDoesNotMutateSamples(t *testing.T) {
 	x := []float64{5, 3, 4, 1, 2}
 	y := []float64{9, 7, 8, 6, 10}
-	test := GuardedTest{Inner: KSTest{}}
+	test := GuardedTest{}
 	if _, err := test.PValue(x, y); err != nil {
 		t.Fatal(err)
 	}

@@ -132,11 +132,11 @@ func TestKSPValueSameDistribution(t *testing.T) {
 			x[j] = rng.NormFloat64()
 			y[j] = rng.NormFloat64()
 		}
-		reject, err := Differs(ks, x, y, 0.05)
+		p, err := ks.PValue(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reject {
+		if p < 0.05 {
 			rejections++
 		}
 	}
@@ -158,11 +158,11 @@ func TestKSPValueShiftedDistribution(t *testing.T) {
 			x[j] = rng.NormFloat64()
 			y[j] = rng.NormFloat64() + 2.0 // two-sigma shift
 		}
-		reject, err := Differs(ks, x, y, 0.05)
+		p, err := ks.PValue(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reject {
+		if p < 0.05 {
 			detected++
 		}
 	}
@@ -247,15 +247,6 @@ func TestKSRejectsNaN(t *testing.T) {
 	}
 }
 
-func TestDiffersValidatesAlpha(t *testing.T) {
-	var ks KSTest
-	for _, alpha := range []float64{0, 1, -0.5, 2} {
-		if _, err := Differs(ks, []float64{1}, []float64{2}, alpha); err == nil {
-			t.Fatalf("Differs accepted alpha=%v", alpha)
-		}
-	}
-}
-
 func TestCriticalValue(t *testing.T) {
 	// Classic two-sample critical value at alpha=0.05, n=m=20:
 	// 1.358*sqrt(2/20) ≈ 0.4294.
@@ -310,57 +301,6 @@ func TestKSDecisionConsistencyProperty(t *testing.T) {
 		if d < cv*0.7 && p < 0.05 {
 			t.Fatalf("D=%v far below critical %v but p=%v", d, cv, p)
 		}
-	}
-}
-
-func TestPermutationTestAgreesWithKS(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	same := make([]float64, 20)
-	shifted := make([]float64, 20)
-	base := make([]float64, 20)
-	for i := range base {
-		base[i] = rng.NormFloat64()
-		same[i] = rng.NormFloat64()
-		shifted[i] = rng.NormFloat64() + 3
-	}
-	perm := PermutationTest{Rounds: 300, Seed: 7}
-	pSame, err := perm.PValue(base, same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pShift, err := perm.PValue(base, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pSame < 0.05 {
-		t.Errorf("permutation test rejected identical distributions (p=%v)", pSame)
-	}
-	if pShift > 0.05 {
-		t.Errorf("permutation test missed a 3-sigma shift (p=%v)", pShift)
-	}
-}
-
-func TestPermutationTestDeterministic(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 3, 4, 5, 6}
-	perm := PermutationTest{Rounds: 100, Seed: 42}
-	p1, err := perm.PValue(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := perm.PValue(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Fatalf("same seed produced p=%v then p=%v", p1, p2)
-	}
-}
-
-func TestPermutationTestEmptySamples(t *testing.T) {
-	perm := PermutationTest{}
-	if _, err := perm.PValue(nil, []float64{1}); err == nil {
-		t.Fatal("permutation test accepted empty sample")
 	}
 }
 

@@ -123,7 +123,7 @@ type Detector struct {
 // unsorted series is sorted into a private copy. A NaN baseline value is
 // rejected; no per-hop call sorts anything. The zero option set means: DefaultWindow,
 // core.DefaultAlpha, strict completeness, serial execution. The test is
-// always the batch default, stats.GuardedTest{Inner: stats.KSTest{}}.
+// always the batch default, the guarded KS test stats.GuardedTest{}.
 func NewDetector(baseline *metrics.Snapshot, opts ...Option) (*Detector, error) {
 	s, err := applyOptions(opts)
 	if err != nil {
