@@ -44,8 +44,10 @@ test-serve:
 	$(GO) test -race ./internal/serve/ ./internal/stream/
 
 # The baseline-arena suite under the race detector: the head-to-head
-# harness (workers byte-identity, arena<->evaluate parity, envelope
-# round-trip) plus the competitor implementations it measures.
+# harness (workers byte-identity; parity of the 1x paper row with evaluate
+# and of the 4x cell with eval.CompareTechniques; one answer per case for a
+# set-only technique; envelope round-trip and the version-1 fixture) plus
+# the competitor implementations it measures.
 test-arena:
 	$(GO) test -race ./internal/arena/ ./internal/baselines/
 

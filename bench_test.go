@@ -44,7 +44,7 @@ func tableIBench(b *testing.B, build apps.Builder, mult float64) {
 			Metrics:        metrics.DerivedAll(),
 			TestMultiplier: mult,
 		})
-		model, report, err := eval.TrainAndEvaluate(context.Background(), cfg)
+		model, report, err := eval.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func tableIIBench(b *testing.B, build apps.Builder, preset string) {
 			Metrics:        union,
 			TestMultiplier: 4,
 		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
+		scores, err := eval.CompareTechniques(context.Background(), cfg, cfg, []baselines.Technique{
 			&baselines.Paper{MetricNames: metrics.Names(set)},
 		})
 		if err != nil {
@@ -171,30 +171,6 @@ func BenchmarkCausalSetsExample(b *testing.B) {
 	b.ReportMetric(match, "paper-matching-sets")
 }
 
-// --- Baseline comparison (§VI-B / §VII narrative) ----------------------------
-
-func baselineBench(b *testing.B, build apps.Builder, name string) {
-	b.Helper()
-	var ourAcc, errlogInfo float64
-	for i := 0; i < b.N; i++ {
-		result, err := eval.RunBaselineComparison(context.Background(), benchOpts, build, name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ourAcc = result.Scores[0].Accuracy
-		errlogInfo = result.Scores[1].MeanInformativeness
-	}
-	b.ReportMetric(ourAcc, "our-accuracy")
-	b.ReportMetric(errlogInfo, "errlog-informativeness")
-}
-
-func BenchmarkBaselines_CausalBench(b *testing.B) {
-	baselineBench(b, causalbench.Build, causalbench.Name)
-}
-func BenchmarkBaselines_RobotShop(b *testing.B) {
-	baselineBench(b, robotshop.Build, robotshop.Name)
-}
-
 // --- Ablations (design choices from DESIGN.md §5) ---------------------------
 
 // ablationRun runs a CausalBench campaign with a config mutation.
@@ -206,7 +182,7 @@ func ablationRun(b *testing.B, mutate func(*eval.Config)) (acc, info float64) {
 		TestMultiplier: 4,
 	})
 	mutate(&cfg)
-	_, report, err := eval.TrainAndEvaluate(context.Background(), cfg)
+	_, report, err := eval.Run(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,7 +250,7 @@ func benchVoteRule(b *testing.B, rule core.VoteRule) {
 			Metrics:        union,
 			TestMultiplier: 4,
 		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
+		scores, err := eval.CompareTechniques(context.Background(), cfg, cfg, []baselines.Technique{
 			&baselines.Paper{Rule: rule},
 		})
 		if err != nil {
@@ -306,7 +282,7 @@ func benchTestRule(b *testing.B, raw bool) {
 			Metrics:        metrics.DerivedAll(),
 			TestMultiplier: 4,
 		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
+		scores, err := eval.CompareTechniques(context.Background(), cfg, cfg, []baselines.Technique{
 			&baselines.Paper{RawKS: raw},
 		})
 		if err != nil {
@@ -327,7 +303,7 @@ func benchDecision(b *testing.B, fdr float64) {
 			Metrics:        metrics.DerivedAll(),
 			TestMultiplier: 4,
 		})
-		scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
+		scores, err := eval.CompareTechniques(context.Background(), cfg, cfg, []baselines.Technique{
 			&baselines.Paper{FDR: fdr},
 		})
 		if err != nil {

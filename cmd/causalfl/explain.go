@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"causalfl/internal/chaos"
@@ -81,12 +80,7 @@ func cmdExplain(ctx context.Context, args []string) error {
 // explainRanking localizes the faulty production window with a trained model
 // and returns the verdict's attribution ranking.
 func explainRanking(ctx context.Context, cf commonFlags, modelPath string, faults []chaos.TargetFault) ([]string, error) {
-	f, err := os.Open(modelPath)
-	if err != nil {
-		return nil, fmt.Errorf("open model: %w", err)
-	}
-	defer f.Close()
-	model, err := core.ReadModel(f)
+	model, err := readModel(modelPath)
 	if err != nil {
 		return nil, err
 	}

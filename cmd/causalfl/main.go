@@ -208,12 +208,7 @@ func cmdLocalize(ctx context.Context, args []string) error {
 	if *fault == "" && *productionPath == "" {
 		return fmt.Errorf("localize needs -fault (simulate) or -production (snapshot file)")
 	}
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return fmt.Errorf("open model: %w", err)
-	}
-	defer f.Close()
-	model, err := core.ReadModel(f)
+	model, err := readModel(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -419,12 +414,7 @@ func cmdWorlds(_ context.Context, args []string) error {
 	if *modelPath == "" {
 		return fmt.Errorf("worlds needs -model")
 	}
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return fmt.Errorf("open model: %w", err)
-	}
-	defer f.Close()
-	model, err := core.ReadModel(f)
+	model, err := readModel(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -461,14 +451,6 @@ func cmdDiff(_ context.Context, args []string) error {
 	if *oldPath == "" || *newPath == "" {
 		return fmt.Errorf("diff needs -old and -new")
 	}
-	readModel := func(path string) (*core.Model, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open model: %w", err)
-		}
-		defer f.Close()
-		return core.ReadModel(f)
-	}
 	oldModel, err := readModel(*oldPath)
 	if err != nil {
 		return err
@@ -483,4 +465,14 @@ func cmdDiff(_ context.Context, args []string) error {
 	}
 	fmt.Print(d)
 	return nil
+}
+
+// readModel reads and validates a trained model file.
+func readModel(path string) (*core.Model, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("open model: %w", err)
+	}
+	defer f.Close()
+	return core.ReadModel(f)
 }

@@ -61,13 +61,7 @@ func cmdWatch(ctx context.Context, args []string) error {
 
 	var model *core.Model
 	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return fmt.Errorf("open model: %w", err)
-		}
-		defer f.Close()
-		model, err = core.ReadModel(f)
-		if err != nil {
+		if model, err = readModel(*modelPath); err != nil {
 			return err
 		}
 	} else {

@@ -42,7 +42,7 @@ func run(quick bool, seed int64) error {
 	})
 
 	fmt.Println("robot-shop: training at 1x, localizing every fault at 4x load ...")
-	scores, err := eval.CompareTechniques(context.Background(), cfg, []baselines.Technique{
+	scores, err := eval.CompareTechniques(context.Background(), cfg, cfg, []baselines.Technique{
 		&baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())},
 		baselines.ErrLogOnly(),
 		&baselines.SingleWorld{},

@@ -21,6 +21,7 @@ package arena
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"causalfl/internal/apps"
@@ -265,21 +266,11 @@ func runCell(ctx context.Context, o Options, app AppSpec, mult, loss float64) (C
 			if err := fresh.Train(ctx, truncated.Baseline, truncated.Interventions); err != nil {
 				return Cell{}, fmt.Errorf("arena: %s @%g: retrain %s: %w", app.Name, frac, tech.Name(), err)
 			}
-			correct := 0
-			for _, tc := range cases {
-				cands, err := fresh.Localize(ctx, tc.Production)
-				if err != nil {
-					return Cell{}, fmt.Errorf("arena: %s @%g: %s: %w", app.Name, frac, tech.Name(), err)
-				}
-				if containsService(cands, tc.Target) {
-					correct++
-				}
+			g, err := eval.Grade(ctx, fresh, cases, nServices)
+			if err != nil {
+				return Cell{}, fmt.Errorf("arena: %s @%g: %w", app.Name, frac, err)
 			}
-			acc := 0.0
-			if len(cases) > 0 {
-				acc = float64(correct) / float64(len(cases))
-			}
-			row.Sample = append(row.Sample, SamplePoint{Fraction: frac, Accuracy: acc})
+			row.Sample = append(row.Sample, SamplePoint{Fraction: frac, Accuracy: g.Accuracy})
 		}
 		cell.Rows = append(cell.Rows, row)
 	}
@@ -297,8 +288,8 @@ func rowIndex(name string) int {
 	return -1
 }
 
-// measure trains one technique and grades it on every test case, timing the
-// two phases with the cell clock.
+// measure trains one technique, grades its answers with eval.Grade and
+// ranks them for top-1/top-3, timing the two phases with the cell clock.
 func measure(ctx context.Context, clk clock.Clock, tech baselines.Technique, data *eval.TrainingData, cases []eval.TestCase, nServices int) (Row, error) {
 	_, ranked := tech.(baselines.RankedTechnique)
 	row := Row{Technique: tech.Name(), Ranked: ranked}
@@ -309,60 +300,39 @@ func measure(ctx context.Context, clk clock.Clock, tech baselines.Technique, dat
 	}
 	row.TrainWall = clk.Now().Sub(start)
 
-	var top1, top3, exact, contain int
-	var candSum, infSum float64
 	start = clk.Now()
-	for _, tc := range cases {
-		cands, err := tech.Localize(ctx, tc.Production)
+	g, err := eval.Grade(ctx, tech, cases, nServices)
+	if err != nil {
+		return Row{}, err
+	}
+	var top1, top3, exact int
+	for i, o := range g.Outcomes {
+		order, err := baselines.RankedOrSets(ctx, tech, cases[i].Production, o.Candidates)
 		if err != nil {
-			return Row{}, fmt.Errorf("localize %s: %w", tc.Target, err)
+			return Row{}, fmt.Errorf("rank %s: %w", o.Target, err)
 		}
-		order, err := baselines.RankedOrSets(ctx, tech, tc.Production)
-		if err != nil {
-			return Row{}, fmt.Errorf("rank %s: %w", tc.Target, err)
-		}
-		verdict := Verdict{
-			Target:     tc.Target,
-			Candidates: append([]string(nil), cands...),
-			Correct:    containsService(cands, tc.Target),
-		}
-		for i, s := range order {
-			if i >= 3 {
-				break
-			}
+		verdict := Verdict{Target: o.Target, Candidates: o.Candidates, Correct: o.Correct}
+		for _, s := range order[:min(len(order), 3)] {
 			verdict.Top = append(verdict.Top, s.Service)
 		}
-		if len(order) > 0 && order[0].Service == tc.Target {
+		if len(order) > 0 && order[0].Service == o.Target {
 			top1++
 		}
-		if containsService(verdict.Top, tc.Target) {
+		if slices.Contains(verdict.Top, o.Target) {
 			top3++
 		}
-		if len(cands) == 1 && cands[0] == tc.Target {
+		if len(o.Candidates) == 1 && o.Candidates[0] == o.Target {
 			exact++
-		}
-		if verdict.Correct {
-			contain++
-		}
-		candSum += float64(len(cands))
-		if len(cands) == 0 {
-			// Naming nobody excludes nobody: an empty set scores 0, the
-			// same rule eval applies to abstentions.
-			infSum += 0
-		} else {
-			infSum += eval.Informativeness(nServices, len(cands))
 		}
 		row.Verdicts = append(row.Verdicts, verdict)
 	}
 	row.LocalizeWall = clk.Now().Sub(start)
 
+	row.Contain, row.MeanCandidates, row.MeanInformativeness = g.Accuracy, g.MeanCandidates, g.MeanInformativeness
 	if n := float64(len(cases)); n > 0 {
 		row.Top1 = float64(top1) / n
 		row.Top3 = float64(top3) / n
 		row.Exact = float64(exact) / n
-		row.Contain = float64(contain) / n
-		row.MeanCandidates = candSum / n
-		row.MeanInformativeness = infSum / n
 	}
 	return row, nil
 }
@@ -397,14 +367,4 @@ func truncateSnapshot(snap *metrics.Snapshot, frac float64) *metrics.Snapshot {
 		}
 	}
 	return out
-}
-
-// containsService reports membership in a candidate list.
-func containsService(set []string, svc string) bool {
-	for _, s := range set {
-		if s == svc {
-			return true
-		}
-	}
-	return false
 }

@@ -6,9 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"causalfl/internal/baselines"
+	"causalfl/internal/clock"
 	"causalfl/internal/eval"
 	"causalfl/internal/metrics"
+	"causalfl/internal/sim"
 )
 
 var ctx = context.Background()
@@ -132,12 +136,19 @@ func TestReportShapeAndValidation(t *testing.T) {
 	}
 }
 
-// TestArenaEvaluateParity pins the arena's Paper row to the numbers
-// `causalfl evaluate` produces: same seeds, same per-scenario verdicts on
-// both paper apps. The arena collects with the union metric set and the
-// Paper technique projects to the derived set; because collection builds
-// each metric's series independently from the same sampled windows,
-// projection is exact and the verdicts must be bit-identical.
+// TestArenaEvaluateParity pins the arena to the two eval front doors on
+// both paper apps, from one quick arena run per app at 1x and 4x:
+//
+//   - the 1x Paper row gives the per-scenario verdicts `causalfl evaluate`
+//     produces. The arena collects with the union metric set and the Paper
+//     technique projects to the derived set; because collection builds each
+//     metric's series independently from the same sampled windows,
+//     projection is exact and the verdicts must be bit-identical.
+//   - the 4x cell gives, for the six techniques of the former baseline
+//     comparison report sections, the per-case answers, containment and
+//     informativeness of eval.CompareTechniques on that comparison's config
+//     (union metrics plus the error-log rate, trained at 1x, tested at 4x).
+//     The arena's 4x rows are that comparison.
 func TestArenaEvaluateParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation campaign")
@@ -150,7 +161,7 @@ func TestArenaEvaluateParity(t *testing.T) {
 	for _, app := range PaperApps() {
 		o := Options{
 			Apps:        []AppSpec{app},
-			Multipliers: []float64{1},
+			Multipliers: []float64{1, 4},
 			Losses:      []float64{0},
 			Quick:       true,
 			Workers:     1,
@@ -178,9 +189,104 @@ func TestArenaEvaluateParity(t *testing.T) {
 		for _, out := range report.Outcomes {
 			want = append(want, verdict{out.Target, out.Candidates, out.Correct})
 		}
-
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: arena Paper verdicts diverge from causalfl evaluate:\narena: %+v\neval:  %+v", app.Name, got, want)
+		}
+
+		built, err := app.Build(sim.NewEngine(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		union := append(metrics.RawAll(), metrics.DerivedAll()...)
+		union = append(union, metrics.ErrLogRate)
+		cmpCfg := eo.Apply(eval.Config{Build: app.Build, Metrics: union, TestMultiplier: 4})
+		gradings, err := eval.CompareTechniques(ctx, cmpCfg, cmpCfg, []baselines.Technique{
+			&baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())},
+			baselines.ErrLogOnly(),
+			&baselines.SingleWorld{},
+			&baselines.TopologyRCA{Edges: built.Edges},
+			&baselines.Observational{},
+			&baselines.RandomGuess{Seed: 42},
+		})
+		if err != nil {
+			t.Fatalf("%s: compare: %v", app.Name, err)
+		}
+		cell := r.Apps[0].Cells[1]
+		if cell.Multiplier != 4 || cell.Loss != 0 {
+			t.Fatalf("%s: second cell is %gx/%g, want 4x/0", app.Name, cell.Multiplier, cell.Loss)
+		}
+		rows := make(map[string]Row, len(cell.Rows))
+		for _, row := range cell.Rows {
+			rows[row.Technique] = row
+		}
+		for _, g := range gradings {
+			row, ok := rows[g.Technique]
+			if !ok {
+				t.Errorf("%s 4x: arena has no %q row", app.Name, g.Technique)
+				continue
+			}
+			got, want := []verdict(nil), []verdict(nil)
+			for _, v := range row.Verdicts {
+				got = append(got, verdict{v.Target, v.Candidates, v.Correct})
+			}
+			for _, out := range g.Outcomes {
+				want = append(want, verdict{out.Target, out.Candidates, out.Correct})
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s 4x %s: arena answers diverge from CompareTechniques:\narena:   %+v\ncompare: %+v", app.Name, g.Technique, got, want)
+			}
+			if row.Contain != g.Accuracy || row.MeanInformativeness != g.MeanInformativeness {
+				t.Errorf("%s 4x %s: arena contain/inform %v/%v, CompareTechniques %v/%v",
+					app.Name, g.Technique, row.Contain, row.MeanInformativeness, g.Accuracy, g.MeanInformativeness)
+			}
+		}
+	}
+}
+
+// countingSet is a set-only technique that names one service per call,
+// cycling through its services, and counts how often it is asked.
+type countingSet struct {
+	services []string
+	calls    int
+}
+
+func (c *countingSet) Name() string { return "counting" }
+
+func (c *countingSet) Train(context.Context, *metrics.Snapshot, map[string]*metrics.Snapshot) error {
+	return nil
+}
+
+func (c *countingSet) Localize(context.Context, *metrics.Snapshot) ([]string, error) {
+	answer := []string{c.services[c.calls%len(c.services)]}
+	c.calls++
+	return answer, nil
+}
+
+// TestMeasureAsksSetTechniqueOncePerCase pins that a set-only technique is
+// graded on one answer per case: its ranking is the lifted set it already
+// gave, so a one-service answer scores top-1 exactly as it scores contain.
+// Asking again for the ranking would draw a second, different answer.
+func TestMeasureAsksSetTechniqueOncePerCase(t *testing.T) {
+	tech := &countingSet{services: []string{"a", "b", "c"}}
+	cases := []eval.TestCase{{Target: "a"}, {Target: "b"}, {Target: "c"}, {Target: "b"}}
+	clk := &clock.Fake{Step: time.Millisecond}
+	row, err := measure(ctx, clk, tech, &eval.TrainingData{}, cases, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tech.calls != len(cases) {
+		t.Errorf("Localize called %d times for %d cases, want one per case", tech.calls, len(cases))
+	}
+	if row.Top1 != row.Contain || row.Exact != row.Contain || row.Top3 != row.Contain {
+		t.Errorf("one-service answers: top1 %.2f top3 %.2f exact %.2f, want each = contain %.2f",
+			row.Top1, row.Top3, row.Exact, row.Contain)
+	}
+	if row.Contain != 0.75 {
+		t.Errorf("contain = %.2f, want 0.75 (three of four cycled answers hit)", row.Contain)
+	}
+	for _, v := range row.Verdicts {
+		if !reflect.DeepEqual(v.Top, v.Candidates) {
+			t.Errorf("%s: ranking head %v is not the lifted answer %v", v.Target, v.Top, v.Candidates)
 		}
 	}
 }

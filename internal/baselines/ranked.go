@@ -42,15 +42,13 @@ func sortScored(ranked []Scored) {
 }
 
 // RankedOrSets adapts any Technique to a ranked verdict: a RankedTechnique
-// is asked directly, anything else has its candidate set lifted to a
-// uniform-score ranking (each candidate scored 1, everything else omitted).
-func RankedOrSets(ctx context.Context, tech Technique, production *metrics.Snapshot) ([]Scored, error) {
+// is asked for its ranking, anything else has the candidate set it already
+// answered for production (cands) lifted to a uniform-score ranking (each
+// candidate scored 1, everything else omitted). A set-only technique is
+// never asked twice, so the ranking grades the same answer as the set.
+func RankedOrSets(ctx context.Context, tech Technique, production *metrics.Snapshot, cands []string) ([]Scored, error) {
 	if rt, ok := tech.(RankedTechnique); ok {
 		return rt.LocalizeRanked(ctx, production)
-	}
-	cands, err := tech.Localize(ctx, production)
-	if err != nil {
-		return nil, err
 	}
 	ranked := make([]Scored, 0, len(cands))
 	for _, svc := range cands {

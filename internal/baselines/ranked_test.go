@@ -240,7 +240,7 @@ func TestRankedOrSetsLiftsSetTechniques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := RankedOrSets(ctx, tech, prod)
+	ranked, err := RankedOrSets(ctx, tech, prod, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

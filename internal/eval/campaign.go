@@ -517,11 +517,3 @@ func Run(ctx context.Context, cfg Config) (*core.Model, *Report, error) {
 	}
 	return model, report, nil
 }
-
-// TrainAndEvaluate is the common train-then-test pipeline used by the table
-// experiments.
-//
-// Deprecated: use Run, which is the same pipeline under the unified name.
-func TrainAndEvaluate(ctx context.Context, cfg Config) (*core.Model, *Report, error) {
-	return Run(ctx, cfg)
-}

@@ -29,6 +29,7 @@ func TestInformativeness(t *testing.T) {
 		{9, 3, 0.75},
 		{1, 1, 1.0},  // degenerate universe
 		{9, 12, 0.0}, // clamped
+		{9, 0, 0.0},  // an empty answer excludes nobody
 	}
 	for _, tt := range tests {
 		if got := Informativeness(tt.n, tt.x); got != tt.want {
@@ -178,7 +179,7 @@ func TestCompareTechniquesQuick(t *testing.T) {
 	ours := &baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())}
 	errlog := baselines.ErrLogOnly()
 	random := &baselines.RandomGuess{Seed: 3}
-	scores, err := CompareTechniques(context.Background(), cfg, []baselines.Technique{ours, errlog, random})
+	scores, err := CompareTechniques(context.Background(), cfg, cfg, []baselines.Technique{ours, errlog, random})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestCompareTechniquesQuick(t *testing.T) {
 }
 
 func TestCompareTechniquesValidation(t *testing.T) {
-	if _, err := CompareTechniques(context.Background(), quickCfg(), nil); err == nil {
+	if _, err := CompareTechniques(context.Background(), quickCfg(), quickCfg(), nil); err == nil {
 		t.Fatal("accepted empty technique list")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"causalfl/internal/clock"
 	"causalfl/internal/load"
 	"causalfl/internal/metrics"
-	"causalfl/internal/sim"
 	"causalfl/internal/stats"
 )
 
@@ -188,7 +187,7 @@ func RunTableII(ctx context.Context, o Options) (*TableIIResult, error) {
 			}
 			techniques = append(techniques, &baselines.Paper{MetricNames: metrics.Names(set)})
 		}
-		scores, err := CompareTechniques(ctx, cfg, techniques)
+		scores, err := CompareTechniques(ctx, cfg, cfg, techniques)
 		if err != nil {
 			return nil, fmt.Errorf("eval: table II %s: %w", app.Name, err)
 		}
@@ -202,46 +201,6 @@ func RunTableII(ctx context.Context, o Options) (*TableIIResult, error) {
 		}
 	}
 	return result, nil
-}
-
-// BaselineComparisonResult compares the paper's method against the related
-// approaches of §VII on both applications (trained at 1x, tested at 4x).
-type BaselineComparisonResult struct {
-	App    string
-	Scores []TechniqueScore
-}
-
-// String renders one comparison table per app.
-func (r *BaselineComparisonResult) String() string {
-	return RenderScores(fmt.Sprintf("Baseline comparison on %s (test load 4x)", r.App), r.Scores)
-}
-
-// RunBaselineComparison scores our method against the error-log-only [23],
-// single-causal-world [24], topology-driven [14], observational, and random
-// baselines.
-func RunBaselineComparison(ctx context.Context, o Options, build apps.Builder, appName string) (*BaselineComparisonResult, error) {
-	union := append(metrics.RawAll(), metrics.DerivedAll()...)
-	union = append(union, metrics.ErrLogRate)
-	cfg := o.Apply(Config{Build: build, Metrics: union, TestMultiplier: 4})
-	// The topology baseline receives the static call graph, as a service
-	// mesh would report it.
-	app, err := build(sim.NewEngine(0))
-	if err != nil {
-		return nil, fmt.Errorf("eval: baseline comparison %s: %w", appName, err)
-	}
-	techniques := []baselines.Technique{
-		&baselines.Paper{MetricNames: metrics.Names(metrics.DerivedAll())},
-		baselines.ErrLogOnly(),
-		&baselines.SingleWorld{},
-		&baselines.TopologyRCA{Edges: app.Edges},
-		&baselines.Observational{},
-		&baselines.RandomGuess{Seed: cfg.Seed},
-	}
-	scores, err := CompareTechniques(ctx, cfg, techniques)
-	if err != nil {
-		return nil, fmt.Errorf("eval: baseline comparison %s: %w", appName, err)
-	}
-	return &BaselineComparisonResult{App: appName, Scores: scores}, nil
 }
 
 // Fig1Result reproduces Fig. 1: the causal sets learned on the two

@@ -268,7 +268,7 @@ func RunNonstationaryExtension(ctx context.Context, o Options) (*NonstationaryRe
 			Label:       c.preset + "/" + c.label,
 		})
 	}
-	scores, err := CompareTechniquesSplit(ctx, trainCfg, testCfg, techniques)
+	scores, err := CompareTechniques(ctx, trainCfg, testCfg, techniques)
 	if err != nil {
 		return nil, fmt.Errorf("eval: nonstationary extension: %w", err)
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,8 +19,9 @@ type Outcome struct {
 	// criterion: the output is a set of candidate root causes).
 	Correct bool
 	// Informativeness is (n-x)/(n-1) with n services and x candidates
-	// (§VI-A): 1.0 pins a single location, 0 excludes nothing. An
-	// abstention scores 0: naming nobody excludes nobody.
+	// (§VI-A): 1.0 pins a single location, 0 excludes nothing. An empty
+	// answer, an abstention included, scores 0: naming nobody excludes
+	// nobody.
 	Informativeness float64
 	// Abstained marks a localization that declined to answer because the
 	// telemetry was too degraded to test anything.
@@ -31,24 +33,23 @@ type Outcome struct {
 	Votes map[string]float64
 }
 
+// score grades one answer against the known injected target. It is the one
+// grading rule: Evaluate and Grade both score through it.
+func score(target string, candidates []string, nServices int) Outcome {
+	return Outcome{
+		Target:          target,
+		Candidates:      append([]string(nil), candidates...),
+		Correct:         slices.Contains(candidates, target),
+		Informativeness: Informativeness(nServices, len(candidates)),
+		Coverage:        1,
+	}
+}
+
 // newOutcome scores one localization against the known injected target.
 func newOutcome(target string, loc *core.Localization, nServices int) Outcome {
-	correct := false
-	for _, c := range loc.Candidates {
-		if c == target {
-			correct = true
-			break
-		}
-	}
-	o := Outcome{
-		Target:          target,
-		Candidates:      append([]string(nil), loc.Candidates...),
-		Correct:         correct,
-		Informativeness: Informativeness(nServices, len(loc.Candidates)),
-		Abstained:       loc.Abstained,
-		Coverage:        1,
-		Votes:           loc.Votes,
-	}
+	o := score(target, loc.Candidates, nServices)
+	o.Abstained = loc.Abstained
+	o.Votes = loc.Votes
 	if n := len(loc.MetricCoverage); n > 0 {
 		sum := 0.0
 		for _, c := range loc.MetricCoverage {
@@ -56,26 +57,39 @@ func newOutcome(target string, loc *core.Localization, nServices int) Outcome {
 		}
 		o.Coverage = sum / float64(n)
 	}
-	if o.Abstained {
-		o.Informativeness = 0
-	}
 	return o
 }
 
-// Informativeness computes (n-x)/(n-1) (paper §VI-A), clamped to [0, 1].
+// summarize averages outcomes: the containment rate, the mean candidate-set
+// size and the mean informativeness (all zero when there are none).
+func summarize(outcomes []Outcome) (accuracy, meanCandidates, meanInformativeness float64) {
+	if len(outcomes) == 0 {
+		return 0, 0, 0
+	}
+	correct := 0
+	var cands, info float64
+	for _, o := range outcomes {
+		if o.Correct {
+			correct++
+		}
+		cands += float64(len(o.Candidates))
+		info += o.Informativeness
+	}
+	n := float64(len(outcomes))
+	return float64(correct) / n, cands / n, info / n
+}
+
+// Informativeness computes (n-x)/(n-1) (paper §VI-A), clamped at 0. An
+// empty answer (x = 0) scores 0: naming nobody excludes nobody. Otherwise
 // n <= 1 yields 1 by convention (there is nothing to exclude).
 func Informativeness(n, x int) float64 {
+	if x <= 0 {
+		return 0
+	}
 	if n <= 1 {
 		return 1
 	}
-	v := float64(n-x) / float64(n-1)
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return max(float64(n-x)/float64(n-1), 0)
 }
 
 // Report aggregates a campaign's outcomes.
@@ -99,19 +113,7 @@ type Report struct {
 
 // finalize computes the aggregate measures.
 func (r *Report) finalize() {
-	if len(r.Outcomes) == 0 {
-		return
-	}
-	correct := 0
-	var info float64
-	for _, o := range r.Outcomes {
-		if o.Correct {
-			correct++
-		}
-		info += o.Informativeness
-	}
-	r.Accuracy = float64(correct) / float64(len(r.Outcomes))
-	r.MeanInformativeness = info / float64(len(r.Outcomes))
+	r.Accuracy, _, r.MeanInformativeness = summarize(r.Outcomes)
 }
 
 // String renders the report as a fixed-width table with one row per fault.

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"causalfl/internal/apps/causalbench"
@@ -114,9 +115,9 @@ func RunTraceComparison(ctx context.Context, o Options) (*TraceComparisonResult,
 		row := TraceComparisonRow{
 			Target:          target,
 			TraceCandidates: traceCandidates,
-			TraceCorrect:    containsString(traceCandidates, target) && len(traceCandidates) < n,
+			TraceCorrect:    slices.Contains(traceCandidates, target) && len(traceCandidates) < n,
 			OurCandidates:   loc.Candidates,
-			OurCorrect:      containsString(loc.Candidates, target),
+			OurCorrect:      slices.Contains(loc.Candidates, target),
 		}
 		result.Rows = append(result.Rows, row)
 		if row.TraceCorrect {
@@ -134,14 +135,4 @@ func RunTraceComparison(ctx context.Context, o Options) (*TraceComparisonResult,
 	result.TraceInfo = traceInfo / total
 	result.OurInfo = ourInfo / total
 	return result, nil
-}
-
-// containsString reports membership.
-func containsString(set []string, s string) bool {
-	for _, v := range set {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

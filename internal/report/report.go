@@ -49,12 +49,6 @@ func Sections() []Section {
 		{"logging", "§III-B — logging discipline changes the causal world", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunLoggingDiscipline(ctx, o)
 		}},
-		{"compare-causalbench", "Baseline comparison — CausalBench", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
-			return eval.RunBaselineComparison(ctx, o, causalbench.Build, causalbench.Name)
-		}},
-		{"compare-robotshop", "Baseline comparison — Robot-shop", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
-			return eval.RunBaselineComparison(ctx, o, robotshop.Build, robotshop.Name)
-		}},
 		{"fault-types", "Extension — fault-type generalization", func(ctx context.Context, o eval.Options) (fmt.Stringer, error) {
 			return eval.RunFaultTypeExtension(ctx, o)
 		}},
